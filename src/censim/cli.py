@@ -29,6 +29,7 @@ from .balance import residual_immigrants
 from .configfile import Config
 from .disagg import disaggregate_table
 from .errors import DataError
+from .fileio import atomic_open
 from .fitting import (BirthFitTarget, MortalityFitTarget, average_slice,
                       fit_births, fit_mortality, gaussian_rates,
                       mortality_curves, qref_series)
@@ -204,8 +205,7 @@ def _write_od_bundle(tables: dict, out_dir: str, open_age) -> list[str]:
         write_csv(tables[lo], os.path.join(out_dir, fn))
         index_rows.append((_age_token(lo, open_age), fn))
         written.append(fn)
-    with open(os.path.join(out_dir, "m_index.csv"), "w", newline="",
-              encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "m_index.csv"), newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("age", "path"))
         w.writerows(index_rows)
@@ -284,7 +284,7 @@ def cmd_lifetable(args) -> int:
     y, r, s = series[0]
     q = [q_table[(y, r, s, a)] for a in res.ages]
     table = build_life_table(q, death_table_alpha(args.alpha0))
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(args.out, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("age", "q", "l", "d", "L", "T", "e"))
         for a in range(table.a_max + 1):
@@ -314,7 +314,7 @@ def _report_path(out: str) -> str:
 
 
 def _write_report(path: str, header: tuple, rows: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
@@ -881,7 +881,7 @@ def _stage_simulate(ctx: _Pipeline) -> None:
     if ctx.im_mode == "full":
         lines.append("m_index=m_index.csv")
     cfg_path = ctx.path("est/scenario.cfg")
-    with open(cfg_path, "w", encoding="utf-8") as fh:
+    with atomic_open(cfg_path) as fh:
         fh.write("\n".join(lines) + "\n")
     _run_scenario(cfg_path, ctx.path("results"))
 
@@ -973,7 +973,7 @@ def _read_manifest(path: str) -> dict:
 
 
 def _write_manifest(path: str, manifest: dict, order: list) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("stage", "role", "file", "sha256"))
         for stage in order:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .lifetable import build_life_table, mac
+from .lifetable import build_life_table
 from .rates import death_table_alpha
 
 log = logging.getLogger(__name__)

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 
 from .errors import DataError
+from .fileio import atomic_open
 
 LEVELS = (
     "country",
@@ -219,7 +220,7 @@ class RegionManifest:
         return cls({lvl: tuple(codes) for lvl, codes in by_level.items()})
 
     def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
+        with atomic_open(path, newline="") as fh:
             fh.write("code,level\n")
             for level in LEVELS:
                 for code in self._codes.get(level, ()):

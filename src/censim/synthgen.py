@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .disagg import huntington_hill
+from .disagg import huntington_hill_splits
 from .errors import DataError
 from .fitting import activation, gaussian_rates
 from .rng import stream, uniform
@@ -198,13 +198,12 @@ def generate_truth(spec: SynthSpec) -> dict:
         for i in range(n_r):
             weights = [kernel[i, j] for j in range(n_r) if j != i]
             targets = [j for j in range(n_r) if j != i]
+            splits = huntington_hill_splits(ie[i], weights)
             for si, s in enumerate(("m", "f")):
                 for a in range(101):
-                    movers = int(ie[i, si, a])
-                    if not movers:
+                    if not ie[i, si, a]:
                         continue
-                    parts = huntington_hill(movers, weights)
-                    for j, c in zip(targets, parts):
+                    for j, c in zip(targets, splits[si, a].tolist()):
                         if not c:
                             continue
                         ii[j, si, a] += c

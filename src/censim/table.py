@@ -30,6 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .errors import DataError
+from .fileio import atomic_open
 from .regions import LEVELS, coarser_or_equal, is_valid_code, parent_region
 
 SEXES = ("m", "f")
@@ -381,7 +382,7 @@ def _format_age(a: int, res: ResolutionSpec) -> str:
 def write_csv(table: CensusTable, path: str) -> None:
     res = table.resolution
     header = _HEADER_OD if res.od else _HEADER
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for (y, r, s, last), v in table.items():
             tail = last if res.od else _format_age(last, res)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError
+from .fileio import atomic_open
 from .regions import parent_region
 from .table import CensusTable, ResolutionSpec
 
@@ -158,7 +159,7 @@ def compare(sim, ref: CensusTable, groups=("total",), window=None) -> list:
 
 def write_deviations(rows, path):
     """CSV with raw bands plus percentages rounded to 2 decimals."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with atomic_open(path, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("group", "label", "e_min", "e_max", "pct_min", "pct_max"))
         for row in rows:

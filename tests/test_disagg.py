@@ -85,8 +85,25 @@ def test_huntington_hill_house_monotone():
         assert sum(hi) - sum(lo) == 1
 
 
-@given(st.integers(0, 5000),
-       st.lists(st.floats(0, 100), min_size=1, max_size=6).filter(lambda p: sum(p) > 0))
+def test_huntington_hill_house_monotone_large_houses():
+    rng = random.Random(7)
+    for trial in range(40):
+        n = rng.randint(2, 40)
+        if trial % 2:
+            p = [rng.randint(0, 500) for _ in range(n)]
+        else:
+            p = [rng.uniform(0, 10) for _ in range(n)]
+        if sum(p) == 0:
+            p[0] = 1
+        x = rng.randint(50_000, 150_000)
+        lo = huntington_hill(x, p)
+        hi = huntington_hill(x + 1, p)
+        assert all(b >= a for a, b in zip(lo, hi)), (x, p)
+        assert sum(hi) - sum(lo) == 1
+
+
+@given(st.integers(0, 10 ** 6),
+       st.lists(st.floats(0, 100), min_size=1, max_size=40).filter(lambda p: sum(p) > 0))
 def test_huntington_hill_sums_exactly(x, p):
     out = huntington_hill(x, p)
     assert sum(out) == x

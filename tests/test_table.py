@@ -274,6 +274,49 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
     assert (tmp_path / "t2.csv").read_bytes() == raw
 
 
+def test_write_csv_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch):
+    import censim.table as table_mod
+
+    res = ResolutionSpec((2020, 2020), "districts", ages=(0,), open_age=None)
+    path = tmp_path / "t.csv"
+    write_csv(CensusTable(res, {(2020, "101", "m", 0): 5}), str(path))
+    before = path.read_bytes()
+    calls = []
+
+    def failing(v):
+        calls.append(v)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return str(v)
+
+    monkeypatch.setattr(table_mod, "_format_value", failing)
+    bigger = CensusTable(res, {(2020, c, "m", 0): 1 for c in ("101", "102", "103")})
+    with pytest.raises(OSError, match="disk full"):
+        write_csv(bigger, str(path))
+    assert len(calls) == 2
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+    # a failed first write leaves no file at all
+    with pytest.raises(OSError):
+        calls.clear()
+        write_csv(bigger, str(tmp_path / "new.csv"))
+    assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
+
+
+def test_write_csv_keeps_mode_and_writes_through_symlinks(tmp_path):
+    res = ResolutionSpec((2020, 2020), "districts", ages=(0,), open_age=None)
+    real = tmp_path / "real.csv"
+    write_csv(CensusTable(res, {(2020, "101", "m", 0): 5}), str(real))
+    real.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(real)
+    write_csv(CensusTable(res, {(2020, "101", "m", 0): 7}), str(link))
+    assert link.is_symlink()
+    assert read_csv(str(real))[(2020, "101", "m", 0)] == 7
+    assert real.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "real.csv"]
+
+
 def test_csv_od_roundtrip(tmp_path):
     res = ResolutionSpec((2020, 2020), "federalstates", od=True)
     t = CensusTable(res, {(2020, "AT-1", "m", "AT-2"): 4,
