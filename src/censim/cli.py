@@ -674,6 +674,7 @@ def _stage_degrade(ctx: _Pipeline) -> None:
     B_m = load("B_m", replace(full, sexes=("f",)))
     D, E, I = load("D", full), load("E", full), load("I", full)
     IE, II = load("IE", full), load("II", full)
+    M = load("M", ResolutionSpec(span, ctx.level, od=True))
     country_full = ResolutionSpec(span, "country", sexes=SEXES,
                                   ages=_FULL_AGES, open_age=100)
     save(degrade(P, ResolutionSpec((ctx.y0, ctx.y1), "districts", sexes=SEXES,
@@ -693,6 +694,7 @@ def _stage_degrade(ctx: _Pipeline) -> None:
                               ages=FLOW_AGE_CLASSES, open_age=100)
     save(degrade(IE, flow_cls), "IE_cls")
     save(degrade(II, flow_cls), "II_cls")
+    save(degrade(M, M.resolution), "M")
 
 
 def _stage_disagg(ctx: _Pipeline) -> None:
@@ -857,7 +859,7 @@ def _stage_fuse(ctx: _Pipeline) -> None:
                   resolution=flow_cls)
     bc = read_csv(ctx.path("coarse/II_cls.csv"), name="II",
                   resolution=flow_cls)
-    ac = read_csv(ctx.path("truth/M.csv"), name="M",
+    ac = read_csv(ctx.path("coarse/M.csv"), name="M",
                   resolution=ResolutionSpec(ctx.span, ctx.level, od=True))
     tables, stats = _fuse_blocks(ab, bc, ac, tol=1e-4, zero_diagonal=True,
                                  years=ctx.sim_years)
@@ -877,7 +879,7 @@ def _stage_simulate(ctx: _Pipeline) -> None:
     if ctx.im_mode != "none":
         lines.append("ie_p=ie_p.csv")
     if ctx.im_mode == "interregional":
-        lines.append(f"od={os.path.join('..', 'truth', 'M.csv')}")
+        lines.append(f"od={os.path.join('..', 'coarse', 'M.csv')}")
     if ctx.im_mode == "full":
         lines.append("m_index=m_index.csv")
     cfg_path = ctx.path("est/scenario.cfg")
@@ -907,7 +909,7 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
     coarse = [f"coarse/{n}.csv" for n in
               ("P_coarse", "P_base", "B_flat", "B_m_country", "D_country",
                "E_country", "IE_country", "D_flat", "E_flat", "I_stats",
-               "IE_cls", "II_cls")]
+               "IE_cls", "II_cls", "M")]
     est_m = [f"est/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
     est_m.append("est/m_index.csv")
     census = [f"results/census_run{k:02d}.csv" for k in range(ctx.runs)]
@@ -916,13 +918,13 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
     if ctx.im_mode != "none":
         sim_in.append("est/ie_p.csv")
     if ctx.im_mode == "interregional":
-        sim_in.append("truth/M.csv")
+        sim_in.append("coarse/M.csv")
     if ctx.im_mode == "full":
         sim_in += est_m
     return [
         ("synth", [], truth, _stage_synth),
         ("degrade", [f"truth/{k}.csv" for k in
-                     ("P", "B", "B_m", "D", "E", "I", "IE", "II")],
+                     ("P", "B", "B_m", "D", "E", "I", "IE", "II", "M")],
          coarse, _stage_degrade),
         ("disagg", ["coarse/P_coarse.csv", "coarse/P_base.csv"],
          ["est/P_hat.csv"], _stage_disagg),
@@ -939,7 +941,7 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
         ("residual", ["est/P_hat.csv", "coarse/B_flat.csv", "coarse/D_flat.csv",
                       "coarse/E_flat.csv", "coarse/I_stats.csv"],
          ["est/immigrants.csv"], _stage_residual),
-        ("fuse", ["coarse/IE_cls.csv", "coarse/II_cls.csv", "truth/M.csv"],
+        ("fuse", ["coarse/IE_cls.csv", "coarse/II_cls.csv", "coarse/M.csv"],
          est_m, _stage_fuse),
         ("simulate", sim_in,
          ["est/scenario.cfg"] + census + ["results/mean.csv"],
@@ -1055,9 +1057,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Census harmonization and cohort microsimulation.")
     parser.add_argument("--version", action="version",
                         version=f"censim {__version__}")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="cap worker threads (stages currently run "
-                             "sequentially)")
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 required=True)
 
@@ -1173,8 +1172,6 @@ def main(argv=None) -> int:
     if not logging.getLogger().handlers:
         logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                             format="%(levelname)s %(name)s: %(message)s")
-    if args.threads < 1:
-        parser.error(f"--threads must be positive, got {args.threads}")
     try:
         return args.func(args)
     except DataError as err:

@@ -59,7 +59,11 @@ def _check_weights(p) -> list[float]:
     for v in p:
         if not math.isfinite(v) or v < 0:
             raise DataError(f"negative or non-finite weight {v}")
-    if math.fsum(p) <= 0:
+    try:
+        total = math.fsum(p)
+    except OverflowError:
+        raise DataError("weights sum overflows a float") from None
+    if total <= 0:
         raise DataError("weights sum to zero")
     return p
 

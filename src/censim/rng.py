@@ -4,8 +4,8 @@ The generator is SplitMix64: a stateless 64-bit mixing function applied to a
 counter.  Every (seed, person, year) triple owns an independent substream,
 and each random decision within the person-year occupies a fixed slot, so a
 simulation is reproducible across platforms and person updates can run in
-any order.  The same stream survives a switch between annual and monthly
-stepping because all draws happen up front.
+any order.  All draws of a person-year are made up front, so the order of
+events within the year never changes which numbers a person gets.
 
 Scalar helpers work on plain Python integers; the _array variants accept
 numpy uint64 arrays and vectorize the identical arithmetic.

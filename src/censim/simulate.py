@@ -3,7 +3,7 @@
 People are stored as parallel numpy arrays and advanced one calendar year at
 a time.  A person counted with completed age a at the census on Jan 1 faces
 the probability-table row for age a during that year; newborns and
-immigrants join at the end of the step they arrive in and face no events
+immigrants join at the end of the year they arrive in and face no events
 until the next year.  Every random decision comes from a fixed slot of a
 counter-based SplitMix64 substream keyed by (run seed, person id, year), so
 results are reproducible across platforms and insensitive to processing
@@ -16,15 +16,13 @@ ties) ends the year; a birth or internal move happens only if it falls
 strictly before that.  Deaths and emigrations are attributed to the region
 the person occupies at the event time.
 
-Monthly stepping replays the same drawn events in time order, applying
-newborns and immigrants at the end of the month they arrive in; because all
-draws are keyed by (person, year) up front, the censuses on Jan 1 are
-identical to annual stepping by construction.
+Because every draw is keyed by (person, year) and the outputs are the Jan 1
+censuses and the year's event counts, stepping month by month would give the
+same outputs; `step="month"` is accepted as an alias of `"year"`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +30,11 @@ import numpy as np
 from .balance import round_half_away
 from .disagg import huntington_hill
 from .errors import DataError
-from .rng import stream_array, uniform, uniform_array
+from .rng import stream_array, uniform_array
 from .table import CensusTable, ResolutionSpec, SEXES
 
 IM_MODES = ("none", "interregional", "biregional", "full")
-STEPS = ("year", "month")
+STEPS = ("year", "month")  # "month" is an alias of "year"
 
 # substream slots, one per decision in a person-year
 S_DEATH_U, S_DEATH_T = 0, 1
@@ -45,8 +43,6 @@ S_BIRTH_U, S_BIRTH_T = 4, 5
 S_IE_U, S_IE_T = 6, 7
 S_DEST = 8
 S_NEWBORN_SEX = 9
-S_OFFSET = 11
-S_ARRIVAL = 12
 
 MALE_SHARE = 0.513234  # long-run share of male newborns
 
@@ -112,7 +108,6 @@ class SimulationState:
     pid: np.ndarray
     sex: np.ndarray          # 0 = m, 1 = f
     birth_year: np.ndarray
-    birth_frac: np.ndarray
     region: np.ndarray       # index into regions
     next_pid: int
 
@@ -227,16 +222,31 @@ def _master_regions(params: SimParams) -> tuple:
     return tuple(sorted(regions))
 
 
+def _people(cells, counts, census_year: int, regions: tuple,
+            next_pid: int) -> tuple:
+    """(pid, sex, birth_year, region) of counts[i] people in each census
+    cell (year, region, sex, completed age at `census_year`)."""
+    index = {r: i for i, r in enumerate(regions)}
+    rows = np.array([(index[r], SEXES.index(s), census_year - a - 1)
+                     for (_, r, s, a) in cells], dtype=np.int64).reshape(-1, 3)
+    region, sex, birth_year = np.repeat(rows, counts, axis=0).T
+    pid = np.arange(next_pid, next_pid + len(region), dtype=np.uint64)
+    return (pid, sex.astype(np.int8), birth_year.astype(np.int32),
+            region.astype(np.int32))
+
+
 def init_population(P: CensusTable, scale: float, seed: int, year: int | None = None,
                     regions: tuple | None = None) -> SimulationState:
-    """Materialize people from the census, apportioned so scaling is exact."""
+    """Materialize people from the census, apportioned so scaling is exact.
+
+    `seed` is unused: materializing the census draws no random numbers.
+    """
     _require(P.integer, "population must be integer-valued")
     _require(not P.resolution.od, "population must be a plain table")
     if year is None:
         year = P.resolution.years[0]
     if regions is None:
         regions = tuple(sorted({r for (_, r, _, _) in P.keys()}))
-    region_index = {r: i for i, r in enumerate(regions)}
 
     cells = [(key, v) for key, v in P.items() if key[0] == year]
     total_raw = sum(v for _, v in cells)
@@ -244,280 +254,186 @@ def init_population(P: CensusTable, scale: float, seed: int, year: int | None = 
     if total < 1:
         raise DataError(f"scaled population {scale} * {total_raw} is below one person")
     counts = huntington_hill(total, [v for _, v in cells])
-
-    n = sum(counts)
-    pid = np.empty(n, dtype=np.uint64)
-    sex = np.empty(n, dtype=np.int8)
-    birth_year = np.empty(n, dtype=np.int32)
-    region = np.empty(n, dtype=np.int32)
-    pos = 0
-    next_pid = 1
-    for ((_, r, s, age), _), c in zip(cells, counts):
-        if not c:
-            continue
-        sl = slice(pos, pos + c)
-        pid[sl] = np.arange(next_pid, next_pid + c, dtype=np.uint64)
-        sex[sl] = SEXES.index(s)
-        birth_year[sl] = year - age - 1
-        region[sl] = region_index[r]
-        pos += c
-        next_pid += c
-    handles = stream_array(seed, pid, year)
-    birth_frac = uniform_array(handles, S_OFFSET)
+    pid, sex, birth_year, region = _people([key for key, _ in cells], counts,
+                                           year, regions, 1)
     return SimulationState(year=year, regions=regions, pid=pid, sex=sex,
-                           birth_year=birth_year, birth_frac=birth_frac,
-                           region=region, next_pid=next_pid)
+                           birth_year=birth_year, region=region,
+                           next_pid=1 + len(pid))
+
+
+def _tally(year: int, regions: tuple, region: np.ndarray, sex: np.ndarray,
+           last: np.ndarray, labels: tuple = _FULL_AGES) -> dict:
+    """Count people by (year, regions[region], sex, labels[last])."""
+    n = len(labels)
+    counts = np.bincount((region.astype(np.int64) * 2 + sex) * n + last)
+    flat = np.flatnonzero(counts)
+    r, rest = np.divmod(flat, 2 * n)
+    s, k = np.divmod(rest, n)
+    return {(year, regions[ri], SEXES[si], labels[ki]): c
+            for ri, si, ki, c in zip(r.tolist(), s.tolist(), k.tolist(),
+                                     counts[flat].tolist())}
 
 
 def census_counts(state: SimulationState) -> dict:
     """Population by (year, region, sex, age) at the state's census date."""
     age = np.minimum(state.year - state.birth_year - 1, 100)
-    code = (state.region.astype(np.int64) * 2 + state.sex) * 101 + age
-    counts = np.bincount(code, minlength=len(state.regions) * 2 * 101)
-    entries = {}
-    for flat in np.flatnonzero(counts):
-        a = int(flat % 101)
-        s = (flat // 101) % 2
-        r = flat // 202
-        entries[(state.year, state.regions[r], SEXES[s], a)] = int(counts[flat])
-    return entries
+    return _tally(state.year, state.regions, state.region, state.sex, age)
 
 
-def _grid(table: CensusTable, year: int, regions: tuple) -> np.ndarray:
-    """Dense (region, sex, age) lookup plane for one year of a sparse table."""
-    out = np.zeros((len(regions), 2, 101))
-    have = table.resolution.sex_domain
-    for ri, r in enumerate(regions):
-        for si, s in enumerate(SEXES):
-            if s not in have:
-                continue
-            for a in range(101):
-                out[ri, si, a] = table[(year, r, s, a)]
-    return out
+def _planes(config: ScenarioConfig, params: SimParams, regions: tuple) -> dict:
+    """Dense (year, region, sex, age) arrays of the per-person tables a step
+    reads, built once per scenario and shared by its runs."""
+    tables = {"death": params.death_p, "emig": params.emig_p,
+              "birth": params.birth_p}
+    if config.im_mode != "none":
+        tables["ie"] = params.ie_p
+    if config.im_mode == "biregional":
+        tables["ii"] = params.ii
+    index = {r: i for i, r in enumerate(regions)}
+    planes = {}
+    for name, table in tables.items():
+        plane = np.zeros((config.te - config.t0, len(regions), 2, 101))
+        for (y, r, s, a), v in table.items():
+            if config.t0 <= y < config.te and r in index:
+                plane[y - config.t0, index[r], SEXES.index(s), a] = v
+        planes[name] = plane
+    return planes
 
 
-class _DestinationPicker:
-    """Per-year cache of cumulative destination weights for one im_mode."""
+def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
+                  year: int, regions: tuple, origin: np.ndarray,
+                  sex: np.ndarray, age: np.ndarray,
+                  u: np.ndarray) -> np.ndarray:
+    """Destination region index of each mover, drawn with uniforms u.
 
-    def __init__(self, mode: str, params: SimParams, year: int, regions: tuple):
-        self.mode = mode
-        self.params = params
-        self.year = year
-        self.regions = regions
-        self._cache: dict = {}
-
-    def _weights(self, origin: int, sex: int, age: int) -> np.ndarray:
-        y = self.year
-        regions = self.regions
-        s = SEXES[sex]
-        if self.mode == "interregional":
-            od = self.params.od
-            row = np.array([od[(y, regions[origin], s, r2)] for r2 in regions])
-        elif self.mode == "biregional":
-            ii = self.params.ii
-            row = np.array([ii[(y, r2, s, age)] for r2 in regions])
+    Movers are grouped by what their weight row depends on: origin and sex,
+    plus the age for the ii profile or the age class for the per-age od
+    tables.  Each group gets one cumulative row and one searchsorted.
+    """
+    if mode == "full":
+        lows = sorted(params.m_by_age)
+        key = np.searchsorted(lows, age, side="right") - 1
+    elif mode == "biregional":
+        key = age
+    else:
+        key = np.zeros_like(age)
+    code = (origin.astype(np.int64) * 2 + sex) * 101 + key
+    order = np.argsort(code, kind="stable")
+    groups, starts = np.unique(code[order], return_index=True)
+    dest = np.empty(len(u), dtype=np.int32)
+    stranded = []
+    for g, members in zip(groups.tolist(), np.split(order, starts[1:])):
+        o, rest = divmod(g, 202)
+        s, k = divmod(rest, 101)
+        if mode == "biregional":
+            row = ii[:, s, k].copy()
         else:
-            lows = sorted(self.params.m_by_age)
-            cls = lows[bisect_right(lows, age) - 1]
-            od = self.params.m_by_age[cls]
-            row = np.array([od[(y, regions[origin], s, r2)] for r2 in regions])
-        row[origin] = 0.0  # a move always leaves the origin
-        return row
-
-    def pick(self, origin: int, sex: int, age: int, u: float) -> int:
-        if self.mode == "interregional":
-            key = (origin, sex)
-        elif self.mode == "biregional":
-            key = (sex, age, origin)
+            od = params.od if mode == "interregional" else params.m_by_age[lows[k]]
+            row = np.array([od[(year, regions[o], SEXES[s], r2)]
+                            for r2 in regions])
+        row[o] = 0.0  # a move always leaves the origin
+        cum = np.cumsum(row)
+        if cum[-1] <= 0:
+            stranded.append(members[0])
         else:
-            key = (origin, sex, age)
-        cum = self._cache.get(key)
-        if cum is None:
-            cum = np.cumsum(self._weights(origin, sex, age))
-            self._cache[key] = cum
-        total = cum[-1]
-        if total <= 0:
-            raise DataError(
-                f"no internal-migration destinations for ({self.year}, "
-                f"{self.regions[origin]}, {SEXES[sex]}, {age})")
-        return int(np.searchsorted(cum, u * total, side="right"))
-
-
-def _month_of(frac: np.ndarray) -> np.ndarray:
-    return np.minimum((frac * 12).astype(np.int64), 11)
+            dest[members] = np.searchsorted(cum, u[members] * cum[-1],
+                                            side="right")
+    if stranded:
+        i = min(stranded)  # the first mover, as members ascend
+        raise DataError(
+            f"no internal-migration destinations for ({year}, "
+            f"{regions[origin[i]]}, {SEXES[sex[i]]}, {age[i]})")
+    return dest
 
 
 def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
-              seed: int):
+              seed: int, planes: dict):
     """Advance the state across one calendar year.
 
-    Returns (new_state, events) where events maps table names to key->count
-    dicts for the year just simulated.
+    `planes` are the scenario's probability arrays from `_planes`.  Returns
+    (new_state, events) where events maps table names to key->count dicts
+    for the year just simulated.
     """
     y = state.year
     regions = state.regions
-    n_regions = len(regions)
     n = len(state.pid)
+    p = {name: plane[y - config.t0] for name, plane in planes.items()}
 
-    g_death = _grid(params.death_p, y, regions)
-    g_emig = _grid(params.emig_p, y, regions)
-    g_birth = _grid(params.birth_p, y, regions)
-    g_ie = _grid(params.ie_p, y, regions) if config.im_mode != "none" else None
+    h = stream_array(seed, state.pid, y)
+    la = np.minimum(y - state.birth_year - 1, 100)
+    idx = (state.region, state.sex, la)
 
-    events = {name: {} for name in EVENT_NAMES}
-
-    def tally(mask, region_arr, sex_arr, age_arr, table):
-        code = ((region_arr[mask].astype(np.int64) * 2 + sex_arr[mask])
-                * 101 + age_arr[mask])
-        counts = np.bincount(code, minlength=n_regions * 202)
-        for flat in np.flatnonzero(counts):
-            a = int(flat % 101)
-            s = (flat // 101) % 2
-            r = flat // 202
-            key = (y, regions[r], SEXES[s], a)
-            table[key] = table.get(key, 0) + int(counts[flat])
-
-    if n:
-        h = stream_array(seed, state.pid, y)
-        age = y - state.birth_year - 1
-        la = np.minimum(age, 100)
-        idx = (state.region, state.sex, la)
-
-        u_death = uniform_array(h, S_DEATH_U)
-        u_emig = uniform_array(h, S_EMIG_U)
-        u_birth = uniform_array(h, S_BIRTH_U)
-        t_death = uniform_array(h, S_DEATH_T)
-        t_emig = uniform_array(h, S_EMIG_T)
-        t_birth = uniform_array(h, S_BIRTH_T)
-
-        dies = u_death < g_death[idx]
-        emigrates = u_emig < g_emig[idx]
-        births_drawn = (state.sex == 1) & (u_birth < g_birth[idx])
-        if g_ie is not None:
-            u_ie = uniform_array(h, S_IE_U)
-            t_ie = uniform_array(h, S_IE_T)
-            moves_drawn = u_ie < g_ie[idx]
-        else:
-            t_ie = np.full(n, np.inf)
-            moves_drawn = np.zeros(n, dtype=bool)
-
-        td = np.where(dies, t_death, np.inf)
-        te = np.where(emigrates, t_emig, np.inf)
-        terminal = np.minimum(td, te)
-        is_death = dies & (td <= te)
-        is_emig = emigrates & (te < td)
-        gives_birth = births_drawn & (t_birth < terminal)
-        moves = moves_drawn & (t_ie < terminal)
-
-        dest = np.full(n, -1, dtype=np.int32)
-        if moves.any():
-            picker = _DestinationPicker(config.im_mode, params, y, regions)
-            for i in np.flatnonzero(moves):
-                u = uniform(int(h[i]), S_DEST)
-                dest[i] = picker.pick(int(state.region[i]), int(state.sex[i]),
-                                      int(la[i]), u)
-
-        final_region = np.where(moves, dest, state.region)
-
-        tally(is_death, final_region, state.sex, la, events["D"])
-        tally(is_emig, final_region, state.sex, la, events["E"])
-        tally(moves, state.region, state.sex, la, events["IE"])
-        tally(moves, dest, state.sex, la, events["II"])
-        for i in np.flatnonzero(moves):
-            key = (y, regions[state.region[i]], SEXES[state.sex[i]],
-                   regions[dest[i]])
-            events["OD"][key] = events["OD"].get(key, 0) + 1
-
-        # newborns: region is the mother's location at the birth instant
-        mother_idx = np.flatnonzero(gives_birth)
-        moved_first = moves[mother_idx] & (t_ie[mother_idx] < t_birth[mother_idx])
-        nb_region = np.where(moved_first, dest[mother_idx],
-                             state.region[mother_idx]).astype(np.int32)
-        u_sex = uniform_array(h[mother_idx], S_NEWBORN_SEX)
-        nb_sex = np.where(u_sex < config.male_share, 0, 1).astype(np.int8)
-        nb_pid = np.arange(state.next_pid, state.next_pid + len(mother_idx),
-                           dtype=np.uint64)
-        next_pid = state.next_pid + len(mother_idx)
-        nb_frac = t_birth[mother_idx]
-        for r, s in zip(nb_region, nb_sex):
-            key = (y, regions[r], SEXES[s], 0)
-            events["B"][key] = events["B"].get(key, 0) + 1
-
-        keep = ~(is_death | is_emig)
+    dies = uniform_array(h, S_DEATH_U) < p["death"][idx]
+    emigrates = uniform_array(h, S_EMIG_U) < p["emig"][idx]
+    births_drawn = (state.sex == 1) & (uniform_array(h, S_BIRTH_U)
+                                       < p["birth"][idx])
+    t_birth = uniform_array(h, S_BIRTH_T)
+    if "ie" in p:
+        moves_drawn = uniform_array(h, S_IE_U) < p["ie"][idx]
+        t_ie = uniform_array(h, S_IE_T)
     else:
-        keep = np.zeros(0, dtype=bool)
-        final_region = state.region
-        nb_pid = np.empty(0, dtype=np.uint64)
-        nb_sex = np.empty(0, dtype=np.int8)
-        nb_region = np.empty(0, dtype=np.int32)
-        nb_frac = np.empty(0)
-        next_pid = state.next_pid
+        moves_drawn = np.zeros(n, dtype=bool)
+        t_ie = np.full(n, np.inf)
+
+    td = np.where(dies, uniform_array(h, S_DEATH_T), np.inf)
+    te = np.where(emigrates, uniform_array(h, S_EMIG_T), np.inf)
+    terminal = np.minimum(td, te)
+    is_death = dies & (td <= te)
+    is_emig = emigrates & (te < td)
+    gives_birth = births_drawn & (t_birth < terminal)
+    moves = moves_drawn & (t_ie < terminal)
+
+    sex = state.sex
+    movers = np.flatnonzero(moves)
+    origin = state.region[movers]
+    dest = _destinations(params, config.im_mode, p.get("ii"), y, regions,
+                         origin, sex[movers], la[movers],
+                         uniform_array(h[movers], S_DEST))
+    final_region = state.region.copy()
+    final_region[movers] = dest
+
+    events = {
+        "D": _tally(y, regions, final_region[is_death], sex[is_death],
+                    la[is_death]),
+        "E": _tally(y, regions, final_region[is_emig], sex[is_emig],
+                    la[is_emig]),
+        "IE": _tally(y, regions, origin, sex[movers], la[movers]),
+        "II": _tally(y, regions, dest, sex[movers], la[movers]),
+        "OD": _tally(y, regions, origin, sex[movers], dest, labels=regions),
+    }
+
+    # newborns: region is the mother's location at the birth instant
+    mothers = np.flatnonzero(gives_birth)
+    moved_first = moves[mothers] & (t_ie[mothers] < t_birth[mothers])
+    nb_region = np.where(moved_first, final_region[mothers],
+                         state.region[mothers])
+    u_sex = uniform_array(h[mothers], S_NEWBORN_SEX)
+    nb_sex = np.where(u_sex < config.male_share, 0, 1).astype(np.int8)
+    events["B"] = _tally(y, regions, nb_region, nb_sex,
+                         np.zeros(len(mothers), dtype=np.int64), labels=(0,))
+    nb_pid = np.arange(state.next_pid, state.next_pid + len(mothers),
+                       dtype=np.uint64)
 
     # immigrants for the year, apportioned from the scaled profile
-    im_cells = sorted((key, v) for key, v in params.immigrants.items()
-                      if key[0] == y)
-    im_pid = np.empty(0, dtype=np.uint64)
-    im_sex = np.empty(0, dtype=np.int8)
-    im_birth_year = np.empty(0, dtype=np.int32)
-    im_region = np.empty(0, dtype=np.int32)
-    if im_cells:
-        total = round_half_away(config.scale * sum(v for _, v in im_cells))
-        if total > 0:
-            counts = huntington_hill(total, [v for _, v in im_cells])
-            region_index = {r: i for i, r in enumerate(regions)}
-            sexes, birth_years, origins = [], [], []
-            for ((_, r, s, a), _), c in zip(im_cells, counts):
-                if not c:
-                    continue
-                events["I"][(y, r, s, a)] = c
-                sexes.extend([SEXES.index(s)] * c)
-                birth_years.extend([y - a] * c)
-                origins.extend([region_index[r]] * c)
-            im_pid = np.arange(next_pid, next_pid + len(origins), dtype=np.uint64)
-            next_pid += len(origins)
-            im_sex = np.array(sexes, dtype=np.int8)
-            im_birth_year = np.array(birth_years, dtype=np.int32)
-            im_region = np.array(origins, dtype=np.int32)
-    if len(im_pid):
-        im_h = stream_array(seed, im_pid, y)
-        im_frac = uniform_array(im_h, S_OFFSET)
-        im_arrival = uniform_array(im_h, S_ARRIVAL)
-    else:
-        im_frac = np.empty(0)
-        im_arrival = np.empty(0)
+    cells = [(key, v) for key, v in params.immigrants.items() if key[0] == y]
+    total = round_half_away(config.scale * sum(v for _, v in cells))
+    counts = huntington_hill(total, [v for _, v in cells]) if total > 0 else []
+    events["I"] = {key: c for (key, _), c in zip(cells, counts) if c}
+    im_pid, im_sex, im_birth_year, im_region = _people(
+        list(events["I"]), list(events["I"].values()), y + 1, regions,
+        state.next_pid + len(mothers))
 
-    nb_birth_year = np.full(len(nb_pid), y, dtype=np.int32)
-    if config.step == "month":
-        # walk the twelve buckets so additions enter at their month boundary
-        parts = []
-        nb_m = _month_of(nb_frac)
-        im_m = _month_of(im_arrival)
-        for m in range(12):
-            nb_in = nb_m == m
-            im_in = im_m == m
-            parts.append((nb_pid[nb_in], nb_sex[nb_in], nb_birth_year[nb_in],
-                          nb_frac[nb_in], nb_region[nb_in]))
-            parts.append((im_pid[im_in], im_sex[im_in], im_birth_year[im_in],
-                          im_frac[im_in], im_region[im_in]))
-    else:
-        parts = [(nb_pid, nb_sex, nb_birth_year, nb_frac, nb_region),
-                 (im_pid, im_sex, im_birth_year, im_frac, im_region)]
-
-    new_pid = np.concatenate([state.pid[keep]] + [p[0] for p in parts])
-    new_sex = np.concatenate([state.sex[keep]] + [p[1] for p in parts])
-    new_birth_year = np.concatenate([state.birth_year[keep]]
-                                    + [p[2] for p in parts])
-    new_birth_frac = np.concatenate([state.birth_frac[keep]]
-                                    + [p[3] for p in parts])
-    new_region = np.concatenate([final_region[keep].astype(np.int32)]
-                                + [p[4] for p in parts])
-
-    # canonical order keeps next year's draws independent of assembly order
-    order = np.argsort(new_pid)
+    # pids stay ascending: survivors, then newborns, then immigrants
+    keep = ~(is_death | is_emig)
     new_state = SimulationState(
-        year=y + 1, regions=regions, pid=new_pid[order], sex=new_sex[order],
-        birth_year=new_birth_year[order], birth_frac=new_birth_frac[order],
-        region=new_region[order], next_pid=next_pid)
+        year=y + 1, regions=regions,
+        pid=np.concatenate([state.pid[keep], nb_pid, im_pid]),
+        sex=np.concatenate([sex[keep], nb_sex, im_sex]),
+        birth_year=np.concatenate([state.birth_year[keep],
+                                   np.full(len(mothers), y, dtype=np.int32),
+                                   im_birth_year]),
+        region=np.concatenate([final_region[keep], nb_region, im_region]),
+        next_pid=state.next_pid + len(mothers) + len(im_pid))
     return new_state, events
 
 
@@ -525,6 +441,7 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
     """Simulate all Monte Carlo runs; run k is seeded with seed xor k."""
     validate_coverage(config, params)
     regions = _master_regions(params)
+    planes = _planes(config, params, regions)
     level = params.population.resolution.level
 
     outputs = []
@@ -532,10 +449,11 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
         seed_k = (config.seed ^ k) & ((1 << 64) - 1)
         state = init_population(params.population, config.scale, seed_k,
                                 year=config.t0, regions=regions)
-        census = dict(census_counts(state))
+        census = census_counts(state)
         acc = {name: {} for name in EVENT_NAMES}
         for _ in range(config.t0, config.te):
-            state, events = step_year(state, params, config, seed_k)
+            state, events = step_year(state, params, config, seed_k,
+                                       planes)
             for name, table in events.items():
                 acc[name].update(table)
             census.update(census_counts(state))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from censim.cli import main, run_pipeline
+from censim.cli import _Pipeline, _stage_table, main, run_pipeline
 from censim.configfile import Config
 from censim.fitting import activation, average_slice, gaussian_rates
 from censim.rates import death_table_alpha
@@ -50,11 +50,13 @@ def test_unknown_flag_is_usage_error():
     assert exc.value.code == 2
 
 
-def test_threads_must_be_positive(tmp_path):
+def test_threads_must_be_positive(capsys):
+    # censim has no --threads: stages and Monte Carlo runs are sequential
     with pytest.raises(SystemExit) as exc:
-        main(["--threads", "0", "validate", "--sim", "a", "--ref", "b",
+        main(["--threads=2", "validate", "--sim", "a", "--ref", "b",
               "--out", "c"])
     assert exc.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
 
 def test_missing_file_exits_one(tmp_path):
@@ -471,6 +473,15 @@ def test_pipeline_reruns_only_stale_stages(pipeline_dir):
     # deterministic rewrite leaves the hash unchanged downstream
     assert actions["simulate"] == "skipped"
     assert actions["synth"] == "skipped"
+
+
+@pytest.mark.parametrize("im_mode", ["none", "interregional", "full"])
+def test_pipeline_reconstructs_without_truth(tmp_path, im_mode):
+    ctx = _Pipeline(Config({"workdir": "w", "im_mode": im_mode}),
+                    str(tmp_path))
+    for name, inputs, _, _ in _stage_table(ctx):
+        if name not in ("degrade", "validate"):
+            assert not [f for f in inputs if f.startswith("truth/")], name
 
 
 def test_pipeline_empty_stage_list(tmp_path):

@@ -57,6 +57,13 @@ def test_huntington_hill_rejects_bad_input():
         huntington_hill(3, (0.0, 0.0))
 
 
+def test_weight_sum_overflow_is_a_data_error():
+    with pytest.raises(DataError, match="overflow"):
+        huntington_hill(3, [1e308, 1e308])
+    with pytest.raises(DataError, match="overflow"):
+        proportional_disaggregate(3.0, [1e308, 1e308])
+
+
 def test_huntington_hill_scale_equivariance():
     rng = random.Random(20240817)
     for _ in range(1000):

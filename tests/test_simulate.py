@@ -81,7 +81,6 @@ def test_init_identity_scale_reproduces_census():
     }
     state = init_population(pop_tab(2000, entries), 1.0, seed=42)
     assert census_counts(state) == entries
-    assert np.all(state.birth_frac >= 0) and np.all(state.birth_frac < 1)
     assert len(np.unique(state.pid)) == 28
 
 
