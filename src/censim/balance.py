@@ -1,4 +1,4 @@
-"""Demographic balance equations and the residual-immigrant inversion."""
+"""The residual-immigrant inversion of the demographic balance equation."""
 
 from __future__ import annotations
 
@@ -9,45 +9,6 @@ from .errors import DataError
 from .table import CensusTable
 
 log = logging.getLogger(__name__)
-
-
-def project_population(p, b, i, d, e) -> float:
-    """Next-year population from this year's stocks and flows."""
-    for name, v in (("population", p), ("births", b), ("immigrants", i),
-                    ("deaths", d), ("emigrants", e)):
-        if v < 0:
-            raise DataError(f"{name} must be non-negative, got {v}")
-    out = p + b + i - d - e
-    if out < 0:
-        raise DataError(f"projected population {out} is negative; flows exceed stock")
-    return out
-
-
-def project_population_regional(p, b, i, d, e, dm) -> float:
-    """Regional form: the net internal migration dm may be negative."""
-    out = project_population(p, b, i, d, e) + dm
-    if out < 0:
-        raise DataError(f"projected population {out} is negative; flows exceed stock")
-    return out
-
-
-def net_internal_migration(M: CensusTable) -> dict:
-    """Inflow minus outflow per region, keyed like an ageless plain table.
-
-    Values are signed, so the result is a plain dict rather than a census
-    table.  Flows from a region to itself cancel exactly.
-    """
-    if not M.resolution.od:
-        raise DataError("net internal migration needs an origin-destination table")
-    out: dict = {}
-    for (y, r, s, r2), v in M.items():
-        if r == r2:
-            continue
-        src = (y, r, s, 0)
-        dst = (y, r2, s, 0)
-        out[src] = out.get(src, 0.0) - v
-        out[dst] = out.get(dst, 0.0) + v
-    return out
 
 
 def round_half_away(x: float) -> int:

@@ -296,66 +296,112 @@ def cmd_lifetable(args) -> int:
     return 0
 
 
-def _read_records(path: str, fields: tuple) -> list[dict]:
+_FIT_REPORT = ("year", "region", "objective", "iterations", "evals",
+               "converged")
+
+
+def _read_targets(path: str, fields: tuple) -> list[tuple]:
+    """Fit target rows as (year, region, float, ...) in `fields` order."""
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = set(fields) - set(reader.fieldnames or ())
         if missing:
             raise DataError(f"{path}: missing columns {sorted(missing)}")
-        rows = list(reader)
+        for row in reader:
+            try:
+                rows.append((int(row["year"]), row["region"])
+                            + tuple(float(row[c]) for c in fields[2:]))
+            except (TypeError, ValueError):
+                raise DataError(f"{path}: bad row {row}") from None
     if not rows:
         raise DataError(f"{path}: no target rows")
     return rows
 
 
-def _report_path(out: str) -> str:
+def _check_unique_targets(rows: list) -> None:
+    """A second row for a (year, region) would overwrite the first fit."""
+    seen = set()
+    for y, r, *_ in rows:
+        if (y, r) in seen:
+            raise DataError(f"repeated fit target for year {y}, region {r}")
+        seen.add((y, r))
+
+
+def _fit_births_rows(pop: CensusTable, rows: list, out: str) -> CensusTable:
+    """Fit one fertility curve per (year, region, births, mac) target row.
+
+    Writes the ``<out>.report.csv`` sidecar and returns the birth_p table.
+    """
+    _check_unique_targets(rows)
+    entries: dict[tuple, float] = {}
+    report = []
+    for y, r, births, mac in rows:
+        avg = average_slice(pop, y, r, "f")
+        diag: dict = {}
+        theta, _ = fit_births(BirthFitTarget(births, mac, (avg, avg)),
+                              diagnostics=diag)
+        entries.update(((y, r, "f", a), v)
+                       for a, v in enumerate(gaussian_rates(theta)))
+        report.append((y, r, repr(diag["objective"]), diag["iterations"],
+                       diag["evals"], str(diag["converged"]).lower())
+                      + tuple(repr(float(t)) for t in theta))
+        log.info("fit-births %d %s: objective %.3g in %d evals", y, r,
+                 diag["objective"], diag["evals"])
     root, ext = os.path.splitext(out)
-    return f"{root}.report{ext or '.csv'}"
-
-
-def _write_report(path: str, header: tuple, rows: list) -> None:
-    with atomic_open(path, newline="") as fh:
+    with atomic_open(f"{root}.report{ext or '.csv'}", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
-        w.writerows(rows)
+        w.writerow(_FIT_REPORT + ("theta1", "theta2", "theta3"))
+        w.writerows(report)
+    years = [row[0] for row in rows]
+    res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
+                         sexes=("f",), ages=_FULL_AGES, open_age=100)
+    return CensusTable(res, entries, name="birth_p")
 
 
-def _report_row(y: int, r: str, diag: dict, theta) -> tuple:
-    return ((y, r, repr(diag["objective"]), diag["iterations"], diag["evals"],
-             str(diag["converged"]).lower())
-            + tuple(repr(float(t)) for t in theta))
+def _fit_mortality_rows(pop: CensusTable, prob: CensusTable, qref_years: tuple,
+                        rows: list, out: str) -> CensusTable:
+    """Fit the six death-probability multipliers per target row.
+
+    A row is (year, region, deaths, le_m_0, le_f_0, le_m_65, le_f_65); the
+    reference curves are the region's mean of `prob` over `qref_years`.
+    Writes the ``<out>.report.csv`` sidecar and returns the death_p table.
+    """
+    _check_unique_targets(rows)
+    qref_cache: dict[str, tuple] = {}
+    entries: dict[tuple, float] = {}
+    report = []
+    for y, r, *target in rows:
+        if r not in qref_cache:
+            qref_cache[r] = tuple(qref_series(prob, qref_years, r, s)
+                                  for s in SEXES)
+        qref = qref_cache[r]
+        pop_avg = tuple(average_slice(pop, y, r, s) for s in SEXES)
+        diag: dict = {}
+        theta, _ = fit_mortality(MortalityFitTarget(*target), pop_avg, qref,
+                                 diagnostics=diag)
+        for s, q in zip(SEXES, mortality_curves(theta, *qref)):
+            entries.update(((y, r, s, a), v) for a, v in enumerate(q))
+        report.append((y, r, repr(diag["objective"]), diag["iterations"],
+                       diag["evals"], str(diag["converged"]).lower())
+                      + tuple(repr(float(t)) for t in theta))
+        log.info("fit-mortality %d %s: objective %.3g in %d evals", y, r,
+                 diag["objective"], diag["evals"])
+    root, ext = os.path.splitext(out)
+    with atomic_open(f"{root}.report{ext or '.csv'}", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(_FIT_REPORT + tuple(f"theta{i}" for i in range(1, 7)))
+        w.writerows(report)
+    years = [row[0] for row in rows]
+    res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
+                         sexes=SEXES, ages=_FULL_AGES, open_age=100)
+    return CensusTable(res, entries, name="death_p")
 
 
 def cmd_fit_births(args) -> int:
     pop = read_csv(args.population)
-    records = _read_records(args.targets, ("year", "region", "births", "mac"))
-    entries: dict[tuple, float] = {}
-    report = []
-    years = []
-    for row in records:
-        try:
-            y, r = int(row["year"]), row["region"]
-            births, mac = float(row["births"]), float(row["mac"])
-        except (TypeError, ValueError):
-            raise DataError(f"{args.targets}: bad row {row}") from None
-        avg = average_slice(pop, y, r, "f")
-        target = BirthFitTarget(births, mac, (avg, avg))
-        diag: dict = {}
-        theta, value = fit_births(target, diagnostics=diag)
-        rates = gaussian_rates(theta)
-        for a in range(101):
-            if rates[a]:
-                entries[(y, r, "f", a)] = float(rates[a])
-        report.append(_report_row(y, r, diag, theta))
-        years.append(y)
-        log.info("fit-births %d %s: objective %.3g in %d evals", y, r, value,
-                 diag["evals"])
-    res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
-                         sexes=("f",), ages=_FULL_AGES, open_age=100)
-    write_csv(CensusTable(res, entries, name="birth_p"), args.out)
-    _write_report(_report_path(args.out),
-                  ("year", "region", "objective", "iterations", "evals",
-                   "converged", "theta1", "theta2", "theta3"), report)
+    rows = _read_targets(args.targets, ("year", "region", "births", "mac"))
+    write_csv(_fit_births_rows(pop, rows, args.out), args.out)
     return 0
 
 
@@ -366,44 +412,10 @@ def cmd_fit_mortality(args) -> int:
         qref_years = tuple(int(t) for t in args.qref_years.split(","))
     except ValueError:
         raise DataError(f"bad --qref-years {args.qref_years!r}") from None
-    records = _read_records(args.targets, ("year", "region", "deaths", "le_m_0",
-                                           "le_f_0", "le_m_65", "le_f_65"))
-    qref_cache: dict[str, tuple] = {}
-    entries: dict[tuple, float] = {}
-    report = []
-    years = []
-    for row in records:
-        try:
-            y, r = int(row["year"]), row["region"]
-            deaths = float(row["deaths"])
-            le = tuple(float(row[c]) for c in ("le_m_0", "le_f_0", "le_m_65",
-                                               "le_f_65"))
-        except (TypeError, ValueError):
-            raise DataError(f"{args.targets}: bad row {row}") from None
-        if r not in qref_cache:
-            qref_cache[r] = (qref_series(prob, qref_years, r, "m"),
-                             qref_series(prob, qref_years, r, "f"))
-        qref = qref_cache[r]
-        pop_avg = (average_slice(pop, y, r, "m"), average_slice(pop, y, r, "f"))
-        target = MortalityFitTarget(deaths, *le)
-        diag: dict = {}
-        theta, value = fit_mortality(target, pop_avg, qref, diagnostics=diag)
-        q_m, q_f = mortality_curves(theta, qref[0], qref[1])
-        for s, q in (("m", q_m), ("f", q_f)):
-            for a in range(101):
-                if q[a]:
-                    entries[(y, r, s, a)] = float(q[a])
-        report.append(_report_row(y, r, diag, theta))
-        years.append(y)
-        log.info("fit-mortality %d %s: objective %.3g in %d evals", y, r,
-                 value, diag["evals"])
-    res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
-                         sexes=SEXES, ages=_FULL_AGES, open_age=100)
-    write_csv(CensusTable(res, entries, name="death_p"), args.out)
-    _write_report(_report_path(args.out),
-                  ("year", "region", "objective", "iterations", "evals",
-                   "converged") + tuple(f"theta{i}" for i in range(1, 7)),
-                  report)
+    rows = _read_targets(args.targets, ("year", "region", "deaths", "le_m_0",
+                                        "le_f_0", "le_m_65", "le_f_65"))
+    write_csv(_fit_mortality_rows(pop, prob, qref_years, rows, args.out),
+              args.out)
     return 0
 
 
@@ -754,78 +766,40 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
     B_m = read_csv(ctx.path("coarse/B_m_country.csv"),
                    resolution=ctx.full_res(ctx.span, level="country",
                                            sexes=("f",)))
-    entries: dict[tuple, float] = {}
-    report = []
+    rows = []
     for y in range(ctx.t0, ctx.te):
         births = sum(B_flat[(y, "AT", s, 0)] for s in SEXES)
         weight = sum(B_m[(y, "AT", "f", a)] for a in range(101))
         if weight <= 0:
             raise DataError(f"no recorded births in {y}")
-        mac_y = sum(a * B_m[(y, "AT", "f", a)] for a in range(101)) / weight
-        avg = average_slice(P_c, y, "AT", "f")
-        diag: dict = {}
-        theta, _ = fit_births(BirthFitTarget(births, mac_y, (avg, avg)),
-                              diagnostics=diag)
-        rates = gaussian_rates(theta)
-        for r in ctx.regions:
-            for a in range(101):
-                if rates[a]:
-                    entries[(y, r, "f", a)] = float(rates[a])
-        report.append(_report_row(y, "AT", diag, theta))
-        log.info("fit-births %d: objective %.3g", y, diag["objective"])
-    res = ResolutionSpec(ctx.sim_years, ctx.level, sexes=("f",),
-                         ages=_FULL_AGES, open_age=100)
-    write_csv(CensusTable(res, entries, name="birth_p"),
-              ctx.path("est/birth_p.csv"))
-    _write_report(ctx.path("est/birth_p.report.csv"),
-                  ("year", "region", "objective", "iterations", "evals",
-                   "converged", "theta1", "theta2", "theta3"), report)
+        mac = sum(a * B_m[(y, "AT", "f", a)] for a in range(101)) / weight
+        rows.append((y, "AT", births, mac))
+    out = ctx.path("est/birth_p.csv")
+    country = _fit_births_rows(P_c, rows, out)
+    write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
 
 
 def _stage_fit_mortality(ctx: _Pipeline) -> None:
-    country_full = ctx.full_res(ctx.span, level="country")
     P_c = read_csv(ctx.path("est/P_country.csv"),
                    resolution=ctx.full_res((ctx.y0, ctx.y1), level="country"))
-    q_hat = read_csv(ctx.path("est/q_hat.csv"), resolution=country_full)
+    q_hat = read_csv(ctx.path("est/q_hat.csv"),
+                     resolution=ctx.full_res(ctx.span, level="country"))
     D_flat = read_csv(ctx.path("coarse/D_flat.csv"),
                       resolution=ResolutionSpec(ctx.span, "country"))
     alpha = death_table_alpha()
-    qref_years = (ctx.t0 - 3, ctx.t0 - 2, ctx.t0 - 1)
-    qref = (qref_series(q_hat, qref_years, "AT", "m"),
-            qref_series(q_hat, qref_years, "AT", "f"))
-    entries: dict[tuple, float] = {}
-    report = []
+    rows = []
     for y in range(ctx.t0, ctx.te):
-        deaths = sum(D_flat[(y, "AT", s, 0)] for s in SEXES)
-        qv = {s: np.array([q_hat[(y, "AT", s, a)] for a in range(101)])
-              for s in SEXES}
-        target = MortalityFitTarget(
-            deaths,
-            life_expectancy(qv["m"], 0, alpha),
-            life_expectancy(qv["f"], 0, alpha),
-            life_expectancy(qv["m"], 65, alpha),
-            life_expectancy(qv["f"], 65, alpha))
-        pop_avg = (average_slice(P_c, y, "AT", "m"),
-                   average_slice(P_c, y, "AT", "f"))
-        diag: dict = {}
-        theta, _ = fit_mortality(target, pop_avg, qref, alpha=alpha,
-                                 diagnostics=diag)
-        q_m, q_f = mortality_curves(theta, qref[0], qref[1])
-        for s, q in (("m", q_m), ("f", q_f)):
-            for r in ctx.regions:
-                for a in range(101):
-                    if q[a]:
-                        entries[(y, r, s, a)] = float(q[a])
-        report.append(_report_row(y, "AT", diag, theta))
-        log.info("fit-mortality %d: objective %.3g", y, diag["objective"])
-    res = ResolutionSpec(ctx.sim_years, ctx.level, sexes=SEXES,
-                         ages=_FULL_AGES, open_age=100)
-    write_csv(CensusTable(res, entries, name="death_p"),
-              ctx.path("est/death_p.csv"))
-    _write_report(ctx.path("est/death_p.report.csv"),
-                  ("year", "region", "objective", "iterations", "evals",
-                   "converged") + tuple(f"theta{i}" for i in range(1, 7)),
-                  report)
+        # the year's own curves, as the mean over that one year
+        q_m, q_f = (qref_series(q_hat, (y,), "AT", s) for s in SEXES)
+        rows.append((y, "AT", sum(D_flat[(y, "AT", s, 0)] for s in SEXES),
+                     life_expectancy(q_m, 0, alpha),
+                     life_expectancy(q_f, 0, alpha),
+                     life_expectancy(q_m, 65, alpha),
+                     life_expectancy(q_f, 65, alpha)))
+    qref_years = (ctx.t0 - 3, ctx.t0 - 2, ctx.t0 - 1)
+    out = ctx.path("est/death_p.csv")
+    country = _fit_mortality_rows(P_c, q_hat, qref_years, rows, out)
+    write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
 
 
 def _stage_residual(ctx: _Pipeline) -> None:
@@ -903,8 +877,8 @@ def _stage_validate(ctx: _Pipeline) -> None:
 
 def _stage_table(ctx: _Pipeline) -> list[tuple]:
     """(name, inputs, outputs, runner) per stage, paths relative to workdir."""
-    truth = [f"truth/{k}.csv" for k in _BUNDLE_TABLES]
-    truth += [f"truth/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
+    bundle = [f"truth/{k}.csv" for k in _BUNDLE_TABLES]
+    truth = bundle + [f"truth/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
     truth.append("truth/m_index.csv")
     coarse = [f"coarse/{n}.csv" for n in
               ("P_coarse", "P_base", "B_flat", "B_m_country", "D_country",
@@ -923,9 +897,7 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
         sim_in += est_m
     return [
         ("synth", [], truth, _stage_synth),
-        ("degrade", [f"truth/{k}.csv" for k in
-                     ("P", "B", "B_m", "D", "E", "I", "IE", "II", "M")],
-         coarse, _stage_degrade),
+        ("degrade", bundle, coarse, _stage_degrade),
         ("disagg", ["coarse/P_coarse.csv", "coarse/P_base.csv"],
          ["est/P_hat.csv"], _stage_disagg),
         ("farr", ["est/P_hat.csv", "coarse/D_country.csv",

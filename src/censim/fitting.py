@@ -418,14 +418,6 @@ def qref_series(prob, years, region: str, sex: str) -> np.ndarray:
     return out
 
 
-def trailing_years(y0: int, y1: int, n: int = 3, exclude=()) -> list[int]:
-    """The n most recent years in [y0, y1] that are not excluded, ascending."""
-    picked = [y for y in range(y1, y0 - 1, -1) if y not in set(exclude)][:n]
-    if len(picked) < n:
-        raise DataError(f"only {len(picked)} usable years in {y0}..{y1}, need {n}")
-    return picked[::-1]
-
-
 def _require_full_ages(table):
     if table.resolution.ages != tuple(range(AGE_COUNT)):
         raise DataError(f"{table.name or 'table'} must carry single ages 0..100")

@@ -1,12 +1,10 @@
-"""Sullivan-method life tables and the fertility summary indicators.
+"""Sullivan-method life tables.
 
 From a death-probability series q(0..a_max) the table fills survivors l,
 deaths d, person-years at risk L = l - alpha*d, and cumulative person-years
 T, closing with the analytic geometric tail beyond a_max where q stays
 constant: sum of L from a_max on equals l_amax * (1 - q_amax/2) / q_amax.
 Life expectancy is e = T / l; the radix l0 cancels out of it.
-
-tfr sums age-specific fertility rates; mac is their rate-weighted mean age.
 """
 
 from __future__ import annotations
@@ -83,28 +81,3 @@ def life_expectancy(q, a: int, alpha) -> float:
     if table.l[a] <= 0:
         raise DataError(f"no survivors at age {a}")
     return float(table.T[a] / table.l[a])
-
-
-def _as_age_series(rates) -> dict[int, float]:
-    if hasattr(rates, "items"):
-        series = {int(a): float(v) for a, v in rates.items()}
-    else:
-        series = {a: float(v) for a, v in enumerate(rates)}
-    for a, v in series.items():
-        if a < 0 or v < 0:
-            raise DataError(f"invalid fertility rate {v} at age {a}")
-    return series
-
-
-def tfr(rates) -> float:
-    """Total fertility rate: the sum of the age-specific rates."""
-    return sum(_as_age_series(rates).values())
-
-
-def mac(rates) -> float:
-    """Mean age at childbearing: rate-weighted mean of the ages."""
-    series = _as_age_series(rates)
-    total = sum(series.values())
-    if total <= 0:
-        raise DataError("mean childbearing age undefined for all-zero rates")
-    return sum(a * v for a, v in series.items()) / total

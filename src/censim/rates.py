@@ -23,11 +23,6 @@ from .table import CensusTable
 log = logging.getLogger(__name__)
 
 
-def model_alpha(age: int) -> float:
-    """Expected pre-event year fraction used for model parametrisation."""
-    return 0.5
-
-
 def death_table_alpha(alpha0: float = 0.923):
     """Profile matching published death tables: alpha0 at age 0, 1/2 above."""
     if not 0.0 <= alpha0 <= 1.0:
@@ -37,19 +32,6 @@ def death_table_alpha(alpha0: float = 0.923):
         return alpha0 if age == 0 else 0.5
 
     return alpha
-
-
-def average_rate(X: CensusTable, P_avg: CensusTable) -> CensusTable:
-    """Elementwise X / P_avg; events without exposure are an error."""
-    if X.resolution != P_avg.resolution:
-        raise DataError("count and exposure tables must share a resolution")
-    out = {}
-    for key, x in X.items():
-        p = P_avg[key]
-        if p <= 0:
-            raise DataError(f"{X.name}: events at {key} but no exposure")
-        out[key] = x / p
-    return CensusTable(X.resolution, out, name=f"rate({X.name})")
 
 
 def farr_probability(rate: float, alpha_a: float) -> float:

@@ -25,10 +25,7 @@ partial order is the transitive closure of the cover edges in _COVER below.
 
 from __future__ import annotations
 
-import csv
-
 from .errors import DataError
-from .fileio import atomic_open
 
 LEVELS = (
     "country",
@@ -201,34 +198,6 @@ class RegionManifest:
             cleaned[level] = tuple(sorted(codes))
         self._codes = cleaned
         self._groups: dict[tuple[str, str], dict[str, tuple[str, ...]]] = {}
-
-    @classmethod
-    def from_csv(cls, path: str) -> "RegionManifest":
-        by_level: dict[str, list[str]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != ["code", "level"]:
-                raise DataError(f"{path}: expected header 'code,level', got {header}")
-            for row in reader:
-                if not row:
-                    continue
-                if len(row) != 2:
-                    raise DataError(f"{path}: malformed row {row}")
-                code, level = row
-                by_level.setdefault(level, []).append(code)
-        return cls({lvl: tuple(codes) for lvl, codes in by_level.items()})
-
-    def to_csv(self, path: str) -> None:
-        with atomic_open(path, newline="") as fh:
-            fh.write("code,level\n")
-            for level in LEVELS:
-                for code in self._codes.get(level, ()):
-                    fh.write(f"{code},{level}\n")
-
-    @property
-    def levels(self) -> tuple[str, ...]:
-        return tuple(lvl for lvl in LEVELS if lvl in self._codes)
 
     def codes(self, level: str) -> tuple[str, ...]:
         check_level(level)

@@ -235,11 +235,11 @@ def _people(cells, counts, census_year: int, regions: tuple,
             region.astype(np.int32))
 
 
-def init_population(P: CensusTable, scale: float, seed: int, year: int | None = None,
+def init_population(P: CensusTable, scale: float, year: int | None = None,
                     regions: tuple | None = None) -> SimulationState:
     """Materialize people from the census, apportioned so scaling is exact.
 
-    `seed` is unused: materializing the census draws no random numbers.
+    Materializing the census draws no random numbers.
     """
     _require(P.integer, "population must be integer-valued")
     _require(not P.resolution.od, "population must be a plain table")
@@ -447,7 +447,7 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
     outputs = []
     for k in range(config.runs):
         seed_k = (config.seed ^ k) & ((1 << 64) - 1)
-        state = init_population(params.population, config.scale, seed_k,
+        state = init_population(params.population, config.scale,
                                 year=config.t0, regions=regions)
         census = census_counts(state)
         acc = {name: {} for name in EVENT_NAMES}

@@ -16,7 +16,6 @@ purely by aggregation, so estimates stay comparable against known truth.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np

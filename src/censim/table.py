@@ -108,14 +108,6 @@ class ResolutionSpec:
             raise DataError(f"age {age} not covered by any age class")
         return lo
 
-    def same_shape(self, other: "ResolutionSpec") -> bool:
-        """True when everything but the year range coincides."""
-        return (self.level, self.sexes, self.ages, self.open_age, self.od) == (
-            other.level, other.sexes, other.ages, other.open_age, other.od)
-
-    def with_years(self, y0: int, y1: int) -> "ResolutionSpec":
-        return replace(self, years=(y0, y1))
-
 
 class CensusTable:
     """Immutable sparse table; absent keys read as zero."""
@@ -263,50 +255,6 @@ def aggregate(table: CensusTable, drop=(), coarse_level: str | None = None) -> C
     return CensusTable(new_res, acc, integer=table.integer, name=table.name)
 
 
-def fold_open_age(table: CensusTable, a_max: int) -> CensusTable:
-    """Merge all age classes at or above a_max into the open class a_max+."""
-    res = table.resolution
-    if res.od:
-        raise DataError("origin-destination tables have no age axis")
-    if res.open_age is not None and res.open_age < a_max:
-        raise DataError(
-            f"existing open class {res.open_age}+ straddles the new bound {a_max}")
-    for lo in res.ages:
-        hi = res.age_bounds(lo)[1]
-        if lo < a_max and hi is not None and hi > a_max:
-            raise DataError(f"age class [{lo},{hi}) straddles the bound {a_max}")
-    ages = tuple(a for a in res.ages if a < a_max) + (a_max,)
-    new_res = replace(res, ages=ages, open_age=a_max)
-    acc: dict[tuple, float] = {}
-    for (y, r, s, a), v in table.items():
-        key = (y, r, s, a if a < a_max else a_max)
-        acc[key] = acc.get(key, 0.0) + v
-    return CensusTable(new_res, acc, integer=table.integer, name=table.name)
-
-
-def average_population(P: CensusTable, y: int) -> CensusTable:
-    """Mid-period population (P(y) + P(y+1)) / 2, clamped at the last year.
-
-    At the final year of the table the next-year term falls back to the
-    year itself, so the average degenerates to P(y) there.
-    """
-    res = P.resolution
-    if res.od:
-        raise DataError("population tables are not origin-destination tables")
-    y = int(y)
-    if not res.years[0] <= y <= res.years[1]:
-        raise DataError(f"year {y} outside {res.years}")
-    y_next = min(y + 1, res.years[1])
-    acc: dict[tuple, float] = {}
-    for (yy, r, s, a), v in P.items():
-        if yy == y:
-            acc[(y, r, s, a)] = acc.get((y, r, s, a), 0.0) + v / 2.0
-        if yy == y_next:
-            acc[(y, r, s, a)] = acc.get((y, r, s, a), 0.0) + v / 2.0
-    return CensusTable(res.with_years(y, y), acc, integer=False,
-                       name=f"avg({P.name},{y})")
-
-
 def add_tables(tables, name: str | None = None) -> CensusTable:
     """Elementwise sum of tables sharing one resolution."""
     tables = list(tables)
@@ -322,30 +270,6 @@ def add_tables(tables, name: str | None = None) -> CensusTable:
             acc[key] = acc.get(key, 0.0) + v
     return CensusTable(res, acc, integer=all(t.integer for t in tables),
                        name=name or tables[0].name)
-
-
-def merge_time(tables: list[CensusTable]) -> CensusTable:
-    """Concatenate tables with identical shape over contiguous year ranges."""
-    if not tables:
-        raise DataError("nothing to merge")
-    if len(tables) == 1:
-        return tables[0]
-    parts = sorted(tables, key=lambda t: t.resolution.years)
-    first = parts[0]
-    entries: dict[tuple, float] = {}
-    for i, part in enumerate(parts):
-        if not part.resolution.same_shape(first.resolution):
-            raise DataError("merge_time requires identical non-year resolution")
-        if part.integer != first.integer:
-            raise DataError("merge_time requires identical integer typing")
-        if i > 0 and part.resolution.years[0] != parts[i - 1].resolution.years[1] + 1:
-            raise DataError(
-                f"year ranges {parts[i - 1].resolution.years} and "
-                f"{part.resolution.years} are not contiguous and disjoint")
-        entries.update(part.items())
-    res = replace(first.resolution,
-                  years=(first.resolution.years[0], parts[-1].resolution.years[1]))
-    return CensusTable(res, entries, integer=first.integer, name=first.name)
 
 
 # CSV input and output

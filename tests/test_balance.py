@@ -1,71 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from censim.balance import (
-    net_internal_migration,
-    project_population,
-    project_population_regional,
-    residual_immigrants,
-    round_half_away,
-)
+from censim.balance import residual_immigrants, round_half_away
 from censim.errors import DataError
 from censim.table import CensusTable, ResolutionSpec
-
-PLAIN = ResolutionSpec((2000, 2000), "federalstates", sexes=(), ages=(0,),
-                       open_age=None)
-OD = ResolutionSpec((2000, 2000), "federalstates", sexes=(), od=True)
-
-
-def test_project_population():
-    assert project_population(100, 10, 5, 7, 3) == 105
-    assert project_population(42, 0, 0, 0, 0) == 42
-    with pytest.raises(DataError):
-        project_population(10, 0, 0, 20, 0)
-    with pytest.raises(DataError):
-        project_population(10, -1, 0, 0, 0)
-
-
-@given(st.integers(0, 10 ** 6), st.integers(0, 1000), st.integers(0, 1000),
-       st.integers(0, 1000), st.integers(0, 1000))
-def test_project_population_recomputation(p, b, i, d, e):
-    if p + b + i - d - e >= 0:
-        assert project_population(p, b, i, d, e) == p + b + i - d - e
-
-
-def test_regional_projection_reduces_without_migration():
-    assert project_population_regional(100, 10, 5, 7, 3, 0) == 105
-    assert project_population_regional(100, 0, 0, 0, 0, -20) == 80
-
-
-def test_net_internal_migration_self_flows_cancel():
-    M = CensusTable(OD, {(2000, "AT-1", "-", "AT-1"): 9.0})
-    assert net_internal_migration(M) == {}
-
-
-def test_net_internal_migration_single_flow():
-    M = CensusTable(OD, {(2000, "AT-1", "-", "AT-2"): 5.0})
-    dm = net_internal_migration(M)
-    assert dm == {(2000, "AT-1", "-", 0): -5.0, (2000, "AT-2", "-", 0): 5.0}
-
-
-@given(st.dictionaries(
-    st.tuples(st.sampled_from(["AT-1", "AT-2", "AT-3"]),
-              st.sampled_from(["AT-1", "AT-2", "AT-3"])),
-    st.integers(0, 50), max_size=9))
-def test_net_internal_migration_sums_to_zero(flows):
-    entries = {(2000, a, "-", b): float(v) for (a, b), v in flows.items() if v}
-    dm = net_internal_migration(CensusTable(OD, entries))
-    assert sum(dm.values()) == pytest.approx(0.0, abs=1e-9)
-    # brute-force per-region check
-    for r in ("AT-1", "AT-2", "AT-3"):
-        inflow = sum(v for (a, b), v in flows.items() if b == r and a != b)
-        outflow = sum(v for (a, b), v in flows.items() if a == r and a != b)
-        assert dm.get((2000, r, "-", 0), 0.0) == pytest.approx(inflow - outflow)
-
-
-def test_net_internal_migration_rejects_plain_tables():
-    with pytest.raises(DataError):
-        net_internal_migration(CensusTable(PLAIN, {(2000, "AT-1", "-", 0): 1.0}))
 
 
 def test_round_half_away():
@@ -94,7 +32,8 @@ def test_residual_immigrants_inverts_projection():
     I = residual_immigrants(P, B, D, E)
     assert I[(2000, "AT", "-", 0)] == 5
     assert I.integer
-    assert project_population(100, 10, 5, 7, 3) == 105
+    # the balance closes: P(y) + B + I - D - E = P(y+1)
+    assert 100 + 10 + I[(2000, "AT", "-", 0)] - 7 - 3 == 105
 
 
 def test_residual_immigrants_rounds_half_away():
@@ -137,4 +76,4 @@ def test_projection_roundtrip_bound(p0, b, d, e, i_true):
     I = residual_immigrants(P, B, D, E)
     got = I[(2000, "AT", "-", 0)]
     assert got == i_true
-    assert abs(project_population(p0, b, got, d, e) - p1) <= 0.5
+    assert abs(p0 + b + got - d - e - p1) <= 0.5

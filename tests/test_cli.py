@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from censim.cli import _Pipeline, _stage_table, main, run_pipeline
 from censim.configfile import Config
 from censim.fitting import activation, average_slice, gaussian_rates
+from censim.lifetable import life_expectancy
 from censim.rates import death_table_alpha
 from censim.table import (SEXES, CensusTable, ResolutionSpec, aggregate,
                           read_csv, write_csv)
@@ -203,7 +205,10 @@ def test_lifetable_cli_rejects_two_series(tmp_path):
     assert code == 1
 
 
-def test_fit_births_cli_recovers_totals(tmp_path):
+@pytest.fixture(scope="module")
+def fit_births_run(tmp_path_factory):
+    """One `censim fit-births` call on a known Gaussian fertility curve."""
+    tmp_path = tmp_path_factory.mktemp("fit_births")
     rng = np.random.default_rng(5)
     pop = CensusTable(res((2010, 2011), level="country", ages=FULL,
                           open_age=100),
@@ -217,12 +222,16 @@ def test_fit_births_cli_recovers_totals(tmp_path):
     mac = float((np.arange(101.0) @ rates) / rates.sum())
     targets = tmp_path / "targets.csv"
     targets.write_text(f"year,region,births,mac\n2010,AT,{births!r},{mac!r}\n")
-    out_path = tmp_path / "rates.csv"
     code = main(["fit-births", "--targets", str(targets),
                  "--population", save(tmp_path, "pop.csv", pop),
-                 "--out", str(out_path)])
+                 "--out", str(tmp_path / "rates.csv")])
     assert code == 0
-    fitted = read_csv(str(out_path))
+    return tmp_path, p_avg, births
+
+
+def test_fit_births_cli_recovers_totals(fit_births_run):
+    tmp_path, p_avg, births = fit_births_run
+    fitted = read_csv(str(tmp_path / "rates.csv"))
     got = sum(fitted[(2010, "AT", "f", a)] * p_avg[a] for a in FULL)
     assert got == pytest.approx(births, rel=1e-3)
     report = read_rows(tmp_path / "rates.report.csv")
@@ -230,7 +239,10 @@ def test_fit_births_cli_recovers_totals(tmp_path):
     assert float(report[0]["objective"]) < 1e-2
 
 
-def test_fit_mortality_cli_recovers_curves(tmp_path):
+@pytest.fixture(scope="module")
+def fit_mortality_run(tmp_path_factory):
+    """One `censim fit-mortality` call on known multiplier curves."""
+    tmp_path = tmp_path_factory.mktemp("fit_mortality")
     ages = np.arange(101.0)
     base = np.minimum(0.9, 1e-4 * np.exp(0.085 * ages))
     years = (2007, 2008, 2009, 2010, 2011)
@@ -250,7 +262,6 @@ def test_fit_mortality_cli_recovers_curves(tmp_path):
     avec = np.array([alpha(i) for i in range(101)])
     deaths = float(sum((1000.0 * (q / (1 - avec * q))).sum()
                        for q in (q_m, q_f)))
-    from censim.lifetable import life_expectancy
     row = (2010, "AT", deaths,
            life_expectancy(q_m, 0, alpha), life_expectancy(q_f, 0, alpha),
            life_expectancy(q_m, 65, alpha), life_expectancy(q_f, 65, alpha))
@@ -259,18 +270,53 @@ def test_fit_mortality_cli_recovers_curves(tmp_path):
         "year,region,deaths,le_m_0,le_f_0,le_m_65,le_f_65\n"
         + ",".join(repr(v) if isinstance(v, float) else str(v)
                    for v in row) + "\n")
-    out_path = tmp_path / "q.csv"
     code = main(["fit-mortality", "--targets", str(targets),
                  "--population", save(tmp_path, "pop.csv", pop),
                  "--probabilities", save(tmp_path, "prob.csv", prob),
                  "--qref-years", "2007,2008,2009",
-                 "--out", str(out_path)])
+                 "--out", str(tmp_path / "q.csv")])
     assert code == 0
-    fitted = read_csv(str(out_path))
+    return tmp_path, q_m
+
+
+def test_fit_mortality_cli_recovers_curves(fit_mortality_run):
+    tmp_path, q_m = fit_mortality_run
+    fitted = read_csv(str(tmp_path / "q.csv"))
     got = np.array([fitted[(2010, "AT", "m", a)] for a in FULL])
     assert np.abs(got - q_m).max() < 5e-3
     report = read_rows(tmp_path / "q.report.csv")
     assert float(report[0]["objective"]) < 1e-3
+
+
+def _repeat_target_row(src, tmp_path):
+    """A copy of the run's targets file that lists its one row twice."""
+    header, row = (src / "targets.csv").read_text().splitlines()
+    targets = tmp_path / "targets.csv"
+    targets.write_text(f"{header}\n{row}\n{row}\n")
+    return str(targets)
+
+
+def test_fit_births_cli_rejects_repeated_target(fit_births_run, tmp_path):
+    src = fit_births_run[0]
+    code = main(["fit-births",
+                 "--targets", _repeat_target_row(src, tmp_path),
+                 "--population", str(src / "pop.csv"),
+                 "--out", str(tmp_path / "rates.csv")])
+    assert code == 1
+    assert not (tmp_path / "rates.csv").exists()
+
+
+def test_fit_mortality_cli_rejects_repeated_target(fit_mortality_run,
+                                                   tmp_path):
+    src = fit_mortality_run[0]
+    code = main(["fit-mortality",
+                 "--targets", _repeat_target_row(src, tmp_path),
+                 "--population", str(src / "pop.csv"),
+                 "--probabilities", str(src / "prob.csv"),
+                 "--qref-years", "2007,2008,2009",
+                 "--out", str(tmp_path / "q.csv")])
+    assert code == 1
+    assert not (tmp_path / "q.csv").exists()
 
 
 def test_balance_cli(tmp_path):
@@ -425,6 +471,44 @@ def test_pipeline_produces_all_outputs(pipeline_dir):
                 "results/mean.csv", "results/deviations.csv",
                 "manifest.csv"):
         assert (work / rel).exists(), rel
+
+
+# SHA-256 of every fitted parameter table and fit report, from the pipeline
+# stages and from the two fit subcommands: refactors of the fit drivers must
+# leave these files byte for byte unchanged.
+FIT_OUTPUT_SHA256 = {
+    "pipeline/est/birth_p.csv":
+        "f70fae60d42954bef426ec3ba5fd31060753bc574616a0a191ea3afd803c68e9",
+    "pipeline/est/birth_p.report.csv":
+        "16b5fa9a9fc4ede7672215c49c844a0e32cdaf2461a4f46430d8b06d33c693d8",
+    "pipeline/est/death_p.csv":
+        "46e36daf8c2b68c2ba8b56a49fa381272db1e1a929c220455a5f31961e0dd1e5",
+    "pipeline/est/death_p.report.csv":
+        "1458213bb4ca11e96830928e851ff17e2a4a67af0580ee3ae298eb82cc2bb9c9",
+    "pipeline/est/emig_p.csv":
+        "ab0c2ef2dc6d39d837b252d664de158b1be2189271358781fe4f5c36b10a1f77",
+    "pipeline/est/ie_p.csv":
+        "5bc05eb224f5a61fd9af4593e63849e9ec6f04fe27b66d0398b8bd5eba65bc65",
+    "fit-births/rates.csv":
+        "0227bd7edc47fc0a4137ec29e81821b9d13faf9febf4c91ed010810a4ec00707",
+    "fit-births/rates.report.csv":
+        "937b9dc18bd1e5b787c08c69db058da9c7742946db0c5bb8b4f580cb273ee327",
+    "fit-mortality/q.csv":
+        "d94da68ce35a3307228f8028a1f3c202c6809fc8d47910b095594ae4e49b7d00",
+    "fit-mortality/q.report.csv":
+        "45ba1c8022157874ed20e2c24c2476dba38ba4689c362cc9639b758a33ac74aa",
+}
+
+
+def test_fit_outputs_match_pinned_digests(pipeline_dir, fit_births_run,
+                                          fit_mortality_run):
+    dirs = {"pipeline": pipeline_dir / "work", "fit-births": fit_births_run[0],
+            "fit-mortality": fit_mortality_run[0]}
+    got = {}
+    for key in FIT_OUTPUT_SHA256:
+        where, rel = key.split("/", 1)
+        got[key] = hashlib.sha256((dirs[where] / rel).read_bytes()).hexdigest()
+    assert got == FIT_OUTPUT_SHA256
 
 
 def test_pipeline_estimate_matches_base_year(pipeline_dir):

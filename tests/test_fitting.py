@@ -20,7 +20,6 @@ from censim.fitting import (
     mortality_curves,
     mortality_objective,
     qref_series,
-    trailing_years,
 )
 from censim.lifetable import build_life_table
 from censim.rates import death_table_alpha
@@ -295,10 +294,3 @@ def test_slice_helpers():
         qref_series(q, [1999], "AT", "m")
     with pytest.raises(DataError):
         qref_series(q, [], "AT", "m")
-
-
-def test_trailing_years():
-    assert trailing_years(2000, 2010, 3) == [2008, 2009, 2010]
-    assert trailing_years(2000, 2010, 3, exclude=(2009, 2010)) == [2006, 2007, 2008]
-    with pytest.raises(DataError):
-        trailing_years(2000, 2001, 3)

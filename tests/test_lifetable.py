@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from censim.errors import DataError
-from censim.lifetable import build_life_table, life_expectancy, mac, tfr
-from censim.rates import death_table_alpha, model_alpha
+from censim.lifetable import build_life_table, life_expectancy
+from censim.rates import death_table_alpha
+
+
+def model_alpha(age):
+    """The constant alpha = 1/2 of model parametrisation."""
+    return 0.5
 
 
 def test_constant_hazard_half():
@@ -91,37 +96,3 @@ def test_life_expectancy_checks_survivors():
         life_expectancy(q, 2, model_alpha)
     with pytest.raises(DataError):
         life_expectancy(q, 7, model_alpha)
-
-
-def test_tfr_and_mac_point_mass():
-    rates = {30: 0.1}
-    assert tfr(rates) == 0.1
-    assert mac(rates) == 30.0
-
-
-def test_mac_symmetric_pair():
-    rates = {20: 0.05, 40: 0.05}
-    assert mac(rates) == pytest.approx(30.0)
-    assert tfr(rates) == pytest.approx(0.1)
-
-
-def test_mac_accepts_sequences():
-    rates = [0.0, 0.2, 0.2]
-    assert tfr(rates) == pytest.approx(0.4)
-    assert mac(rates) == pytest.approx(1.5)
-
-
-def test_mac_undefined_for_zero_rates():
-    assert tfr({25: 0.0}) == 0.0
-    with pytest.raises(DataError):
-        mac({25: 0.0})
-    with pytest.raises(DataError):
-        mac({})
-
-
-@given(st.lists(st.floats(0, 0.3), min_size=1, max_size=40))
-def test_tfr_mac_against_direct_sums(rates):
-    assert tfr(rates) == pytest.approx(math.fsum(rates), rel=1e-12)
-    if any(r > 0 for r in rates):
-        num = math.fsum(a * r for a, r in enumerate(rates))
-        assert mac(rates) == pytest.approx(num / math.fsum(rates), rel=1e-12)

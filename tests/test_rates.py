@@ -3,43 +3,12 @@ from hypothesis import given, strategies as st
 
 from censim.errors import DataError
 from censim.rates import (
-    average_rate,
     death_table_alpha,
     farr_probability,
     farr_probability_model,
     invert_farr,
-    model_alpha,
 )
 from censim.table import CensusTable, ResolutionSpec
-
-ONE_CELL = ResolutionSpec((2000, 2000), "country", sexes=("m",), ages=(50,),
-                          open_age=None)
-
-
-def _cell_table(value, name="X"):
-    return CensusTable(ONE_CELL, {(2000, "AT", "m", 50): value}, name=name)
-
-
-def test_average_rate_division():
-    rate = average_rate(_cell_table(100), _cell_table(1000))
-    assert rate[(2000, "AT", "m", 50)] == 0.1
-
-
-def test_average_rate_zero_events():
-    rate = average_rate(_cell_table(0), _cell_table(1000))
-    assert rate[(2000, "AT", "m", 50)] == 0.0
-    assert len(rate) == 0
-
-
-def test_average_rate_requires_exposure():
-    with pytest.raises(DataError):
-        average_rate(_cell_table(5), _cell_table(0))
-
-
-@given(st.integers(1, 10 ** 6), st.integers(1, 10 ** 6))
-def test_average_rate_matches_direct_ratio(x, p):
-    rate = average_rate(_cell_table(x), _cell_table(p))
-    assert rate[(2000, "AT", "m", 50)] == x / p
 
 
 def test_farr_probability_examples():
@@ -85,7 +54,7 @@ def test_farr_model_stationary_closed_form():
         assert prob[(y, "AT", "m", 50)] == pytest.approx(100 / 1050, rel=1e-13)
     # identical to the scalar formula applied to the single-year rate
     assert prob[(2000, "AT", "m", 50)] == pytest.approx(
-        farr_probability(100 / 1000, model_alpha(50)), rel=1e-13)
+        farr_probability(100 / 1000, 0.5), rel=1e-13)
 
 
 def test_farr_model_zero_counts():
@@ -132,8 +101,6 @@ def test_farr_model_rejects_short_exposure():
 
 
 def test_alpha_profiles():
-    assert model_alpha(0) == 0.5
-    assert model_alpha(80) == 0.5
     profile = death_table_alpha()
     assert profile(0) == 0.923
     assert profile(1) == 0.5

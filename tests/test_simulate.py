@@ -79,20 +79,20 @@ def test_init_identity_scale_reproduces_census():
         (2000, "AT-1", "f", 31): 7,
         (2000, "AT-2", "f", 0): 9,
     }
-    state = init_population(pop_tab(2000, entries), 1.0, seed=42)
+    state = init_population(pop_tab(2000, entries), 1.0)
     assert census_counts(state) == entries
     assert len(np.unique(state.pid)) == 28
 
 
 def test_init_scaled_cell_is_exact_fraction():
     state = init_population(pop_tab(2000, {(2000, "AT-1", "f", 20): 1000}),
-                            0.1, seed=0)
+                            0.1)
     assert census_counts(state) == {(2000, "AT-1", "f", 20): 100}
 
 
 def test_init_rejects_vanishing_population():
     with pytest.raises(DataError):
-        init_population(pop_tab(2000, {(2000, "AT-1", "m", 5): 3}), 0.1, seed=0)
+        init_population(pop_tab(2000, {(2000, "AT-1", "m", 5): 3}), 0.1)
 
 
 def test_certain_death_empties_cohort():

@@ -1,17 +1,13 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
 
 from censim.errors import DataError
 from censim.table import (
     CensusTable,
     ResolutionSpec,
     aggregate,
-    average_population,
-    fold_open_age,
     infer_level,
-    merge_time,
     read_csv,
     single_ages,
     write_csv,
@@ -70,117 +66,6 @@ def test_aggregate_is_associative_across_dimensions():
     assert two_step == one_step
 
 
-def test_fold_open_age_merges_tail():
-    res = ResolutionSpec((2020, 2020), "country", sexes=(),
-                         ages=(99, 100, 101), open_age=None)
-    t = CensusTable(res, {(2020, "AT", "-", 99): 2, (2020, "AT", "-", 100): 3,
-                          (2020, "AT", "-", 101): 1}, integer=True)
-    out = fold_open_age(t, 100)
-    assert dict(out.items()) == {(2020, "AT", "-", 99): 2.0, (2020, "AT", "-", 100): 4.0}
-    assert out.resolution.open_age == 100
-    assert out.resolution.ages == (99, 100)
-
-
-def test_fold_open_age_beyond_max_age_gives_empty_class():
-    res = ResolutionSpec((2020, 2020), "country", sexes=(),
-                         ages=(99, 100), open_age=None)
-    t = CensusTable(res, {(2020, "AT", "-", 99): 2, (2020, "AT", "-", 100): 3})
-    out = fold_open_age(t, 150)
-    assert out.resolution.ages == (99, 100, 150)
-    assert out.resolution.open_age == 150
-    assert out[(2020, "AT", "-", 150)] == 0.0
-    assert out.total() == t.total()
-
-
-def test_fold_open_age_is_idempotent_and_preserves_totals():
-    res = ResolutionSpec((2020, 2021), "federalstates", ages=single_ages(0, 9),
-                         open_age=None)
-    entries = {(y, "AT-1", s, a): (a + 1) * (2 if s == "m" else 3) + y % 2
-               for y in (2020, 2021) for s in "mf" for a in range(10)}
-    t = CensusTable(res, entries, integer=True)
-    once = fold_open_age(t, 7)
-    twice = fold_open_age(once, 7)
-    assert once == twice
-    assert once.total() == t.total()
-    folded = sum(v for k, v in entries.items() if k[3] >= 7 and k[1:3] == ("AT-1", "m")
-                 and k[0] == 2020)
-    assert once[(2020, "AT-1", "m", 7)] == folded
-
-
-def test_fold_open_age_rejects_straddling_classes():
-    res = ResolutionSpec((2020, 2020), "country", sexes=(), ages=(0, 3, 6), open_age=None)
-    t = CensusTable(res, {(2020, "AT", "-", 3): 5})
-    with pytest.raises(DataError):
-        fold_open_age(t, 5)
-    open_res = ResolutionSpec((2020, 2020), "country", sexes=(), ages=(0, 90), open_age=90)
-    t2 = CensusTable(open_res, {(2020, "AT", "-", 90): 5})
-    with pytest.raises(DataError):
-        fold_open_age(t2, 95)
-
-
-def test_average_population_midpoints():
-    res = ResolutionSpec((2020, 2021), "country", sexes=(), ages=(0,), open_age=0)
-    P = CensusTable(res, {(2020, "AT", "-", 0): 100, (2021, "AT", "-", 0): 200},
-                    integer=True)
-    avg = average_population(P, 2020)
-    assert dict(avg.items()) == {(2020, "AT", "-", 0): 150.0}
-    assert avg.resolution.years == (2020, 2020)
-
-
-def test_average_population_identity_and_last_year_clamp():
-    res = ResolutionSpec((2020, 2021), "country", sexes=(), ages=(0,), open_age=0)
-    P = CensusTable(res, {(2020, "AT", "-", 0): 7, (2021, "AT", "-", 0): 7})
-    assert average_population(P, 2020)[(2020, "AT", "-", 0)] == 7.0
-    # the last census year has no successor; the mean clamps to that year
-    assert average_population(P, 2021)[(2021, "AT", "-", 0)] == 7.0
-    with pytest.raises(DataError):
-        average_population(P, 2019)
-
-
-@given(st.lists(st.integers(0, 10 ** 6), min_size=10, max_size=10),
-       st.lists(st.integers(0, 10 ** 6), min_size=10, max_size=10))
-def test_average_population_matches_direct_recomputation(now, nxt):
-    res = ResolutionSpec((2000, 2001), "federalstates", ages=single_ages(0, 4),
-                         open_age=4)
-    keys = [(s, a) for s in "mf" for a in range(5)]
-    entries = {}
-    for (s, a), v in zip(keys, now):
-        entries[(2000, "AT-3", s, a)] = v
-    for (s, a), v in zip(keys, nxt):
-        entries[(2001, "AT-3", s, a)] = v
-    avg = average_population(CensusTable(res, entries, integer=True), 2000)
-    for (s, a), v0, v1 in zip(keys, now, nxt):
-        assert avg[(2000, "AT-3", s, a)] == (v0 + v1) / 2
-
-
-def test_merge_time_contiguous_union():
-    res_a = ResolutionSpec((1962, 2001), "country", sexes=(), ages=(0,), open_age=0)
-    res_b = ResolutionSpec((2002, 2024), "country", sexes=(), ages=(0,), open_age=0)
-    a = CensusTable(res_a, {(y, "AT", "-", 0): 1 for y in range(1962, 2002)})
-    b = CensusTable(res_b, {(y, "AT", "-", 0): 2 for y in range(2002, 2025)})
-    merged = merge_time([b, a])
-    assert merged.resolution.years == (1962, 2024)
-    assert merged[(1980, "AT", "-", 0)] == 1.0
-    assert merged[(2020, "AT", "-", 0)] == 2.0
-    assert len(merged) == len(a) + len(b)
-
-
-def test_merge_time_single_table_is_itself():
-    res = ResolutionSpec((2000, 2001), "country", sexes=(), ages=(0,), open_age=0)
-    t = CensusTable(res, {(2000, "AT", "-", 0): 5})
-    assert merge_time([t]) is t
-
-
-def test_merge_time_rejects_overlap_and_gap():
-    mk = lambda y0, y1: CensusTable(
-        ResolutionSpec((y0, y1), "country", sexes=(), ages=(0,), open_age=0),
-        {(y0, "AT", "-", 0): 1})
-    with pytest.raises(DataError):
-        merge_time([mk(2000, 2005), mk(2005, 2010)])
-    with pytest.raises(DataError):
-        merge_time([mk(2000, 2005), mk(2007, 2010)])
-
-
 def test_grand_total_invariant_bit_exact():
     entries = {}
     value = 1
@@ -195,8 +80,7 @@ def test_grand_total_invariant_bit_exact():
     total = t.total()
     for out in (aggregate(t, coarse_level="districts"),
                 aggregate(t, drop={"sex"}),
-                aggregate(t, drop={"region", "sex", "age"}),
-                fold_open_age(t, 3)):
+                aggregate(t, drop={"region", "sex", "age"})):
         assert out.total() == total
 
 
