@@ -10,9 +10,9 @@ from .lifetable import build_life_table, life_expectancy
 from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import ScenarioConfig, SimParams, run
-from .synthgen import SynthSpec, degrade, generate_truth
+from .synthgen import SynthSpec, generate_truth
 from .table import (CensusTable, ResolutionSpec, add_tables, aggregate,
-                    read_csv, write_csv)
+                    degrade, read_csv, write_csv)
 from .validate import compare, error_band, mc_mean
 
 __version__ = "0.1.0"

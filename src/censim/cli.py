@@ -38,9 +38,9 @@ from .lifetable import build_life_table, life_expectancy
 from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import MALE_SHARE, ScenarioConfig, SimParams, run
-from .synthgen import FLOW_AGE_CLASSES, SynthSpec, degrade, generate_truth
+from .synthgen import FLOW_AGE_CLASSES, SynthSpec, generate_truth
 from .table import (SEXES, CensusTable, ResolutionSpec, add_tables, aggregate,
-                    read_csv, write_csv)
+                    degrade, read_csv, write_csv)
 from .validate import compare, mc_mean, read_window, write_deviations
 
 log = logging.getLogger("censim")
@@ -213,13 +213,12 @@ def _write_od_bundle(tables: dict, out_dir: str, open_age) -> list[str]:
     return written
 
 
-def _read_od_bundle(index_path: str, span: tuple | None = None,
-                    level: str | None = None) -> dict:
+def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
     """Read the per-age-class flow tables an ``m_index.csv`` points to.
 
-    With span and level given, header-only class files become empty flow
-    tables and year ranges widen to cover the span; a file that lists no
-    flows in some year simply has none there.
+    Header-only class files become empty flow tables at the level, and year
+    ranges widen to cover the span; a file that lists no flows in some year
+    simply has none there.
     """
     base = os.path.dirname(os.path.abspath(index_path))
     out = {}
@@ -234,14 +233,11 @@ def _read_od_bundle(index_path: str, span: tuple | None = None,
                 raise DataError(f"{index_path}: bad age token {row['age']!r}") from None
             rel = row["path"]
             path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            if span is not None and not _csv_has_rows(path):
+            if not _csv_has_rows(path):
                 res = ResolutionSpec(span, level, od=True)
                 out[lo] = CensusTable(res, {}, integer=True, name=f"m{lo}")
             else:
-                t = read_csv(path, name=f"m{lo}")
-                if span is not None:
-                    t = _widen_years(t, span)
-                out[lo] = t
+                out[lo] = _widen_years(read_csv(path, name=f"m{lo}"), span)
     if not out:
         raise DataError(f"{index_path}: empty flow index")
     return out
@@ -375,6 +371,11 @@ def _fit_mortality_rows(pop: CensusTable, prob: CensusTable, qref_years: tuple,
         if r not in qref_cache:
             qref_cache[r] = tuple(qref_series(prob, qref_years, r, s)
                                   for s in SEXES)
+            for s, q in zip(SEXES, qref_cache[r]):
+                if not q.any():
+                    raise DataError(
+                        f"{prob.name}: no rows for region {r!r}, sex {s} in "
+                        f"reference years {', '.join(map(str, qref_years))}")
         qref = qref_cache[r]
         pop_avg = tuple(average_slice(pop, y, r, s) for s in SEXES)
         diag: dict = {}

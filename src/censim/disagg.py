@@ -243,24 +243,6 @@ def huntington_hill_splits(xs, p) -> np.ndarray:
     return np.searchsorted(key, np.arange(n) * (top + 1) + xs[..., None]) - first
 
 
-def _age_refinement(coarse: ResolutionSpec, fine: ResolutionSpec, what: str) -> dict[int, int]:
-    """Map each fine age class to the coarse class containing it."""
-    out: dict[int, int] = {}
-    for lo in fine.ages:
-        _, hi = fine.age_bounds(lo)
-        try:
-            parent = coarse.age_class_of(lo)
-        except DataError:
-            raise DataError(f"{what}: age class {lo} not covered") from None
-        p_lo, p_hi = coarse.age_bounds(parent)
-        if p_hi is not None and (hi is None or hi > p_hi):
-            raise DataError(
-                f"{what}: age class [{lo},{'inf' if hi is None else hi}) straddles "
-                f"[{p_lo},{p_hi})")
-        out[lo] = parent
-    return out
-
-
 def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
                        target: ResolutionSpec, method: str,
                        regions: RegionManifest | None = None,
@@ -321,11 +303,11 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
                 "a region manifest")
 
     # age fibers and weight projections
-    to_source_class = _age_refinement(src, target, "target")
+    to_source_class = target.classes_onto(src, "target")
     ages_by_coarse: dict[int, list[int]] = {}
     for fine_age, coarse_age in to_source_class.items():
         ages_by_coarse.setdefault(coarse_age, []).append(fine_age)
-    to_dist_class = _age_refinement(dist, target, "distribution")
+    to_dist_class = target.classes_onto(dist, "distribution")
 
     region_to_dist: dict[str, str] = {}
 

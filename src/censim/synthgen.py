@@ -9,14 +9,14 @@ child/adult/senior activation split the forecast fitter uses, and fertility
 is an exact member of the fitter's Gaussian family, so parameter recovery
 on this data is well-posed.
 
-degrade() turns truth tables into the coarse inputs a harmonization
-pipeline starts from (coarser regions, wider age classes, dropped sex),
-purely by aggregation, so estimates stay comparable against known truth.
+The coarse inputs a harmonization pipeline starts from are these tables
+summed onto coarser resolutions with censim.table.degrade, so estimates stay
+comparable against known truth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .disagg import huntington_hill_splits
 from .errors import DataError
 from .fitting import activation, gaussian_rates
 from .rng import stream, uniform
-from .table import CensusTable, ResolutionSpec, aggregate
+# degrade is unused here; it stays bound because the benchmark imports it
+# from this module and traces it as censim.synthgen:degrade
+from .table import CensusTable, ResolutionSpec, degrade
 from .regions import validate_code
 
 MALE_SHARE = 0.513234
@@ -267,55 +269,3 @@ def generate_truth(spec: SynthSpec) -> dict:
                      for lo, flows in flow_by_class.items()},
     }
     return bundle
-
-
-def _reclass_ages(table: CensusTable, ages: tuple, open_age) -> CensusTable:
-    res = table.resolution
-    target = replace(res, ages=tuple(ages), open_age=open_age)
-    acc = {}
-    for (y, r, s, a), v in table.items():
-        lo, hi = res.age_bounds(a)
-        new_lo = target.age_class_of(lo)
-        nlo, nhi = target.age_bounds(new_lo)
-        if nhi is not None and (hi is None or hi > nhi):
-            raise DataError(
-                f"source class {lo}+ straddles target class [{nlo},{nhi})"
-                if hi is None else
-                f"source class [{lo},{hi}) straddles target class [{nlo},{nhi})")
-        key = (y, r, s, new_lo)
-        acc[key] = acc.get(key, 0.0) + v
-    return CensusTable(target, acc, integer=table.integer, name=table.name)
-
-
-def degrade(table: CensusTable, target: ResolutionSpec) -> CensusTable:
-    """Aggregate a truth table down to a coarser resolution, nothing else."""
-    res = table.resolution
-    if res.od != target.od:
-        raise DataError("cannot degrade across origin-destination structure")
-    out = table
-    if target.level != res.level:
-        out = aggregate(out, coarse_level=target.level)
-    if target.sexes != res.sexes:
-        if target.sexes == ():
-            out = aggregate(out, drop=("sex",))
-        else:
-            raise DataError(
-                f"sex domain {target.sexes} is not a degradation of {res.sexes}")
-    if not target.od and (target.ages != res.ages
-                          or target.open_age != res.open_age):
-        if target.ages == (0,) and target.open_age == 0:
-            out = aggregate(out, drop=("age",))
-        else:
-            out = _reclass_ages(out, target.ages, target.open_age)
-    y0, y1 = target.years
-    if y0 < res.years[0] or y1 > res.years[1]:
-        raise DataError(
-            f"target years {target.years} exceed source years {res.years}")
-    if (y0, y1) != res.years:
-        entries = {k: v for k, v in out.items() if y0 <= k[0] <= y1}
-        out = CensusTable(replace(out.resolution, years=(y0, y1)), entries,
-                          integer=out.integer, name=out.name)
-    if out.resolution != target:
-        raise DataError(
-            f"cannot degrade {res} to {target}")
-    return out

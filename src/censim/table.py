@@ -13,6 +13,11 @@ completed ages [ages[i], ages[i+1]); the last class is the open class
 "ages[-1] and above" when open_age is set, otherwise the single age ages[-1].
 A table without an age axis uses the single class 0+ (all ages).
 
+degrade() is the one aggregation: it sums a table onto a coarser or equal
+resolution (a coarser level, the sex axis dropped, age classes merged, years
+cut) in one pass over the keys.  aggregate() is its front for dropping whole
+dimensions.
+
 The CSV form is canonical: UTF-8, LF endings, header
 ``year,region,sex,age,value`` (``year,region,sex,region2,value`` for
 origin-destination tables), rows sorted by key.  sex is ``m``, ``f`` or ``-``
@@ -108,6 +113,23 @@ class ResolutionSpec:
             raise DataError(f"age {age} not covered by any age class")
         return lo
 
+    def classes_onto(self, coarse: ResolutionSpec, what: str) -> dict[int, int]:
+        """Map each of this spec's age classes to the coarse class holding it."""
+        out: dict[int, int] = {}
+        for lo in self.ages:
+            _, hi = self.age_bounds(lo)
+            try:
+                parent = coarse.age_class_of(lo)
+            except DataError:
+                raise DataError(f"{what}: age class {lo} not covered") from None
+            p_lo, p_hi = coarse.age_bounds(parent)
+            if p_hi is not None and (hi is None or hi > p_hi):
+                raise DataError(
+                    f"{what}: age class [{lo},{'inf' if hi is None else hi}) straddles "
+                    f"[{p_lo},{p_hi})")
+            out[lo] = parent
+        return out
+
 
 class CensusTable:
     """Immutable sparse table; absent keys read as zero."""
@@ -121,8 +143,9 @@ class CensusTable:
         self.name = name
         items = entries.items() if hasattr(entries, "items") else entries
         seen: dict[tuple, float] = {}
+        valid: set[str] = set()  # region codes already checked at this level
         for key, raw in items:
-            key = self._check_key(tuple(key))
+            key = self._check_key(tuple(key), valid)
             v = float(raw)
             if not math.isfinite(v) or v < 0:
                 raise DataError(f"{name}: value {raw!r} at {key} is not a finite non-negative number")
@@ -134,7 +157,14 @@ class CensusTable:
                 seen[key] = v
         self._entries = dict(sorted(seen.items()))
 
-    def _check_key(self, key: tuple) -> tuple:
+    def _check_code(self, code, valid: set, what: str) -> None:
+        if code not in valid:
+            if not is_valid_code(code, self.resolution.level):
+                raise DataError(f"{self.name}: {what} {code!r} invalid at level "
+                                f"{self.resolution.level!r}")
+            valid.add(code)
+
+    def _check_key(self, key: tuple, valid: set) -> tuple:
         res = self.resolution
         if len(key) != 4:
             raise DataError(f"{self.name}: key {key} must have 4 components")
@@ -142,13 +172,11 @@ class CensusTable:
         year = int(year)
         if not res.years[0] <= year <= res.years[1]:
             raise DataError(f"{self.name}: year {year} outside {res.years}")
-        if not is_valid_code(region, res.level):
-            raise DataError(f"{self.name}: region {region!r} invalid at level {res.level!r}")
+        self._check_code(region, valid, "region")
         if sex not in res.sex_domain:
             raise DataError(f"{self.name}: sex {sex!r} not in domain {res.sex_domain}")
         if res.od:
-            if not is_valid_code(last, res.level):
-                raise DataError(f"{self.name}: region2 {last!r} invalid at level {res.level!r}")
+            self._check_code(last, valid, "region2")
             return (year, region, sex, last)
         age = int(last)
         i = bisect_right(res.ages, age) - 1
@@ -188,71 +216,65 @@ class CensusTable:
         return math.fsum(self._entries.values())
 
 
+def degrade(table: CensusTable, target: ResolutionSpec) -> CensusTable:
+    """Sum a table onto a coarser or equal resolution in one pass.
+
+    The target keeps the table's origin-destination structure, sits at a
+    coarser or equal level, keeps the sex axis or drops it, has age classes
+    that each hold whole source classes, and years inside the source's.
+    Every key is projected once onto its target cell; sums run in source key
+    order.
+    """
+    res = table.resolution
+    if res.od != target.od:
+        raise DataError("cannot degrade across origin-destination structure")
+    if not coarser_or_equal(target.level, res.level):
+        raise DataError(
+            f"level {target.level!r} is not coarser than or equal to {res.level!r}")
+    if target.sexes not in (res.sexes, ()):
+        raise DataError(
+            f"sex domain {target.sexes} is not a degradation of {res.sexes}")
+    y0, y1 = target.years
+    if y0 < res.years[0] or y1 > res.years[1]:
+        raise DataError(
+            f"target years {target.years} exceed source years {res.years}")
+    age_class = res.classes_onto(target, table.name)
+    parents: dict[str, str] = {}
+
+    def up(code: str) -> str:
+        if code not in parents:
+            parents[code] = parent_region(code, res.level, target.level)
+        return parents[code]
+
+    acc: dict[tuple, float] = {}
+    for (y, r, s, last), v in table.items():
+        if y0 <= y <= y1:
+            key = (y, up(r), s if target.sexes else NO_SEX,
+                   up(last) if res.od else age_class[last])
+            acc[key] = acc.get(key, 0.0) + v
+    return CensusTable(target, acc, integer=table.integer, name=table.name)
+
+
 def aggregate(table: CensusTable, drop=(), coarse_level: str | None = None) -> CensusTable:
     """Sum a table over dropped dimensions and/or up to a coarser level.
 
-    drop may contain region, sex, age, and region2 (origin-destination
-    tables only).  Dropping region on an origin-destination table sums over
-    origins, leaving the destination as the region axis.
+    drop may contain region, sex and age.  Origin-destination tables keep
+    both region axes: only sex can be dropped from them.
     """
     drop = frozenset(drop)
     res = table.resolution
-    unknown = drop - {"region", "sex", "age", "region2"}
-    if unknown:
-        raise DataError(f"cannot drop {sorted(unknown)}")
-    if "region2" in drop and not res.od:
-        raise DataError("region2 only exists on origin-destination tables")
-    if res.od and "age" in drop:
-        raise DataError("origin-destination tables have no age axis")
+    allowed = {"sex"} if res.od else {"region", "sex", "age"}
+    if drop - allowed:
+        raise DataError(f"cannot drop {sorted(drop - allowed)} from "
+                        f"{'origin-destination ' if res.od else ''}table {table.name!r}")
     if "region" in drop and coarse_level is not None:
         raise DataError("coarse_level is meaningless when region is dropped")
-
-    if res.od and drop & {"region", "region2"}:
-        # reduce one or both region axes, then recurse on the plain table
-        both = {"region", "region2"} <= drop
-        acc: dict[tuple, float] = {}
-        for (y, r, s, r2), v in table.items():
-            if both:
-                key = (y, "AT", s, 0)
-            elif "region" in drop:
-                key = (y, r2, s, 0)
-            else:
-                key = (y, r, s, 0)
-            acc[key] = acc.get(key, 0.0) + v
-        level = "country" if both else res.level
-        plain = CensusTable(
-            replace(res, level=level, od=False, ages=(0,), open_age=0),
-            acc, integer=table.integer, name=table.name)
-        return aggregate(plain, drop - {"region", "region2"}, coarse_level)
-
-    level = res.level
-    if "region" in drop:
-        level = "country"
-    elif coarse_level is not None:
-        if not coarser_or_equal(coarse_level, res.level):
-            raise DataError(
-                f"level {coarse_level!r} is not coarser than or equal to {res.level!r}")
-        level = coarse_level
-
-    new_res = replace(
-        res,
-        level=level,
-        sexes=() if "sex" in drop else res.sexes,
-        ages=(0,) if "age" in drop and not res.od else res.ages,
-        open_age=0 if "age" in drop and not res.od else res.open_age,
-    )
-    acc = {}
-    for (y, r, s, last), v in table.items():
-        r = "AT" if level == "country" and "region" in drop else (
-            parent_region(r, res.level, level) if level != res.level else r)
-        s = NO_SEX if "sex" in drop else s
-        if res.od:
-            last = parent_region(last, res.level, level) if level != res.level else last
-        elif "age" in drop:
-            last = 0
-        key = (y, r, s, last)
-        acc[key] = acc.get(key, 0.0) + v
-    return CensusTable(new_res, acc, integer=table.integer, name=table.name)
+    level = "country" if "region" in drop else (
+        res.level if coarse_level is None else coarse_level)
+    flat = "age" in drop
+    return degrade(table, replace(
+        res, level=level, sexes=() if "sex" in drop else res.sexes,
+        ages=(0,) if flat else res.ages, open_age=0 if flat else res.open_age))
 
 
 def add_tables(tables, name: str | None = None) -> CensusTable:

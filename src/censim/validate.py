@@ -16,10 +16,15 @@ from dataclasses import dataclass
 
 from .errors import DataError
 from .fileio import atomic_open
-from .regions import parent_region
-from .table import CensusTable, ResolutionSpec
+from .table import CensusTable, ResolutionSpec, degrade
 
-GROUPINGS = ("total", "fed", "sex", "age20")
+# each grouping's cells: (regional level, sex axis kept, age classes)
+GROUPINGS = {
+    "total": ("country", False, (0,)),
+    "fed": ("federalstates", False, (0,)),
+    "sex": ("country", True, (0,)),
+    "age20": ("country", False, (0, 20, 40, 60, 80, 100)),
+}
 
 
 @dataclass(frozen=True)
@@ -81,41 +86,21 @@ def age_band_label(lo: int, width: int = 20, top: int = 100) -> str:
     return f"{b}-{b + width - 1}"
 
 
-def _check_age_alignment(res: ResolutionSpec):
-    for lo in res.ages:
-        lo2, hi = res.age_bounds(lo)
-        if hi is None:
-            if age_band_label(lo2) != age_band_label(100):
-                raise DataError(
-                    f"open age class {lo2}+ straddles the 20-year bands")
-        elif age_band_label(lo2) != age_band_label(hi - 1):
-            raise DataError(
-                f"age class [{lo2},{hi}) straddles a 20-year band boundary")
-
-
-def _bucket(group: str, level: str):
-    if group == "total":
-        return lambda r, s, a: "all"
-    if group == "fed":
-        return lambda r, s, a: parent_region(r, level, "federalstates")
-    if group == "sex":
-        return lambda r, s, a: s
-    if group == "age20":
-        return lambda r, s, a: age_band_label(a)
-    raise DataError(f"unknown grouping {group!r}, expected one of {GROUPINGS}")
-
-
 def _grouped_series(table: CensusTable, group: str, years) -> dict:
-    pick = _bucket(group, table.resolution.level)
-    index = {y: i for i, y in enumerate(years)}
+    """Series per group label, read off one degrade of the table."""
+    if group not in GROUPINGS:
+        raise DataError(
+            f"unknown grouping {group!r}, expected one of {tuple(GROUPINGS)}")
+    level, keep_sex, ages = GROUPINGS[group]
+    span = (years[0], years[-1])
+    target = ResolutionSpec(span, level,
+                            sexes=table.resolution.sexes if keep_sex else (),
+                            ages=ages, open_age=ages[-1])
     out = {}
-    for (y, r, s, a), v in table.items():
-        i = index.get(y)
-        if i is None:
-            continue
-        label = pick(r, s, a)
-        series = out.setdefault(label, [0.0] * len(index))
-        series[i] += v
+    for (y, r, s, a), v in degrade(table, target).items():
+        label = {"total": "all", "fed": r, "sex": s,
+                 "age20": age_band_label(a)}[group]
+        out.setdefault(label, [0.0] * len(years))[y - span[0]] = v
     return out
 
 
@@ -143,9 +128,6 @@ def compare(sim, ref: CensusTable, groups=("total",), window=None) -> list:
 
     rows = []
     for group in groups:
-        if group == "age20":
-            _check_age_alignment(sim_census.resolution)
-            _check_age_alignment(ref.resolution)
         sim_series = _grouped_series(sim_census, group, years)
         ref_series = _grouped_series(ref, group, years)
         zero = [0.0] * len(years)

@@ -319,6 +319,24 @@ def test_fit_mortality_cli_rejects_repeated_target(fit_mortality_run,
     assert not (tmp_path / "q.csv").exists()
 
 
+def test_fit_mortality_cli_names_empty_reference_curve(fit_mortality_run,
+                                                       tmp_path, caplog):
+    # the probabilities hold no rows for AT-1 in the reference years
+    src = fit_mortality_run[0]
+    header, row = (src / "targets.csv").read_text().splitlines()
+    targets = tmp_path / "targets.csv"
+    targets.write_text(f"{header}\n{row.replace(',AT,', ',AT-1,')}\n")
+    code = main(["fit-mortality", "--targets", str(targets),
+                 "--population", str(src / "pop.csv"),
+                 "--probabilities", str(src / "prob.csv"),
+                 "--qref-years", "2007,2008,2009",
+                 "--out", str(tmp_path / "q.csv")])
+    assert code == 1
+    assert "'AT-1'" in caplog.text
+    assert "reference years 2007, 2008, 2009" in caplog.text
+    assert not (tmp_path / "q.csv").exists()
+
+
 def test_balance_cli(tmp_path):
     level = "country"
     P = CensusTable(res((2000, 2001), level=level), {
@@ -474,9 +492,10 @@ def test_pipeline_produces_all_outputs(pipeline_dir):
 
 
 # SHA-256 of every fitted parameter table and fit report, from the pipeline
-# stages and from the two fit subcommands: refactors of the fit drivers must
-# leave these files byte for byte unchanged.
-FIT_OUTPUT_SHA256 = {
+# stages and from the two fit subcommands, and of the pipeline's coarse
+# inputs, country estimates and deviations: refactors of the fit drivers and
+# of the aggregation must leave these files byte for byte unchanged.
+OUTPUT_SHA256 = {
     "pipeline/est/birth_p.csv":
         "f70fae60d42954bef426ec3ba5fd31060753bc574616a0a191ea3afd803c68e9",
     "pipeline/est/birth_p.report.csv":
@@ -489,6 +508,40 @@ FIT_OUTPUT_SHA256 = {
         "ab0c2ef2dc6d39d837b252d664de158b1be2189271358781fe4f5c36b10a1f77",
     "pipeline/est/ie_p.csv":
         "5bc05eb224f5a61fd9af4593e63849e9ec6f04fe27b66d0398b8bd5eba65bc65",
+    "pipeline/coarse/B_flat.csv":
+        "e33bfd71f66a82e32e975cb6ea5d11d1044e8029009d6517f60f4293e80e00be",
+    "pipeline/coarse/B_m_country.csv":
+        "8e5c5bf257c0ae740c92674686c94d5042b53aeb2b42b5f4126ac489ed02f129",
+    "pipeline/coarse/D_country.csv":
+        "14b6eed049acd4be41f3244367544cf80a93bcdc101856b5daaa146daa43a3f5",
+    "pipeline/coarse/D_flat.csv":
+        "33a046d30a8cc1131e3f61f71d7c688a1ec8aeec08fd0d17c486983563aae684",
+    "pipeline/coarse/E_country.csv":
+        "c8716a04c4975e08f80f898fba82201d476e49d9789867dfa76de8ed8d0be8b6",
+    "pipeline/coarse/E_flat.csv":
+        "e53ba49748b40eeb74b235635977b7301201778c3c057ff220e13fb061aab979",
+    "pipeline/coarse/IE_cls.csv":
+        "105eedd8f0c123010080c683a25fa5293547e5ebae821e11ab4f5cc6431b654e",
+    "pipeline/coarse/IE_country.csv":
+        "571ce1710c3369477bcd1ef4c0416844d3b55bf99753c046385f7b79e96a6f90",
+    "pipeline/coarse/II_cls.csv":
+        "bcb624a7f138f1a1c0592cf7af120e710cb9f5e4dffa3bd6a3c31ee08ab75a95",
+    "pipeline/coarse/I_stats.csv":
+        "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
+    "pipeline/coarse/M.csv":
+        "1282ffcba46508857b04e9b3c5e84eca33c21c4bf5d1348ddc6ecf417f55735e",
+    "pipeline/coarse/P_base.csv":
+        "a3bfe513702b33c745123cab17d3380fdccf063a7dc9ef09aaa4eacd520afc12",
+    "pipeline/coarse/P_coarse.csv":
+        "046b5d59c52c9178a0794200b7d4d4d63438617495e26a9a2ee643f5f71846d3",
+    "pipeline/est/P_country.csv":
+        "ac68c3a328cbd364e29d776d9811ec232be302b40ac6200a31b81311538385ab",
+    "pipeline/est/q_hat.csv":
+        "4e042218ad7f7d1670503d1affc6f5f343239f6634ca1d2bacc2db4d1cd99d99",
+    "pipeline/est/immigrants.csv":
+        "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
+    "pipeline/results/deviations.csv":
+        "32fb6a6281c6e1d651f6bd1a8fb0ebd008f851e185ac604321a1133f12856df5",
     "fit-births/rates.csv":
         "0227bd7edc47fc0a4137ec29e81821b9d13faf9febf4c91ed010810a4ec00707",
     "fit-births/rates.report.csv":
@@ -505,10 +558,10 @@ def test_fit_outputs_match_pinned_digests(pipeline_dir, fit_births_run,
     dirs = {"pipeline": pipeline_dir / "work", "fit-births": fit_births_run[0],
             "fit-mortality": fit_mortality_run[0]}
     got = {}
-    for key in FIT_OUTPUT_SHA256:
+    for key in OUTPUT_SHA256:
         where, rel = key.split("/", 1)
         got[key] = hashlib.sha256((dirs[where] / rel).read_bytes()).hexdigest()
-    assert got == FIT_OUTPUT_SHA256
+    assert got == OUTPUT_SHA256
 
 
 def test_pipeline_estimate_matches_base_year(pipeline_dir):

@@ -5,6 +5,9 @@ in ``src/censim`` or ``perfbench/`` except inside its own definition can
 only be reached from tests.  Such code is deleted, not kept alive by its
 own tests.  Names exported through ``censim.__all__`` are the public API
 and count as reachable.
+
+Likewise every name a package module imports is used in that module, so a
+refactor that moves code leaves no stale import behind.
 """
 
 import ast
@@ -22,6 +25,11 @@ ALLOWED = {
     "farr_probability", "invert_farr",
     # the tests build single-age classes with it
     "single_ages",
+}
+
+UNUSED_IMPORTS_ALLOWED = {
+    # perfbench imports degrade from censim.synthgen and traces it there
+    "synthgen.degrade",
 }
 
 # perfbench binds trace points by "module:attribute" strings
@@ -70,3 +78,36 @@ def test_every_function_is_reachable_outside_tests():
                        for name, line in found):
                 unreachable.append(f"{path.name}:{node.lineno} {node.name}")
     assert unreachable == []
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) for every import in a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def _uses(tree: ast.Module) -> set[str]:
+    """Names a module reads, counting the strings of its ``__all__``."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            used |= {elt.value for elt in node.value.elts}
+    return used
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = _uses(tree)
+        for name, line in _imports(tree):
+            if name not in used and f"{path.stem}.{name}" not in UNUSED_IMPORTS_ALLOWED:
+                unused.append(f"{path.name}:{line} {name}")
+    assert unused == []

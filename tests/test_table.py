@@ -269,16 +269,12 @@ def test_od_aggregate_reductions():
         (2020, "101", "m", "301"): 5,
         (2020, "201", "m", "101"): 7,
     }, integer=True)
-    outflow = aggregate(t, drop={"region2"})
-    assert dict(outflow.items()) == {(2020, "101", "m", 0): 8.0, (2020, "201", "m", 0): 7.0}
-    assert not outflow.resolution.od
-    inflow = aggregate(t, drop={"region"})
-    assert dict(inflow.items()) == {(2020, "201", "m", 0): 3.0, (2020, "301", "m", 0): 5.0,
-                                    (2020, "101", "m", 0): 7.0}
     coarse = aggregate(t, coarse_level="federalstates")
     assert dict(coarse.items()) == {(2020, "AT-1", "m", "AT-2"): 3.0,
                                     (2020, "AT-1", "m", "AT-3"): 5.0,
                                     (2020, "AT-2", "m", "AT-1"): 7.0}
     assert coarse.resolution.od
-    both = aggregate(t, drop={"region", "region2"})
-    assert dict(both.items()) == {(2020, "AT", "m", 0): 15.0}
+    # origin-destination tables keep both region axes
+    for drop in ({"region2"}, {"region"}, {"region", "region2"}, {"age"}):
+        with pytest.raises(DataError, match="origin-destination"):
+            aggregate(t, drop=drop)
