@@ -12,7 +12,7 @@ from .regions import RegionManifest
 from .simulate import ScenarioConfig, SimParams, run
 from .synthgen import SynthSpec, generate_truth
 from .table import (CensusTable, ResolutionSpec, add_tables, aggregate,
-                    degrade, read_csv, write_csv)
+                    cells, degrade, read_csv, write_csv)
 from .validate import compare, error_band, mc_mean
 
 __version__ = "0.1.0"
@@ -20,7 +20,8 @@ __version__ = "0.1.0"
 __all__ = [
     "BirthFitTarget", "CensusTable", "DataError", "MortalityFitTarget",
     "RegionManifest", "ResolutionSpec", "ScenarioConfig", "SimParams",
-    "SynthSpec", "add_tables", "aggregate", "build_life_table", "compare",
+    "SynthSpec", "add_tables", "aggregate", "build_life_table", "cells",
+    "compare",
     "death_table_alpha", "degrade", "disaggregate_table", "error_band",
     "farr_probability_model", "fit_births", "fit_mortality",
     "generate_truth", "huntington_hill", "ipf2", "ipf3", "life_expectancy",

@@ -39,8 +39,9 @@ from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import MALE_SHARE, ScenarioConfig, SimParams, run
 from .synthgen import FLOW_AGE_CLASSES, SynthSpec, generate_truth
-from .table import (SEXES, CensusTable, ResolutionSpec, add_tables, aggregate,
-                    degrade, read_csv, write_csv)
+from .table import (SEXES, CensusTable, ResolutionSpec, _format_age,
+                    _format_value, add_tables, aggregate, cells, degrade,
+                    read_csv, write_csv)
 from .validate import compare, mc_mean, read_window, write_deviations
 
 log = logging.getLogger("censim")
@@ -49,15 +50,6 @@ _FULL_AGES = tuple(range(101))
 _AGES5 = tuple(range(0, 101, 5))
 
 _METHOD_NAMES = {"hh": "huntington_hill", "prop": "proportional"}
-
-
-def _value_text(v: float) -> str:
-    f = float(v)
-    return str(int(f)) if f.is_integer() else repr(f)
-
-
-def _age_token(lo: int, open_age) -> str:
-    return f"{lo}+" if open_age == lo else str(lo)
 
 
 # ---------------------------------------------------------------------------
@@ -110,13 +102,12 @@ def cmd_ipf2(args) -> int:
     worst_residual, most_iters, blocks = 0.0, 0, 0
     for y in rres.year_list():
         for s in rres.sex_domain:
-            a = np.array([rows_t[(y, o, s, 0)] for o in origins])
-            b = np.array([cols_t[(y, d, s, 0)] for d in dests])
+            a = rows_t.grid((y,), origins, (s,), (0,)).ravel()
+            b = cols_t.grid((y,), dests, (s,), (0,)).ravel()
             if a.sum() == 0 and b.sum() == 0:
                 continue
             if init_t is not None:
-                m0 = np.array([[init_t[(y, o, s, d)] for d in dests]
-                               for o in origins])
+                m0 = init_t.grid((y,), origins, (s,), dests)[0, :, 0, :]
             else:
                 m0 = np.ones((len(origins), len(dests)))
             result = ipf2(a, b, m0, tol=args.tol)
@@ -126,11 +117,8 @@ def cmd_ipf2(args) -> int:
             if not result.converged:
                 log.warning("ipf2 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
-            for i, o in enumerate(origins):
-                for j, d in enumerate(dests):
-                    v = result.values[i, j]
-                    if v:
-                        entries[(y, o, s, d)] = float(v)
+            entries.update(cells((y,), origins, (s,), dests,
+                                 result.values[None, :, None, :]))
     out_res = ResolutionSpec(rres.years, rres.level, sexes=rres.sexes, od=True)
     write_csv(CensusTable(out_res, entries, name="M"), args.out)
     log.info("ipf2: %d blocks, worst residual %.3g, max %d iterations",
@@ -162,19 +150,20 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
     classes = abr.ages
     per_class: dict[int, dict] = {lo: {} for lo in classes}
     stats = {"blocks": 0, "iterations": 0, "residual": 0.0, "converged": True}
+    m0 = np.ones((len(origins), len(classes), len(dests)))
+    if zero_diagonal:
+        row = {o: i for i, o in enumerate(origins)}
+        for k, d in enumerate(dests):
+            if d in row:
+                m0[row[d], :, k] = 0.0
     for y in range(years[0], years[1] + 1):
         for s in abr.sex_domain:
-            A = np.array([[ab[(y, o, s, c)] for c in classes] for o in origins])
-            B = np.array([[bc[(y, d, s, c)] for d in dests] for c in classes])
-            C = np.array([[ac[(y, o, s, d)] for d in dests] for o in origins])
+            A = ab.grid((y,), origins, (s,), classes)[0, :, 0, :]
+            # classes x destinations, C-ordered like the other marginals
+            B = bc.grid((y,), dests, (s,), classes)[0, :, 0, :].T.copy()
+            C = ac.grid((y,), origins, (s,), dests)[0, :, 0, :]
             if A.sum() == 0 and B.sum() == 0 and C.sum() == 0:
                 continue
-            m0 = np.ones((len(origins), len(classes), len(dests)))
-            if zero_diagonal:
-                for i, o in enumerate(origins):
-                    for k, d in enumerate(dests):
-                        if o == d:
-                            m0[i, :, k] = 0.0
             result = ipf3(A, B, C, m0=m0, tol=tol)
             stats["blocks"] += 1
             stats["iterations"] = max(stats["iterations"], result.iterations)
@@ -184,11 +173,8 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
                 log.warning("ipf3 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
             for j, lo in enumerate(classes):
-                for i, o in enumerate(origins):
-                    for k, d in enumerate(dests):
-                        v = result.values[i, j, k]
-                        if v:
-                            per_class[lo][(y, o, s, d)] = float(v)
+                per_class[lo].update(cells((y,), origins, (s,), dests,
+                                           result.values[None, :, None, j, :]))
     od_res = ResolutionSpec(years, abr.level, sexes=abr.sexes, od=True)
     tables = {lo: CensusTable(od_res, per_class[lo], name=f"m{lo}")
               for lo in classes}
@@ -203,7 +189,7 @@ def _write_od_bundle(tables: dict, out_dir: str, open_age) -> list[str]:
     for lo in sorted(tables):
         fn = f"m_age_{lo}.csv"
         write_csv(tables[lo], os.path.join(out_dir, fn))
-        index_rows.append((_age_token(lo, open_age), fn))
+        index_rows.append((_format_age(lo, open_age), fn))
         written.append(fn)
     with atomic_open(os.path.join(out_dir, "m_index.csv"), newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -278,16 +264,15 @@ def cmd_lifetable(args) -> int:
     if res.ages != tuple(range(len(res.ages))):
         raise DataError("the probability series must carry single ages from 0")
     y, r, s = series[0]
-    q = [q_table[(y, r, s, a)] for a in res.ages]
+    q = q_table.grid((y,), (r,), (s,), res.ages)[0, 0, 0]
     table = build_life_table(q, death_table_alpha(args.alpha0))
+    columns = (table.q, table.l, table.d, table.L, table.T, table.e)
     with atomic_open(args.out, newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(("age", "q", "l", "d", "L", "T", "e"))
-        for a in range(table.a_max + 1):
-            tok = _age_token(a, a if a == table.a_max else None)
-            w.writerow((tok,) + tuple(_value_text(col[a]) for col in
-                                      (table.q, table.l, table.d, table.L,
-                                       table.T, table.e)))
+        for a, row in enumerate(zip(*(col.tolist() for col in columns))):
+            w.writerow((_format_age(a, table.a_max),)
+                       + tuple(map(_format_value, row)))
     log.info("life table for (%s, %s, %s): e0 = %.2f", y, r, s, table.e[0])
     return 0
 
@@ -539,7 +524,8 @@ def _run_scenario(cfg_path: str, out_dir: str) -> list[str]:
         fn = f"census_run{k:02d}.csv"
         write_csv(output.census, os.path.join(out_dir, fn))
         written.append(fn)
-    write_csv(mc_mean(outputs).census, os.path.join(out_dir, "mean.csv"))
+    write_csv(mc_mean([o.census for o in outputs]),
+              os.path.join(out_dir, "mean.csv"))
     written.append("mean.csv")
     log.info("simulated %d runs over %d..%d", config.runs, config.t0, config.te)
     return written
@@ -768,12 +754,15 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
                    resolution=ctx.full_res(ctx.span, level="country",
                                            sexes=("f",)))
     rows = []
+    ages = np.arange(101)
     for y in range(ctx.t0, ctx.te):
-        births = sum(B_flat[(y, "AT", s, 0)] for s in SEXES)
-        weight = sum(B_m[(y, "AT", "f", a)] for a in range(101))
+        # Python sums, left to right in age order
+        births = sum(B_flat.grid((y,), ("AT",), SEXES, (0,)).ravel().tolist())
+        by_age = B_m.grid((y,), ("AT",), ("f",), _FULL_AGES).ravel()
+        weight = sum(by_age.tolist())
         if weight <= 0:
             raise DataError(f"no recorded births in {y}")
-        mac = sum(a * B_m[(y, "AT", "f", a)] for a in range(101)) / weight
+        mac = sum((ages * by_age).tolist()) / weight
         rows.append((y, "AT", births, mac))
     out = ctx.path("est/birth_p.csv")
     country = _fit_births_rows(P_c, rows, out)
@@ -792,7 +781,8 @@ def _stage_fit_mortality(ctx: _Pipeline) -> None:
     for y in range(ctx.t0, ctx.te):
         # the year's own curves, as the mean over that one year
         q_m, q_f = (qref_series(q_hat, (y,), "AT", s) for s in SEXES)
-        rows.append((y, "AT", sum(D_flat[(y, "AT", s, 0)] for s in SEXES),
+        deaths = sum(D_flat.grid((y,), ("AT",), SEXES, (0,)).ravel().tolist())
+        rows.append((y, "AT", deaths,
                      life_expectancy(q_m, 0, alpha),
                      life_expectancy(q_f, 0, alpha),
                      life_expectancy(q_m, 65, alpha),
@@ -846,7 +836,7 @@ def _stage_fuse(ctx: _Pipeline) -> None:
 def _stage_simulate(ctx: _Pipeline) -> None:
     lines = [
         f"t0={ctx.t0}", f"te={ctx.te}", f"step={ctx.step}",
-        f"scale={_value_text(ctx.scale)}", f"runs={ctx.runs}",
+        f"scale={_format_value(ctx.scale)}", f"runs={ctx.runs}",
         f"im_mode={ctx.im_mode}", f"seed={ctx.seed + 1}",
         "population=P_hat.csv", "birth_p=birth_p.csv", "death_p=death_p.csv",
         "emig_p=emig_p.csv", "immigrants=immigrants.csv",

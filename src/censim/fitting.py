@@ -395,11 +395,9 @@ def average_slice(pop, year: int, region: str, sex: str) -> np.ndarray:
     y0, y1 = pop.resolution.years
     if not y0 <= year <= y1:
         raise DataError(f"year {year} outside population range {y0}..{y1}")
-    nxt = min(year + 1, y1)
-    out = np.empty(AGE_COUNT)
-    for a in range(AGE_COUNT):
-        out[a] = (pop[(year, region, sex, a)] + pop[(nxt, region, sex, a)]) / 2.0
-    return out
+    now, nxt = pop.grid((year, min(year + 1, y1)), (region,), (sex,),
+                        range(AGE_COUNT))[:, 0, 0]
+    return (now + nxt) / 2.0
 
 
 def qref_series(prob, years, region: str, sex: str) -> np.ndarray:
@@ -412,10 +410,9 @@ def qref_series(prob, years, region: str, sex: str) -> np.ndarray:
     for y in years:
         if not y0 <= y <= y1:
             raise DataError(f"reference year {y} outside table range {y0}..{y1}")
-    out = np.zeros(AGE_COUNT)
-    for a in range(AGE_COUNT):
-        out[a] = sum(prob[(y, region, sex, a)] for y in years) / len(years)
-    return out
+    # summed year by year from 0, as a Python sum over the rows
+    rows = prob.grid(years, (region,), (sex,), range(AGE_COUNT))[:, 0, 0]
+    return sum(rows) / len(years)
 
 
 def _require_full_ages(table):

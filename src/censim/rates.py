@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
+
 from .errors import DataError
-from .table import CensusTable
+from .table import CensusTable, cells
 
 log = logging.getLogger(__name__)
 
@@ -82,31 +84,25 @@ def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
     if P.resolution.years[0] > xres.years[0] or P.resolution.years[1] < need_last:
         raise DataError("population table does not cover the count years")
 
-    # single-year quotients X / (P_avg + Q/2)
-    quotient: dict[tuple, float] = {}
-    for (y, r, s, a), x in X.items():
-        p_avg = (P[(y, r, s, a)] + P[(min(y + 1, y_N), r, s, a)]) / 2.0
-        denom = p_avg + Q[(y, r, s, a)] / 2.0
-        if denom <= 0:
-            raise DataError(f"{X.name}: events at {(y, r, s, a)} but no exposure")
-        quotient[(y, r, s, a)] = x / denom
+    # single-year quotients X / (P_avg + Q/2) on the grid of X's regions
+    years = xres.year_list()
+    nxt = [min(y + 1, y_N) for y in years]
+    axes = (sorted({k[1] for k in X.keys()}), xres.sex_domain, xres.ages)
+    x = X.grid(years, *axes)
+    denom = (P.grid(years, *axes) + P.grid(nxt, *axes)) / 2.0 \
+        + Q.grid(years, *axes) / 2.0
+    unexposed = (x != 0) & (denom <= 0)
+    if unexposed.any():
+        key = min(cells(years, *axes, unexposed))
+        raise DataError(f"{X.name}: events at {key} but no exposure")
+    quotient = np.divide(x, denom, out=np.zeros_like(x), where=x != 0)
 
-    by_year: dict[int, set] = {}
-    for (y, r, s, a) in quotient:
-        by_year.setdefault(y, set()).add((r, s, a))
-
-    out: dict[tuple, float] = {}
-    clipped = 0
-    for y in xres.year_list():
-        y_next = min(y + 1, y_N)
-        cells = by_year.get(y, set()) | by_year.get(y_next, set())
-        for (r, s, a) in cells:
-            v = 0.5 * quotient.get((y, r, s, a), 0.0) \
-                + 0.5 * quotient.get((y_next, r, s, a), 0.0)
-            if v > 1.0:
-                clipped += 1
-                v = 1.0
-            out[(y, r, s, a)] = v
+    # mean of the year's and the next year's quotient; a next year past the
+    # count years has none
+    padded = np.concatenate([quotient, np.zeros_like(quotient[:1])])
+    v = 0.5 * quotient + 0.5 * padded[[y - xres.years[0] for y in nxt]]
+    clipped = int((v > 1.0).sum())
+    out = cells(years, *axes, np.minimum(v, 1.0))
     if clipped:
         log.warning("%s: clipped %d probabilities above 1", X.name, clipped)
     if diagnostics is not None:

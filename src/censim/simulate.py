@@ -31,7 +31,7 @@ from .balance import round_half_away
 from .disagg import huntington_hill
 from .errors import DataError
 from .rng import stream_array, uniform_array
-from .table import CensusTable, ResolutionSpec, SEXES
+from .table import CensusTable, ResolutionSpec, SEXES, cells
 
 IM_MODES = ("none", "interregional", "biregional", "full")
 STEPS = ("year", "month")  # "month" is an alias of "year"
@@ -265,13 +265,10 @@ def _tally(year: int, regions: tuple, region: np.ndarray, sex: np.ndarray,
            last: np.ndarray, labels: tuple = _FULL_AGES) -> dict:
     """Count people by (year, regions[region], sex, labels[last])."""
     n = len(labels)
-    counts = np.bincount((region.astype(np.int64) * 2 + sex) * n + last)
-    flat = np.flatnonzero(counts)
-    r, rest = np.divmod(flat, 2 * n)
-    s, k = np.divmod(rest, n)
-    return {(year, regions[ri], SEXES[si], labels[ki]): c
-            for ri, si, ki, c in zip(r.tolist(), s.tolist(), k.tolist(),
-                                     counts[flat].tolist())}
+    counts = np.bincount((region.astype(np.int64) * 2 + sex) * n + last,
+                         minlength=len(regions) * 2 * n)
+    return cells((year,), regions, SEXES, labels,
+                 counts.reshape(1, len(regions), 2, n))
 
 
 def census_counts(state: SimulationState) -> dict:
@@ -289,15 +286,9 @@ def _planes(config: ScenarioConfig, params: SimParams, regions: tuple) -> dict:
         tables["ie"] = params.ie_p
     if config.im_mode == "biregional":
         tables["ii"] = params.ii
-    index = {r: i for i, r in enumerate(regions)}
-    planes = {}
-    for name, table in tables.items():
-        plane = np.zeros((config.te - config.t0, len(regions), 2, 101))
-        for (y, r, s, a), v in table.items():
-            if config.t0 <= y < config.te and r in index:
-                plane[y - config.t0, index[r], SEXES.index(s), a] = v
-        planes[name] = plane
-    return planes
+    years = range(config.t0, config.te)
+    return {name: table.grid(years, regions, SEXES, _FULL_AGES)
+            for name, table in tables.items()}
 
 
 def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
@@ -329,8 +320,7 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
             row = ii[:, s, k].copy()
         else:
             od = params.od if mode == "interregional" else params.m_by_age[lows[k]]
-            row = np.array([od[(year, regions[o], SEXES[s], r2)]
-                            for r2 in regions])
+            row = od.grid((year,), (regions[o],), (SEXES[s],), regions)[0, 0, 0]
         row[o] = 0.0  # a move always leaves the origin
         cum = np.cumsum(row)
         if cum[-1] <= 0:

@@ -26,7 +26,7 @@ from .fitting import activation, gaussian_rates
 from .rng import stream, uniform
 # degrade is unused here; it stays bound because the benchmark imports it
 # from this module and traces it as censim.synthgen:degrade
-from .table import CensusTable, ResolutionSpec, degrade
+from .table import SEXES, CensusTable, ResolutionSpec, cells, degrade
 from .regions import validate_code
 
 MALE_SHARE = 0.513234
@@ -151,31 +151,14 @@ def generate_truth(spec: SynthSpec) -> dict:
     q_emig = emigration_probability(spec)
     q_ie = internal_probability(spec)
 
-    pop = {}
-    births = {}
-    births_by_age = {}
-    deaths = {}
-    emigrants = {}
-    immigrants = {}
-    internal_out = {}
-    internal_in = {}
+    # per-year (region, sex, age) arrays; flows stay sparse across years
+    pop, births, births_by_age = [], [], []
+    deaths, emigrants, immigrants, internal_out, internal_in = [], [], [], [], []
     od_flows = {}
     flow_by_class = {lo: {} for lo in FLOW_AGE_CLASSES}
-    class_of = np.array([FLOW_AGE_CLASSES[
-        np.searchsorted(FLOW_AGE_CLASSES, a, side="right") - 1]
-        for a in range(101)])
 
     n = _initial_population(spec)
-
-    def record(table, year, arr):
-        for i, r in enumerate(regions):
-            for si, s in enumerate(("m", "f")):
-                for a in range(101):
-                    v = int(arr[i, si, a])
-                    if v:
-                        table[(year, r, s, a)] = v
-
-    record(pop, y0, n)
+    pop.append(n)
     for y in range(y0, y1):
         q_death = {s: mortality_probability(spec, y, s) for s in ("m", "f")}
         q_birth = fertility_probability(spec, y)
@@ -196,73 +179,61 @@ def generate_truth(spec: SynthSpec) -> dict:
         over = d + e - n
         e -= np.clip(over, 0, e)
 
+        # (age class, origin, sex, destination) movers
+        flows = np.zeros((len(FLOW_AGE_CLASSES), n_r, 2, n_r), dtype=np.int64)
         for i in range(n_r):
-            weights = [kernel[i, j] for j in range(n_r) if j != i]
             targets = [j for j in range(n_r) if j != i]
-            splits = huntington_hill_splits(ie[i], weights)
-            for si, s in enumerate(("m", "f")):
-                for a in range(101):
-                    if not ie[i, si, a]:
-                        continue
-                    for j, c in zip(targets, splits[si, a].tolist()):
-                        if not c:
-                            continue
-                        ii[j, si, a] += c
-                        key = (y, regions[i], s, regions[j])
-                        od_flows[key] = od_flows.get(key, 0) + c
-                        cls = int(class_of[a])
-                        flow_by_class[cls][key] = \
-                            flow_by_class[cls].get(key, 0) + c
+            splits = huntington_hill_splits(ie[i], kernel[i, targets].tolist())
+            ii[targets] += splits.transpose(2, 0, 1)
+            flows[:, i][..., targets] = np.add.reduceat(
+                splits, FLOW_AGE_CLASSES, axis=1).transpose(1, 0, 2)
+        od_flows.update(cells((y,), regions, SEXES, regions,
+                              flows.sum(axis=0)[None]))
+        for c, lo in enumerate(FLOW_AGE_CLASSES):
+            flow_by_class[lo].update(cells((y,), regions, SEXES, regions,
+                                           flows[c][None]))
 
         b_by_age = np.round(q_birth * n[:, 1, :]).astype(np.int64)
-        for i, r in enumerate(regions):
-            total = int(b_by_age[i].sum())
-            male = int(round(MALE_SHARE * total))
-            if male:
-                births[(y, r, "m", 0)] = male
-            if total - male:
-                births[(y, r, "f", 0)] = total - male
-            for a in range(101):
-                if b_by_age[i, a]:
-                    births_by_age[(y, r, "f", a)] = int(b_by_age[i, a])
-
-        record(deaths, y, d)
-        record(emigrants, y, e)
-        record(immigrants, y, imm)
-        record(internal_out, y, ie)
-        record(internal_in, y, ii)
+        total = b_by_age.sum(axis=1)
+        male = np.round(MALE_SHARE * total).astype(np.int64)
+        births.append(np.stack([male, total - male], axis=1)[:, :, None])
+        births_by_age.append(b_by_age[:, None, :])
+        deaths.append(d)
+        emigrants.append(e)
+        immigrants.append(imm)
+        internal_out.append(ie)
+        internal_in.append(ii)
 
         survivors = n - d - e - ie + ii
         nxt = np.zeros_like(n)
         nxt[:, :, 1:100] = survivors[:, :, 0:99]
         nxt[:, :, 100] = survivors[:, :, 99] + survivors[:, :, 100]
-        for i, r in enumerate(regions):
-            male = births.get((y, r, "m", 0), 0)
-            female = births.get((y, r, "f", 0), 0)
-            nxt[i, 0, 0] = male
-            nxt[i, 1, 0] = female
+        nxt[:, :, 0] = births[-1][:, :, 0]
         nxt += imm
         n = nxt
-        record(pop, y + 1, n)
+        pop.append(n)
 
-    def full_res(years, sexes=("m", "f")):
+    def table(res, arrays, name):
+        entries = cells(res.year_list(), regions, res.sex_domain, res.ages,
+                        np.stack(arrays))
+        return CensusTable(res, entries, integer=True, name=name)
+
+    def full_res(years, sexes=SEXES):
         return ResolutionSpec(years, spec.level, sexes=sexes, ages=FULL_AGES,
                               open_age=100)
 
     span = (y0, y1 - 1)
     od_res = ResolutionSpec(span, spec.level, od=True)
     bundle = {
-        "P": CensusTable(full_res((y0, y1)), pop, integer=True, name="P"),
-        "B": CensusTable(ResolutionSpec(span, spec.level, ages=(0,),
-                                        open_age=None),
-                         births, integer=True, name="B"),
-        "B_m": CensusTable(full_res(span, sexes=("f",)), births_by_age,
-                           integer=True, name="B_m"),
-        "D": CensusTable(full_res(span), deaths, integer=True, name="D"),
-        "E": CensusTable(full_res(span), emigrants, integer=True, name="E"),
-        "I": CensusTable(full_res(span), immigrants, integer=True, name="I"),
-        "IE": CensusTable(full_res(span), internal_out, integer=True, name="IE"),
-        "II": CensusTable(full_res(span), internal_in, integer=True, name="II"),
+        "P": table(full_res((y0, y1)), pop, "P"),
+        "B": table(ResolutionSpec(span, spec.level, ages=(0,), open_age=None),
+                   births, "B"),
+        "B_m": table(full_res(span, sexes=("f",)), births_by_age, "B_m"),
+        "D": table(full_res(span), deaths, "D"),
+        "E": table(full_res(span), emigrants, "E"),
+        "I": table(full_res(span), immigrants, "I"),
+        "IE": table(full_res(span), internal_out, "IE"),
+        "II": table(full_res(span), internal_in, "II"),
         "M": CensusTable(od_res, od_flows, integer=True, name="M"),
         "m_by_age": {lo: CensusTable(od_res, flows, integer=True,
                                      name=f"m{lo}")

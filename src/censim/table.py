@@ -13,6 +13,13 @@ completed ages [ages[i], ages[i+1]); the last class is the open class
 "ages[-1] and above" when open_age is set, otherwise the single age ages[-1].
 A table without an age axis uses the single class 0+ (all ages).
 
+CensusTable.grid() reads a table onto a dense (year, region, sex, age or
+region2) array, and cells() turns such an array back into entries; they are
+the one bridge between tables and numpy, so the key <-> index mapping lives
+here.  The constructor checks each distinct year, region code, sex and age
+class (or second region code) once, and each key for its four components,
+its value and duplicates (zero values included).
+
 degrade() is the one aggregation: it sums a table onto a coarser or equal
 resolution (a coarser level, the sex axis dropped, age classes merged, years
 cut) in one pass over the keys.  aggregate() is its front for dropping whole
@@ -33,6 +40,10 @@ import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
+from itertools import product, repeat
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import DataError
 from .fileio import atomic_open
@@ -141,48 +152,64 @@ class CensusTable:
         self.resolution = resolution
         self.integer = bool(integer)
         self.name = name
-        items = entries.items() if hasattr(entries, "items") else entries
-        seen: dict[tuple, float] = {}
-        valid: set[str] = set()  # region codes already checked at this level
-        for key, raw in items:
-            key = self._check_key(tuple(key), valid)
-            v = float(raw)
-            if not math.isfinite(v) or v < 0:
-                raise DataError(f"{name}: value {raw!r} at {key} is not a finite non-negative number")
-            if integer and not v.is_integer():
-                raise DataError(f"{name}: value {raw!r} at {key} is not an integer")
-            if key in seen:
-                raise DataError(f"{name}: duplicate key {key}")
-            if v != 0.0:
-                seen[key] = v
-        self._entries = dict(sorted(seen.items()))
+        pairs = entries.items() if hasattr(entries, "items") else list(entries)
+        keys = [tuple(key) for key, _ in pairs]
+        if set(map(len, keys)) - {4}:
+            key = next(k for k in keys if len(k) != 4)
+            raise DataError(f"{name}: key {key} must have 4 components")
 
-    def _check_code(self, code, valid: set, what: str) -> None:
-        if code not in valid:
-            if not is_valid_code(code, self.resolution.level):
-                raise DataError(f"{self.name}: {what} {code!r} invalid at level "
-                                f"{self.resolution.level!r}")
-            valid.add(code)
+        def column(i):
+            return map(itemgetter(i), keys)
 
-    def _check_key(self, key: tuple, valid: set) -> tuple:
-        res = self.resolution
-        if len(key) != 4:
-            raise DataError(f"{self.name}: key {key} must have 4 components")
-        year, region, sex, last = key
-        year = int(year)
-        if not res.years[0] <= year <= res.years[1]:
-            raise DataError(f"{self.name}: year {year} outside {res.years}")
-        self._check_code(region, valid, "region")
-        if sex not in res.sex_domain:
-            raise DataError(f"{self.name}: sex {sex!r} not in domain {res.sex_domain}")
+        # each distinct component is checked once; years and ages become ints
+        res = resolution
+        year_of = {y: int(y) for y in dict.fromkeys(column(0))}
+        for year in year_of.values():
+            if not res.years[0] <= year <= res.years[1]:
+                raise DataError(f"{name}: year {year} outside {res.years}")
+        codes = dict.fromkeys(column(1))
+        for code in codes:
+            self._check_code(code, "region")
+        for sex in dict.fromkeys(column(2)):
+            if sex not in res.sex_domain:
+                raise DataError(f"{name}: sex {sex!r} not in domain {res.sex_domain}")
         if res.od:
-            self._check_code(last, valid, "region2")
-            return (year, region, sex, last)
-        age = int(last)
-        i = bisect_right(res.ages, age) - 1
-        if i < 0 or res.ages[i] != age:
-            raise DataError(f"{self.name}: no age class starts at {age}")
-        return (year, region, sex, age)
+            last_of = {code: code for code in dict.fromkeys(column(3))}
+            for code in last_of:
+                if code not in codes:
+                    self._check_code(code, "region2")
+        else:
+            last_of = {a: int(a) for a in dict.fromkeys(column(3))}
+            for age in last_of.values():
+                i = bisect_right(res.ages, age) - 1
+                if i < 0 or res.ages[i] != age:
+                    raise DataError(f"{name}: no age class starts at {age}")
+        if not (set(map(type, column(0))) <= {int}
+                and (res.od or set(map(type, column(3))) <= {int})):
+            keys = [(year_of[y], r, s, last_of[last]) for y, r, s, last in keys]
+
+        values = np.array([float(raw) for _, raw in pairs])
+        for i in np.flatnonzero(~((values >= 0) & (values < math.inf)))[:1]:
+            raise DataError(f"{name}: value {list(pairs)[i][1]!r} at {keys[i]} "
+                            f"is not a finite non-negative number")
+        if integer:
+            for i in np.flatnonzero(values != np.floor(values))[:1]:
+                raise DataError(f"{name}: value {list(pairs)[i][1]!r} at {keys[i]} "
+                                f"is not an integer")
+        seen = dict(zip(keys, values.tolist()))
+        if len(seen) < len(keys):
+            first = set()
+            for key in keys:
+                if key in first:
+                    raise DataError(f"{name}: duplicate key {key}")
+                first.add(key)
+        nonzero = [key for key, v in seen.items() if v]
+        self._entries = {key: seen[key] for key in sorted(nonzero)}
+
+    def _check_code(self, code, what: str) -> None:
+        if not is_valid_code(code, self.resolution.level):
+            raise DataError(f"{self.name}: {what} {code!r} invalid at level "
+                            f"{self.resolution.level!r}")
 
     def __getitem__(self, key: tuple) -> float:
         return self._entries.get(tuple(key), 0.0)
@@ -214,6 +241,30 @@ class CensusTable:
 
     def total(self) -> float:
         return math.fsum(self._entries.values())
+
+    def grid(self, years, regions, sexes, lasts) -> np.ndarray:
+        """The values on a (year, region, sex, age or region2) grid as a dense
+        float array shaped by the axis lengths; absent keys read 0.
+
+        Each grid cell is one lookup, so keys off the grid cost nothing.
+        """
+        shape = (len(years), len(regions), len(sexes), len(lasts))
+        lookups = map(self._entries.get, product(years, regions, sexes, lasts),
+                      repeat(0.0))
+        return np.fromiter(lookups, float, count=math.prod(shape)).reshape(shape)
+
+
+def cells(years, regions, sexes, lasts, array) -> dict:
+    """The {key: value} entries of an array's nonzero cells, keyed by the
+    axis values at their indices; the inverse of CensusTable.grid."""
+    array = np.asarray(array)
+    axes = (years, regions, sexes, lasts)
+    if array.shape != tuple(map(len, axes)):
+        raise DataError(f"array of shape {array.shape} does not fit a grid of "
+                        f"{tuple(map(len, axes))}")
+    at = np.nonzero(array)
+    keys = zip(*([axis[i] for i in ix.tolist()] for axis, ix in zip(axes, at)))
+    return dict(zip(keys, array[at].tolist()))
 
 
 def degrade(table: CensusTable, target: ResolutionSpec) -> CensusTable:
@@ -321,8 +372,8 @@ def _format_value(v: float) -> str:
     return str(int(v)) if v.is_integer() else repr(v)
 
 
-def _format_age(a: int, res: ResolutionSpec) -> str:
-    return f"{a}+" if res.open_age is not None and a == res.open_age else str(a)
+def _format_age(a: int, open_age: int | None) -> str:
+    return f"{a}+" if a == open_age else str(a)
 
 
 def write_csv(table: CensusTable, path: str) -> None:
@@ -331,7 +382,7 @@ def write_csv(table: CensusTable, path: str) -> None:
     with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         for (y, r, s, last), v in table.items():
-            tail = last if res.od else _format_age(last, res)
+            tail = last if res.od else _format_age(last, res.open_age)
             fh.write(f"{y},{r},{s},{tail},{_format_value(v)}\n")
 
 

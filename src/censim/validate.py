@@ -51,8 +51,14 @@ def error_band(sim, ref) -> tuple:
     return min(terms), max(terms)
 
 
-def _mean_table(tables, n: int) -> CensusTable:
+def mc_mean(tables) -> CensusTable:
+    """Elementwise mean of Monte Carlo census tables; a single table is itself."""
+    tables = list(tables)
+    if not tables:
+        raise DataError("no runs to average")
     first = tables[0]
+    if len(tables) == 1:
+        return first
     for t in tables[1:]:
         if t.resolution != first.resolution:
             raise DataError(
@@ -60,23 +66,8 @@ def _mean_table(tables, n: int) -> CensusTable:
     keys = set()
     for t in tables:
         keys.update(t.keys())
-    entries = {k: math.fsum(t[k] for t in tables) / n for k in keys}
+    entries = {k: math.fsum(t[k] for t in tables) / len(tables) for k in keys}
     return CensusTable(first.resolution, entries, name=first.name)
-
-
-def mc_mean(runs):
-    """Elementwise mean of Monte Carlo outputs; a single run is itself."""
-    runs = list(runs)
-    if not runs:
-        raise DataError("no runs to average")
-    if len(runs) == 1:
-        return runs[0]
-    first = runs[0]
-    fields = ("census", "births", "deaths", "emigrants", "immigrants",
-              "internal_out", "internal_in", "od")
-    means = {f: _mean_table([getattr(r, f) for r in runs], len(runs))
-             for f in fields}
-    return type(first)(**means)
 
 
 def age_band_label(lo: int, width: int = 20, top: int = 100) -> str:

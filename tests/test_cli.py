@@ -492,9 +492,10 @@ def test_pipeline_produces_all_outputs(pipeline_dir):
 
 
 # SHA-256 of every fitted parameter table and fit report, from the pipeline
-# stages and from the two fit subcommands, and of the pipeline's coarse
-# inputs, country estimates and deviations: refactors of the fit drivers and
-# of the aggregation must leave these files byte for byte unchanged.
+# stages and from the two fit subcommands, and of every other file the
+# pipeline writes (truth, coarse inputs, estimates, fused flows, scenario,
+# simulated censuses and deviations): refactors must leave these files byte
+# for byte unchanged.
 OUTPUT_SHA256 = {
     "pipeline/est/birth_p.csv":
         "f70fae60d42954bef426ec3ba5fd31060753bc574616a0a191ea3afd803c68e9",
@@ -540,6 +541,62 @@ OUTPUT_SHA256 = {
         "4e042218ad7f7d1670503d1affc6f5f343239f6634ca1d2bacc2db4d1cd99d99",
     "pipeline/est/immigrants.csv":
         "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
+    "pipeline/truth/B.csv":
+        "407aabfa70407baa0fe972b8d6c261c6f08d48374fc8402c77c9110a89665220",
+    "pipeline/truth/B_m.csv":
+        "c956b4fa1673e23021be957641d5eef0989a0a812a1be47510bd4d980836bff0",
+    "pipeline/truth/D.csv":
+        "51685f6aaf4271a2291e59e41ab861ccf34aff8d29e22a0a01f8ced9fb74eee4",
+    "pipeline/truth/E.csv":
+        "4a6591a04e0d641cccabc72e33422e1004b76e2d930ac7eb0aaa016bbcaa4c53",
+    "pipeline/truth/I.csv":
+        "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
+    "pipeline/truth/IE.csv":
+        "52bb438707eab77f346decbe14c56ddbd224d4716369ec8c8537581dc4306b24",
+    "pipeline/truth/II.csv":
+        "c560337ba9c9ad8dd6e97cf52d73a075f0637290b700b5f3cc6dcd1442fecf89",
+    "pipeline/truth/M.csv":
+        "1282ffcba46508857b04e9b3c5e84eca33c21c4bf5d1348ddc6ecf417f55735e",
+    "pipeline/truth/P.csv":
+        "8e4ba6dc9cc96b8a44c4258dd92144d38f44d7aea6f5146ade9aac75b6bdbe9f",
+    "pipeline/truth/m_age_0.csv":
+        "e40dd0e8ee06fba891f1a8bc6304f936305ac4f84fb1ed830115190ba62a098b",
+    "pipeline/truth/m_age_100.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/truth/m_age_20.csv":
+        "690b6548f4ae1ecf9ca88d2fb4af5e53b0c689baf60dc385a65a9fe5950652bc",
+    "pipeline/truth/m_age_40.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/truth/m_age_60.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/truth/m_age_80.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/truth/m_index.csv":
+        "1f58c1a9af2689d4be11bd0d7fb5f8038fd82738b0f8e6e52d125b8f1ac5095a",
+    "pipeline/est/P_hat.csv":
+        "517f9442c249784c2de94156f0eead2c38ac79b2001778d3a32c813b38629675",
+    "pipeline/est/m_age_0.csv":
+        "0d971ee0780f77594ea210965c96533362e19a5fd93e1425ba22ac3d49efe4fa",
+    "pipeline/est/m_age_100.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/est/m_age_20.csv":
+        "a0ded51174d2d247101ed9b6932e8d7aec109d1f39b1504ac56989fc30d51dd1",
+    "pipeline/est/m_age_40.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/est/m_age_60.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/est/m_age_80.csv":
+        "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
+    "pipeline/est/m_index.csv":
+        "1f58c1a9af2689d4be11bd0d7fb5f8038fd82738b0f8e6e52d125b8f1ac5095a",
+    "pipeline/est/scenario.cfg":
+        "d68c62fbced08276dad4ed9e01994f8da025d6668eace1ace66505e4e3e6617c",
+    "pipeline/results/census_run00.csv":
+        "1a9051df35da4629c7c86898345fbd2c62429d8a01d0f1e9dcebd146655bb9b9",
+    "pipeline/results/census_run01.csv":
+        "1d07653bddef87050b39ee795e270ac400733b84a7a5a86bc90559be50a470eb",
+    "pipeline/results/mean.csv":
+        "34b414d069e056092419eabc4fe11ac09ea93ced0b15fa1a36512da3386d12c5",
     "pipeline/results/deviations.csv":
         "32fb6a6281c6e1d651f6bd1a8fb0ebd008f851e185ac604321a1133f12856df5",
     "fit-births/rates.csv":
@@ -562,6 +619,37 @@ def test_fit_outputs_match_pinned_digests(pipeline_dir, fit_births_run,
         where, rel = key.split("/", 1)
         got[key] = hashlib.sha256((dirs[where] / rel).read_bytes()).hexdigest()
     assert got == OUTPUT_SHA256
+
+
+@pytest.fixture(scope="module")
+def residual_dir(tmp_path_factory):
+    """The test pipeline at a base large enough for immigrants to appear."""
+    root = tmp_path_factory.mktemp("residual")
+    cfg = root / "pipeline.cfg"
+    cfg.write_text(PIPELINE_CFG.replace("base = 60", "base = 400")
+                   + "stages = synth,degrade,disagg,farr,residual\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 0
+    return root / "work"
+
+
+def test_residual_split_matches_balance(residual_dir):
+    path = residual_dir / "est" / "immigrants.csv"
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        "6f9c7c35b604a4c48640ed59f8ff79b19d343fbbb3b30c1c1729e83393362ff7"
+    I_hat = read_csv(str(path), integer=True)
+    assert len(I_hat) == 720
+    assert len(read_csv(str(residual_dir / "coarse" / "I_stats.csv"))) == 168
+    P = aggregate(read_csv(str(residual_dir / "est" / "P_hat.csv")),
+                  drop=("region", "age"))
+    B, D, E = (read_csv(str(residual_dir / "coarse" / f"{n}_flat.csv"))
+               for n in "BDE")
+    totals = aggregate(I_hat, drop=("region", "age"))
+    for y in range(2000, 2008):
+        for s in SEXES:
+            key = (y, "AT", s, 0)
+            residual = (P[(y + 1, "AT", s, 0)] - P[key] - B[key] + E[key]
+                        + D[key])
+            assert totals[key] == max(0, round(residual))
 
 
 def test_pipeline_estimate_matches_base_year(pipeline_dir):

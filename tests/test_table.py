@@ -102,6 +102,15 @@ def test_table_validation():
         CensusTable(res, {(2020, "101", "m", 0): math.nan})
 
 
+def test_zero_entry_does_not_hide_a_duplicate_key(tmp_path):
+    rows = ("2020,101,m,0+,0", "2020,101,m,0+,5")
+    for order in (rows, rows[::-1]):
+        path = tmp_path / "t.csv"
+        path.write_text("year,region,sex,age,value\n" + "\n".join(order) + "\n")
+        with pytest.raises(DataError, match="duplicate key"):
+            read_csv(str(path))
+
+
 def test_zero_entries_are_not_stored():
     res = ResolutionSpec((2020, 2020), "country", sexes=(), ages=(0,), open_age=0)
     t = CensusTable(res, {(2020, "AT", "-", 0): 0})

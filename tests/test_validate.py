@@ -68,25 +68,26 @@ def _output(census_entries, years=(2000, 2001)):
 
 
 def test_mc_mean_single_run_is_identity():
-    out = _output({(2000, "AT-1", "m", 10): 4})
-    assert mc_mean([out]) is out
+    t = _census({(2000, "AT-1", "m", 10): 4}, years=(2000, 2001), integer=True)
+    assert mc_mean([t]) is t
 
 
 def test_mc_mean_averages_cells_and_ignores_order():
-    a = _output({(2000, "AT-1", "m", 10): 2})
-    b = _output({(2000, "AT-1", "m", 10): 4, (2001, "AT-2", "f", 0): 1})
+    a = _census({(2000, "AT-1", "m", 10): 2}, years=(2000, 2001), integer=True)
+    b = _census({(2000, "AT-1", "m", 10): 4, (2001, "AT-2", "f", 0): 1},
+                years=(2000, 2001), integer=True)
     mean = mc_mean([a, b])
-    assert mean.census[(2000, "AT-1", "m", 10)] == 3.0
-    assert mean.census[(2001, "AT-2", "f", 0)] == 0.5
+    assert mean[(2000, "AT-1", "m", 10)] == 3.0
+    assert mean[(2001, "AT-2", "f", 0)] == 0.5
     swapped = mc_mean([b, a])
-    assert dict(mean.census.items()) == dict(swapped.census.items())
+    assert dict(mean.items()) == dict(swapped.items())
     same = mc_mean([a, a])
-    assert dict(same.census.items()) == dict(a.census.items())
+    assert dict(same.items()) == dict(a.items())
 
 
 def test_mc_mean_rejects_mismatched_resolutions():
-    a = _output({(2000, "AT-1", "m", 10): 2})
-    b = _output({(2000, "AT-1", "m", 10): 2}, years=(2000, 2002))
+    a = _census({(2000, "AT-1", "m", 10): 2}, years=(2000, 2001), integer=True)
+    b = _census({(2000, "AT-1", "m", 10): 2}, years=(2000, 2002), integer=True)
     with pytest.raises(DataError):
         mc_mean([a, b])
     with pytest.raises(DataError):
