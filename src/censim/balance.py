@@ -5,8 +5,10 @@ from __future__ import annotations
 import logging
 import math
 
+import numpy as np
+
 from .errors import DataError
-from .table import CensusTable
+from .table import CensusTable, cells
 
 log = logging.getLogger(__name__)
 
@@ -41,26 +43,17 @@ def residual_immigrants(P: CensusTable, B: CensusTable, D: CensusTable,
         raise DataError(
             f"population years {py0}..{py1} must cover {years[0]}..{years[1] + 1}")
 
-    cells = set()
-    for t in (B, D, E):
-        cells.update((y, r, s) for (y, r, s, _) in t.keys())
-    for (y, r, s, _) in P.keys():
-        if years[0] <= y <= years[1]:
-            cells.add((y, r, s))
-        if years[0] <= y - 1 <= years[1]:
-            cells.add((y - 1, r, s))
-
-    floored = 0
-    entries = {}
-    for (y, r, s) in sorted(cells):
-        residual = (P[(y + 1, r, s, 0)] - P[(y, r, s, 0)] - B[(y, r, s, 0)]
-                    + E[(y, r, s, 0)] + D[(y, r, s, 0)])
-        value = round_half_away(residual)
-        if value < 0:
-            floored += 1
-            value = 0
-        if value:
-            entries[(y, r, s, 0)] = value
+    # every (year, region, sex) any table names; other cells read 0 and add 0
+    years = range(years[0], years[1] + 1)
+    axes = (sorted(set().union(*(t.codes for t in (P, B, D, E)))),
+            P.resolution.sex_domain, (0,))
+    residual = (P.grid(range(years[0] + 1, years[-1] + 2), *axes)
+                - P.grid(years, *axes) - B.grid(years, *axes)
+                + E.grid(years, *axes) + D.grid(years, *axes))
+    # round_half_away on the whole grid
+    value = np.floor(np.abs(residual) + 0.5) * np.where(residual >= 0, 1, -1)
+    floored = int((value < 0).sum())
+    entries = cells(years, *axes, np.maximum(value, 0.0))
     if floored:
         log.warning("floored %d negative immigrant residuals to zero", floored)
     if diagnostics is not None:

@@ -39,7 +39,7 @@ from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import MALE_SHARE, ScenarioConfig, SimParams, run
 from .synthgen import FLOW_AGE_CLASSES, SynthSpec, generate_truth
-from .table import (SEXES, CensusTable, ResolutionSpec, _format_age,
+from .table import (SEXES, CensusTable, Entries, ResolutionSpec, _format_age,
                     _format_value, add_tables, aggregate, cells, degrade,
                     read_csv, write_csv)
 from .validate import compare, mc_mean, read_window, write_deviations
@@ -88,8 +88,7 @@ def cmd_ipf2(args) -> int:
     if rres.years != cres.years or rres.sexes != cres.sexes \
             or rres.level != cres.level:
         raise DataError("row and column marginals must share years, sexes and level")
-    origins = sorted({k[1] for k in rows_t.keys()})
-    dests = sorted({k[1] for k in cols_t.keys()})
+    origins, dests = rows_t.codes, cols_t.codes
     if not origins or not dests:
         raise DataError("marginals are empty")
     init_t = None
@@ -98,7 +97,7 @@ def cmd_ipf2(args) -> int:
         if not init_t.resolution.od:
             raise DataError("the seed table must be origin-destination")
 
-    entries: dict[tuple, float] = {}
+    entries = []
     worst_residual, most_iters, blocks = 0.0, 0, 0
     for y in rres.year_list():
         for s in rres.sex_domain:
@@ -117,10 +116,10 @@ def cmd_ipf2(args) -> int:
             if not result.converged:
                 log.warning("ipf2 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
-            entries.update(cells((y,), origins, (s,), dests,
+            entries.append(cells((y,), origins, (s,), dests,
                                  result.values[None, :, None, :]))
     out_res = ResolutionSpec(rres.years, rres.level, sexes=rres.sexes, od=True)
-    write_csv(CensusTable(out_res, entries, name="M"), args.out)
+    write_csv(CensusTable(out_res, Entries.concat(entries), name="M"), args.out)
     log.info("ipf2: %d blocks, worst residual %.3g, max %d iterations",
              blocks, worst_residual, most_iters)
     return 0
@@ -148,7 +147,7 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
     origins = sorted({k[1] for k in ab.keys()} | {k[1] for k in ac.keys()})
     dests = sorted({k[1] for k in bc.keys()} | {k[3] for k in ac.keys()})
     classes = abr.ages
-    per_class: dict[int, dict] = {lo: {} for lo in classes}
+    per_class: dict[int, list] = {lo: [] for lo in classes}
     stats = {"blocks": 0, "iterations": 0, "residual": 0.0, "converged": True}
     m0 = np.ones((len(origins), len(classes), len(dests)))
     if zero_diagonal:
@@ -173,10 +172,10 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
                 log.warning("ipf3 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
             for j, lo in enumerate(classes):
-                per_class[lo].update(cells((y,), origins, (s,), dests,
+                per_class[lo].append(cells((y,), origins, (s,), dests,
                                            result.values[None, :, None, j, :]))
     od_res = ResolutionSpec(years, abr.level, sexes=abr.sexes, od=True)
-    tables = {lo: CensusTable(od_res, per_class[lo], name=f"m{lo}")
+    tables = {lo: CensusTable(od_res, Entries.concat(per_class[lo]), name=f"m{lo}")
               for lo in classes}
     return tables, stats
 
@@ -223,7 +222,7 @@ def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
                 res = ResolutionSpec(span, level, od=True)
                 out[lo] = CensusTable(res, {}, integer=True, name=f"m{lo}")
             else:
-                out[lo] = _widen_years(read_csv(path, name=f"m{lo}"), span)
+                out[lo] = _retype(read_csv(path, name=f"m{lo}"), span, True)
     if not out:
         raise DataError(f"{index_path}: empty flow index")
     return out
@@ -429,35 +428,23 @@ def _csv_has_rows(path: str) -> bool:
         return any(True for row in reader if row)
 
 
-def _widen_years(t: CensusTable, span: tuple) -> CensusTable:
-    """Stretch a count table's year range over the span; absent years are zero."""
-    y0, y1 = t.resolution.years
-    years = (min(y0, span[0]), max(y1, span[1]))
-    if years == t.resolution.years:
-        return t
-    return CensusTable(replace(t.resolution, years=years), dict(t.items()),
-                       integer=t.integer, name=t.name)
-
-
-def _retype_dense(t: CensusTable, span: tuple, widen_years: bool) -> CensusTable:
-    """Re-anchor an inferred plain table onto the dense single-age domain.
+def _retype(t: CensusTable, span: tuple, widen_years: bool) -> CensusTable:
+    """Re-anchor an inferred table onto the scenario's domain.
 
     A census CSV carries no schema, so a sparse single-age table reads back
     with only the ages and sexes that happened to have nonzero cells.  The
     scenario contract is dense single ages with absent cells meaning zero;
-    count tables may additionally be silent over whole years.
+    count tables, od tables included, may additionally be silent over whole
+    years.
     """
     res = t.resolution
-    if res.od:
-        return t
-    years = res.years
     if widen_years:
-        years = (min(years[0], span[0]), max(years[1], span[1]))
-    need = replace(res, years=years, sexes=SEXES, ages=_FULL_AGES,
-                   open_age=100)
-    if need == res:
-        return t
-    return CensusTable(need, dict(t.items()), integer=t.integer, name=t.name)
+        res = replace(res, years=(min(res.years[0], span[0]),
+                                  max(res.years[1], span[1])))
+    if not res.od:
+        res = replace(res, sexes=SEXES, ages=_FULL_AGES, open_age=100)
+    return t if res == t.resolution else CensusTable(
+        res, t, integer=t.integer, name=t.name)
 
 
 def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
@@ -488,7 +475,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
             res = ResolutionSpec(span, level, sexes=SEXES, ages=_FULL_AGES,
                                  open_age=100)
             return CensusTable(res, {}, name=name)
-        return _retype_dense(read_csv(path, name=name), span, widen)
+        return _retype(read_csv(path, name=name), span, widen)
 
     if cfg.has("immigrants"):
         immigrants = person_table("immigrants", "I", widen=True)
@@ -498,7 +485,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
                              open_age=100)
         immigrants = CensusTable(res, {}, name="I")
     if cfg.has("od"):
-        od = _widen_years(read_csv(path_of("od"), name="M"), span)
+        od = _retype(read_csv(path_of("od"), name="M"), span, True)
     else:
         od = None
     params = SimParams(
@@ -714,13 +701,12 @@ def _stage_disagg(ctx: _Pipeline) -> None:
 def _broadcast(table: CensusTable, regions: tuple, level: str,
                years: tuple) -> CensusTable:
     """Copy a one-region table onto every listed region over a year range."""
-    entries = {}
-    for (y, _, s, a), v in table.items():
-        if years[0] <= y <= years[1]:
-            for r in regions:
-                entries[(y, r, s, a)] = v
     res = replace(table.resolution, level=level, years=years)
-    return CensusTable(res, entries, name=table.name)
+    axes = (res.year_list(), table.codes, res.sex_domain, res.ages)
+    one = table.grid(*axes).sum(axis=1, keepdims=True)
+    shape = (one.shape[0], len(regions)) + one.shape[2:]
+    return CensusTable(res, cells(axes[0], regions, *axes[2:],
+                                  np.broadcast_to(one, shape)), name=table.name)
 
 
 def _stage_farr(ctx: _Pipeline) -> None:

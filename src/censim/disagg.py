@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DataError
 from .regions import RegionManifest, coarser_or_equal, parent_region
-from .table import NO_SEX, CensusTable, ResolutionSpec
+from .table import CensusTable, ResolutionSpec
 
 _METHODS = ("proportional", "huntington_hill")
 
@@ -291,7 +291,7 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
                 return fine_by_coarse[r]
         elif dist.level == target.level:
             groups: dict[str, list[str]] = {}
-            for code in {k[1] for k in distribution.keys()}:
+            for code in distribution.codes:
                 groups.setdefault(parent_region(code, target.level, src.level), []).append(code)
             fine_by_coarse = {r: tuple(sorted(cs)) for r, cs in groups.items()}
 
@@ -309,7 +309,13 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
         ages_by_coarse.setdefault(coarse_age, []).append(fine_age)
     to_dist_class = target.classes_onto(dist, "distribution")
 
-    region_to_dist: dict[str, str] = {}
+    # the distribution read once onto its own grid, as nested lists
+    weight = distribution.grid(dist.year_list(), distribution.codes,
+                               dist.sex_domain, dist.ages).tolist()
+    at_code = {c: i for i, c in enumerate(distribution.codes)}
+    at_sex = {s: i for i, s in enumerate(dist.sexes)}
+    at_age = {a: i for i, a in enumerate(dist.ages)}
+    region_to_dist: dict[str, int | None] = {}
 
     def dist_weight(y, r, s, a):
         if dist.years[0] <= y <= dist.years[1]:
@@ -318,11 +324,13 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
             py = dist.years[0]
         else:
             raise DataError(f"distribution covers no year usable for {y}")
-        pr = region_to_dist.get(r)
-        if pr is None:
-            pr = region_to_dist.setdefault(r, parent_region(r, target.level, dist.level))
-        ps = s if dist.sexes else NO_SEX
-        return distribution[(py, pr, ps, to_dist_class[a])]
+        if r not in region_to_dist:
+            region_to_dist[r] = at_code.get(parent_region(r, target.level, dist.level))
+        pr = region_to_dist[r]
+        ps = at_sex.get(s) if dist.sexes else 0
+        if pr is None or ps is None:
+            return 0.0
+        return weight[py - dist.years[0]][pr][ps][at_age[to_dist_class[a]]]
 
     out: dict[tuple, float] = {}
     hh = method == "huntington_hill"

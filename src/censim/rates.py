@@ -87,7 +87,7 @@ def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
     # single-year quotients X / (P_avg + Q/2) on the grid of X's regions
     years = xres.year_list()
     nxt = [min(y + 1, y_N) for y in years]
-    axes = (sorted({k[1] for k in X.keys()}), xres.sex_domain, xres.ages)
+    axes = (X.codes, xres.sex_domain, xres.ages)
     x = X.grid(years, *axes)
     denom = (P.grid(years, *axes) + P.grid(nxt, *axes)) / 2.0 \
         + Q.grid(years, *axes) / 2.0

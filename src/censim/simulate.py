@@ -31,7 +31,7 @@ from .balance import round_half_away
 from .disagg import huntington_hill
 from .errors import DataError
 from .rng import stream_array, uniform_array
-from .table import CensusTable, ResolutionSpec, SEXES, cells
+from .table import CensusTable, Entries, ResolutionSpec, SEXES, cells
 
 IM_MODES = ("none", "interregional", "biregional", "full")
 STEPS = ("year", "month")  # "month" is an alias of "year"
@@ -141,10 +141,10 @@ def _check_person_table(t: CensusTable, what: str, level: str, years: tuple,
     y0, y1 = t.resolution.years
     _require(y0 <= years[0] and y1 >= years[1],
              f"{what} years {y0}..{y1} do not cover {years[0]}..{years[1]}")
-    if probability:
-        for key, v in t.items():
-            if v > 1.0:
-                raise DataError(f"{what} value {v} at {key} is not a probability")
+    over = np.flatnonzero(t.values > 1.0) if probability else ()
+    if len(over):
+        key, v = t.items()[over[0]]
+        raise DataError(f"{what} value {v} at {key} is not a probability")
 
 
 def validate_coverage(config: ScenarioConfig, params: SimParams):
@@ -201,37 +201,34 @@ def validate_coverage(config: ScenarioConfig, params: SimParams):
 
 def _master_regions(params: SimParams) -> tuple:
     """Union of all regions any table mentions, including pure destinations."""
-    regions = set()
-    for (_, r, _, _) in params.population.keys():
-        regions.add(r)
-    for (_, r, _, _) in params.immigrants.keys():
-        regions.add(r)
-    if params.od is not None:
-        for (_, r, _, r2) in params.od.keys():
-            regions.add(r)
-            regions.add(r2)
-    if params.ii is not None:
-        for (_, r, _, _) in params.ii.keys():
-            regions.add(r)
-    for t in (params.m_by_age or {}).values():
-        for (_, r, _, r2) in t.keys():
-            regions.add(r)
-            regions.add(r2)
+    tables = (params.population, params.immigrants, params.od, params.ii,
+              *(params.m_by_age or {}).values())
+    regions = set().union(*(t.codes for t in tables if t is not None))
     if not regions:
         raise DataError("no regions present in the parameter tables")
     return tuple(sorted(regions))
 
 
-def _people(cells, counts, census_year: int, regions: tuple,
-            next_pid: int) -> tuple:
+# census cells in key order: regions ascending, then f before m, then ages
+_KEY_SEXES = tuple(sorted(SEXES))
+
+
+def _census_cells(t: CensusTable, year: int, regions: tuple):
+    """(region, sex, age) grid indices and values of a table's nonzero
+    cells of one year, in key order; sex indexes _KEY_SEXES."""
+    g = t.grid((year,), regions, _KEY_SEXES, t.resolution.ages)[0]
+    at = np.nonzero(g)
+    return at, g[at].tolist()
+
+
+def _people(at, counts, ages, census_year: int, next_pid: int) -> tuple:
     """(pid, sex, birth_year, region) of counts[i] people in each census
-    cell (year, region, sex, completed age at `census_year`)."""
-    index = {r: i for i, r in enumerate(regions)}
-    rows = np.array([(index[r], SEXES.index(s), census_year - a - 1)
-                     for (_, r, s, a) in cells], dtype=np.int64).reshape(-1, 3)
-    region, sex, birth_year = np.repeat(rows, counts, axis=0).T
+    cell at[i] = (region, _KEY_SEXES sex, age class index), aged at
+    `census_year`."""
+    region, sex, age = (np.repeat(ix, counts) for ix in at)
     pid = np.arange(next_pid, next_pid + len(region), dtype=np.uint64)
-    return (pid, sex.astype(np.int8), birth_year.astype(np.int32),
+    birth_year = census_year - np.asarray(ages, np.int64)[age] - 1
+    return (pid, (sex == 0).astype(np.int8), birth_year.astype(np.int32),
             region.astype(np.int32))
 
 
@@ -246,23 +243,23 @@ def init_population(P: CensusTable, scale: float, year: int | None = None,
     if year is None:
         year = P.resolution.years[0]
     if regions is None:
-        regions = tuple(sorted({r for (_, r, _, _) in P.keys()}))
+        regions = P.codes
 
-    cells = [(key, v) for key, v in P.items() if key[0] == year]
-    total_raw = sum(v for _, v in cells)
+    at, weights = _census_cells(P, year, regions)
+    total_raw = sum(weights)
     total = round_half_away(scale * total_raw)
     if total < 1:
         raise DataError(f"scaled population {scale} * {total_raw} is below one person")
-    counts = huntington_hill(total, [v for _, v in cells])
-    pid, sex, birth_year, region = _people([key for key, _ in cells], counts,
-                                           year, regions, 1)
+    counts = huntington_hill(total, weights)
+    pid, sex, birth_year, region = _people(at, counts, P.resolution.ages,
+                                           year, 1)
     return SimulationState(year=year, regions=regions, pid=pid, sex=sex,
                            birth_year=birth_year, region=region,
                            next_pid=1 + len(pid))
 
 
 def _tally(year: int, regions: tuple, region: np.ndarray, sex: np.ndarray,
-           last: np.ndarray, labels: tuple = _FULL_AGES) -> dict:
+           last: np.ndarray, labels: tuple = _FULL_AGES) -> Entries:
     """Count people by (year, regions[region], sex, labels[last])."""
     n = len(labels)
     counts = np.bincount((region.astype(np.int64) * 2 + sex) * n + last,
@@ -271,7 +268,7 @@ def _tally(year: int, regions: tuple, region: np.ndarray, sex: np.ndarray,
                  counts.reshape(1, len(regions), 2, n))
 
 
-def census_counts(state: SimulationState) -> dict:
+def census_counts(state: SimulationState) -> Entries:
     """Population by (year, region, sex, age) at the state's census date."""
     age = np.minimum(state.year - state.birth_year - 1, 100)
     return _tally(state.year, state.regions, state.region, state.sex, age)
@@ -341,7 +338,7 @@ def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
     """Advance the state across one calendar year.
 
     `planes` are the scenario's probability arrays from `_planes`.  Returns
-    (new_state, events) where events maps table names to key->count dicts
+    (new_state, events) where events maps table names to key->count Entries
     for the year just simulated.
     """
     y = state.year
@@ -405,13 +402,14 @@ def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
                        dtype=np.uint64)
 
     # immigrants for the year, apportioned from the scaled profile
-    cells = [(key, v) for key, v in params.immigrants.items() if key[0] == y]
-    total = round_half_away(config.scale * sum(v for _, v in cells))
-    counts = huntington_hill(total, [v for _, v in cells]) if total > 0 else []
-    events["I"] = {key: c for (key, _), c in zip(cells, counts) if c}
+    at, weights = _census_cells(params.immigrants, y, regions)
+    total = round_half_away(config.scale * sum(weights))
+    counts = huntington_hill(total, weights) if total > 0 else [0] * len(weights)
     im_pid, im_sex, im_birth_year, im_region = _people(
-        list(events["I"]), list(events["I"].values()), y + 1, regions,
+        at, counts, params.immigrants.resolution.ages, y + 1,
         state.next_pid + len(mothers))
+    events["I"] = _tally(y, regions, im_region, im_sex,
+                         y - im_birth_year.astype(np.int64))
 
     # pids stay ascending: survivors, then newborns, then immigrants
     keep = ~(is_death | is_emig)
@@ -439,14 +437,16 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
         seed_k = (config.seed ^ k) & ((1 << 64) - 1)
         state = init_population(params.population, config.scale,
                                 year=config.t0, regions=regions)
-        census = census_counts(state)
-        acc = {name: {} for name in EVENT_NAMES}
+        census = [census_counts(state)]
+        acc = {name: [] for name in EVENT_NAMES}
         for _ in range(config.t0, config.te):
             state, events = step_year(state, params, config, seed_k,
                                        planes)
             for name, table in events.items():
-                acc[name].update(table)
-            census.update(census_counts(state))
+                acc[name].append(table)
+            census.append(census_counts(state))
+        census, acc = Entries.concat(census), {
+            name: Entries.concat(parts) for name, parts in acc.items()}
 
         census_res = ResolutionSpec((config.t0, config.te), level,
                                     ages=_FULL_AGES, open_age=100)

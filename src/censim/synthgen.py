@@ -26,7 +26,7 @@ from .fitting import activation, gaussian_rates
 from .rng import stream, uniform
 # degrade is unused here; it stays bound because the benchmark imports it
 # from this module and traces it as censim.synthgen:degrade
-from .table import SEXES, CensusTable, ResolutionSpec, cells, degrade
+from .table import SEXES, CensusTable, Entries, ResolutionSpec, cells, degrade
 from .regions import validate_code
 
 MALE_SHARE = 0.513234
@@ -154,8 +154,8 @@ def generate_truth(spec: SynthSpec) -> dict:
     # per-year (region, sex, age) arrays; flows stay sparse across years
     pop, births, births_by_age = [], [], []
     deaths, emigrants, immigrants, internal_out, internal_in = [], [], [], [], []
-    od_flows = {}
-    flow_by_class = {lo: {} for lo in FLOW_AGE_CLASSES}
+    od_flows = []
+    flow_by_class = {lo: [] for lo in FLOW_AGE_CLASSES}
 
     n = _initial_population(spec)
     pop.append(n)
@@ -187,10 +187,10 @@ def generate_truth(spec: SynthSpec) -> dict:
             ii[targets] += splits.transpose(2, 0, 1)
             flows[:, i][..., targets] = np.add.reduceat(
                 splits, FLOW_AGE_CLASSES, axis=1).transpose(1, 0, 2)
-        od_flows.update(cells((y,), regions, SEXES, regions,
+        od_flows.append(cells((y,), regions, SEXES, regions,
                               flows.sum(axis=0)[None]))
         for c, lo in enumerate(FLOW_AGE_CLASSES):
-            flow_by_class[lo].update(cells((y,), regions, SEXES, regions,
+            flow_by_class[lo].append(cells((y,), regions, SEXES, regions,
                                            flows[c][None]))
 
         b_by_age = np.round(q_birth * n[:, 1, :]).astype(np.int64)
@@ -234,8 +234,8 @@ def generate_truth(spec: SynthSpec) -> dict:
         "I": table(full_res(span), immigrants, "I"),
         "IE": table(full_res(span), internal_out, "IE"),
         "II": table(full_res(span), internal_in, "II"),
-        "M": CensusTable(od_res, od_flows, integer=True, name="M"),
-        "m_by_age": {lo: CensusTable(od_res, flows, integer=True,
+        "M": CensusTable(od_res, Entries.concat(od_flows), integer=True, name="M"),
+        "m_by_age": {lo: CensusTable(od_res, Entries.concat(flows), integer=True,
                                      name=f"m{lo}")
                      for lo, flows in flow_by_class.items()},
     }

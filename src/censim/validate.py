@@ -14,9 +14,11 @@ import csv
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DataError
 from .fileio import atomic_open
-from .table import CensusTable, ResolutionSpec, degrade
+from .table import CensusTable, ResolutionSpec, cells, degrade
 
 # each grouping's cells: (regional level, sex axis kept, age classes)
 GROUPINGS = {
@@ -63,11 +65,15 @@ def mc_mean(tables) -> CensusTable:
         if t.resolution != first.resolution:
             raise DataError(
                 f"{first.name}: mismatched resolutions across runs")
-    keys = set()
-    for t in tables:
-        keys.update(t.keys())
-    entries = {k: math.fsum(t[k] for t in tables) / len(tables) for k in keys}
-    return CensusTable(first.resolution, entries, name=first.name)
+    res = first.resolution
+    codes = sorted(set().union(*(t.codes for t in tables)))
+    axes = (res.year_list(), codes, res.sex_domain, codes if res.od else res.ages)
+    runs = np.stack([t.grid(*axes) for t in tables])
+    # one fsum per key any run holds
+    at = np.nonzero(runs.any(axis=0))
+    mean = np.zeros(runs.shape[1:])
+    mean[at] = [math.fsum(v) / len(tables) for v in runs[(slice(None),) + at].T.tolist()]
+    return CensusTable(res, cells(*axes, mean), name=first.name)
 
 
 def age_band_label(lo: int, width: int = 20, top: int = 100) -> str:

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -77,3 +78,55 @@ def test_projection_roundtrip_bound(p0, b, d, e, i_true):
     got = I[(2000, "AT", "-", 0)]
     assert got == i_true
     assert abs(p0 + b + got - d - e - p1) <= 0.5
+
+
+# the per-cell loop residual_immigrants ran before it read whole grids
+
+def _ref_residual_immigrants(P, B, D, E):
+    years = B.resolution.years
+    cells = set()
+    for t in (B, D, E):
+        cells.update((y, r, s) for (y, r, s, _) in t.keys())
+    for (y, r, s, _) in P.keys():
+        if years[0] <= y <= years[1]:
+            cells.add((y, r, s))
+        if years[0] <= y - 1 <= years[1]:
+            cells.add((y - 1, r, s))
+    floored = 0
+    entries = {}
+    for (y, r, s) in sorted(cells):
+        residual = (P[(y + 1, r, s, 0)] - P[(y, r, s, 0)] - B[(y, r, s, 0)]
+                    + E[(y, r, s, 0)] + D[(y, r, s, 0)])
+        value = round_half_away(residual)
+        if value < 0:
+            floored += 1
+            value = 0
+        if value:
+            entries[(y, r, s, 0)] = value
+    return CensusTable(B.resolution, entries, integer=True, name="I"), floored
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_residual_immigrants_match_the_per_cell_loop(seed):
+    rng = np.random.default_rng(seed)
+    codes = ("101", "102", "201", "301", "900")
+    sexes = ((), ("f",), ("m", "f"))[seed % 3]
+    flat = ResolutionSpec((2000, 2002), "districts", sexes=sexes, ages=(0,),
+                          open_age=None)
+    pres = ResolutionSpec((2000, 2003), "districts", sexes=sexes, ages=(0,),
+                          open_age=None)
+
+    def table(res, name, scale):
+        keys = [(y, r, s, 0) for y in res.year_list() for r in codes
+                for s in res.sex_domain if rng.random() < 0.7]
+        # quarter steps put residuals on rounding ties
+        return CensusTable(res, {k: float(rng.integers(0, 4 * scale)) / 4
+                                 for k in keys}, name=name)
+
+    P, B, D, E = (table(pres, "P", 400), table(flat, "B", 40),
+                  table(flat, "D", 40), table(flat, "E", 40))
+    diag = {}
+    got = residual_immigrants(P, B, D, E, diagnostics=diag)
+    expect, floored = _ref_residual_immigrants(P, B, D, E)
+    assert got == expect
+    assert diag["floored"] == floored

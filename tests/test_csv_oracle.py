@@ -1,0 +1,329 @@
+"""Differential test of the CSV reader and writer against the row-by-row code.
+
+The reference below is read_csv and write_csv as they stood before tables
+were held as key columns, kept verbatim: one int, float and age-token parse
+per row, one key tuple per row into the constructor, and one formatted line
+per item on the way out.  Random plain, origin-destination, sexless, integer
+and float tables must write byte-identical files on both sides and read back
+into equal tables.  Every malformed input must raise the same DataError
+message on both sides, or give the same table.  The reference builds its
+table through the same constructor, so each case's outcome is pinned as
+well: removing any check that a CSV read reaches fails a case.
+"""
+
+import csv
+import math
+
+import numpy as np
+import pytest
+
+from censim.errors import DataError
+from censim.fileio import atomic_open
+from censim.table import (NO_SEX, SEXES, CensusTable, ResolutionSpec,
+                          _format_age, _format_value, infer_level, read_csv,
+                          write_csv)
+
+# the row-by-row reference, as it stood before the columnar tables
+
+_HEADER = ["year", "region", "sex", "age", "value"]
+_HEADER_OD = ["year", "region", "sex", "region2", "value"]
+
+
+def ref_write_csv(table: CensusTable, path: str) -> None:
+    res = table.resolution
+    header = _HEADER_OD if res.od else _HEADER
+    with atomic_open(path, newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for (y, r, s, last), v in table.items():
+            tail = last if res.od else _format_age(last, res.open_age)
+            fh.write(f"{y},{r},{s},{tail},{_format_value(v)}\n")
+
+
+def _parse_age_token(tok: str) -> tuple[int, bool]:
+    open_class = tok.endswith("+")
+    body = tok[:-1] if open_class else tok
+    if not body.isdigit():
+        raise DataError(f"malformed age token {tok!r}")
+    return int(body), open_class
+
+
+def ref_read_csv(path: str, level: str | None = None, integer: bool = False,
+                 resolution: ResolutionSpec | None = None,
+                 name: str | None = None) -> CensusTable:
+    name = name or path
+    rows = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header == _HEADER:
+            od = False
+        elif header == _HEADER_OD:
+            od = True
+        else:
+            raise DataError(f"{name}: unexpected header {header}")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 5:
+                raise DataError(f"{name}:{lineno}: expected 5 columns, got {len(row)}")
+            rows.append((lineno, row))
+
+    entries = []
+    years = set()
+    codes = set()
+    sexes = set()
+    age_tokens = set()
+    for lineno, (ytok, region, sex, tail, vtok) in rows:
+        try:
+            year = int(ytok)
+        except ValueError:
+            raise DataError(f"{name}:{lineno}: malformed year {ytok!r}") from None
+        try:
+            value = float(vtok)
+        except ValueError:
+            raise DataError(f"{name}:{lineno}: malformed value {vtok!r}") from None
+        years.add(year)
+        codes.add(region)
+        sexes.add(sex)
+        if od:
+            codes.add(tail)
+            entries.append(((year, region, sex, tail), value))
+        else:
+            age, open_class = _parse_age_token(tail)
+            age_tokens.add((age, open_class))
+            entries.append(((year, region, sex, age), value))
+
+    if resolution is None:
+        if not rows:
+            raise DataError(f"{name}: empty table needs an explicit resolution")
+        lvl = level or infer_level(codes)
+        if NO_SEX in sexes and sexes != {NO_SEX}:
+            raise DataError(f"{name}: mixes '-' with sexed rows")
+        sex_domain = () if sexes == {NO_SEX} else tuple(sorted(sexes & set(SEXES)))
+        if od:
+            resolution = ResolutionSpec((min(years), max(years)), lvl,
+                                        sexes=sex_domain, od=True)
+        else:
+            opens = sorted(a for a, o in age_tokens if o)
+            singles = sorted(a for a, o in age_tokens if not o)
+            if len(opens) > 1:
+                raise DataError(f"{name}: multiple open age classes {opens}")
+            if opens and singles and opens[0] <= singles[-1]:
+                raise DataError(
+                    f"{name}: open class {opens[0]}+ overlaps age {singles[-1]}")
+            ages = tuple(singles + opens)
+            resolution = ResolutionSpec((min(years), max(years)), lvl,
+                                        sexes=sex_domain, ages=ages,
+                                        open_age=opens[0] if opens else None)
+    elif level is not None and level != resolution.level:
+        raise DataError(f"{name}: level {level!r} contradicts the given resolution")
+
+    return CensusTable(resolution, entries, integer=integer, name=name)
+
+
+def _outcome(build):
+    try:
+        t = build()
+    except DataError as exc:
+        return "error", str(exc)
+    return "ok", (t.resolution, t.integer, list(t.items()))
+
+
+# random round trips
+
+CODES = {"municipalities": ("10101", "10102", "20101", "30102", "90001"),
+         "districts": ("101", "102", "201", "900")}
+ODD_VALUES = (0.1, 2.5, 1e-300, 1e20, 123456789.0, 1 / 3)
+
+
+def _random_table(rng, kind):
+    od = kind == "od"
+    integer = kind in ("integer", "od")
+    level = str(rng.choice(list(CODES)))
+    sexes = () if kind == "sexless" else (SEXES, ("f",), ("m",))[rng.integers(3)]
+    if od:
+        res = ResolutionSpec((2000, 2003), level, sexes=sexes, od=True)
+        lasts = CODES[level]
+    else:
+        ages = tuple(sorted(int(a) for a in rng.choice(
+            101, size=rng.integers(1, 8), replace=False)))
+        res = ResolutionSpec((2000, 2003), level, sexes=sexes, ages=ages,
+                             open_age=ages[-1] if rng.random() < 0.5 else None)
+        lasts = ages
+    entries = {}
+    for _ in range(int(rng.integers(0, 80))):
+        key = (int(rng.integers(2000, 2004)), str(rng.choice(CODES[level])),
+               str(rng.choice(res.sex_domain)), lasts[rng.integers(len(lasts))])
+        if integer:
+            v = float(rng.integers(0, 1000))
+        elif rng.random() < 0.2:
+            v = ODD_VALUES[rng.integers(len(ODD_VALUES))]
+        else:
+            v = float(rng.random() * 10.0 ** rng.integers(-3, 7))
+        entries[key] = v
+    return CensusTable(res, entries, integer=integer, name="t")
+
+
+KINDS = ("plain", "od", "sexless", "integer")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(10))
+def test_round_trips_match_the_reference_byte_for_byte(tmp_path, seed, kind):
+    rng = np.random.default_rng(100 * seed + KINDS.index(kind))
+    t = _random_table(rng, kind)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_csv(t, str(ours))
+    ref_write_csv(t, str(theirs))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+    given = {"integer": t.integer, "name": "t"}
+    if not len(t) or rng.random() < 0.5:
+        given["resolution"] = t.resolution
+    back = read_csv(str(ours), **given)
+    assert _outcome(lambda: back) == _outcome(
+        lambda: ref_read_csv(str(theirs), **given))
+    if "resolution" in given:
+        assert back == t
+    write_csv(back, str(ours))
+    assert ours.read_bytes() == theirs.read_bytes()
+
+
+# malformed inputs
+
+H = "year,region,sex,age,value\n"
+H_OD = "year,region,sex,region2,value\n"
+RES = ResolutionSpec((2000, 2001), "districts", ages=(0, 5), open_age=5)
+RES_OD = ResolutionSpec((2000, 2001), "districts", od=True)
+
+CASES = {
+    "no header": ("", {},
+        't: unexpected header None'),
+    "wrong header": ("year,region,sex,age\n2000,101,m,0\n", {},
+        "t: unexpected header ['year', 'region', 'sex', 'age']"),
+    "unknown column": ("year,region,sex,age,value,note\n", {},
+        "t: unexpected header ['year', 'region', 'sex', 'age', 'value', 'note']"),
+    "too few columns": (H + "2000,101,m,0,1\n2000,101,f,0\n", {},
+        't:3: expected 5 columns, got 4'),
+    "too many columns": (H + "2000,101,m,0,1,9\n", {},
+        't:2: expected 5 columns, got 6'),
+    "blank lines": (H + "\n2000,101,m,0,1\n\n2000,101,f,0,2\n\n", {},
+        None),
+    "blank line then bad row": (H + "\n\n2000,101,m,0\n", {},
+        't:4: expected 5 columns, got 4'),
+    "year token": (H + "2000,101,m,0,1\nMMXX,101,f,0,2\n", {},
+        "t:3: malformed year 'MMXX'"),
+    "year and value in one row": (H + "20x0,101,m,0,zz\n", {},
+        "t:2: malformed year '20x0'"),
+    "value token": (H + "2000,101,m,0,1\n2000,101,f,0,lots\n", {},
+        "t:3: malformed value 'lots'"),
+    "value then year": (H + "2000,101,m,0,one\n2x00,101,f,0,2\n", {},
+        "t:2: malformed value 'one'"),
+    "age token": (H + "2000,101,m,0,1\n2000,101,f,five,2\n", {},
+        "malformed age token 'five'"),
+    "age and value in one row": (H + "2000,101,f,x5,bad\n", {},
+        "t:2: malformed value 'bad'"),
+    "negative age": (H + "2000,101,m,-5,1\n", {},
+        "malformed age token '-5'"),
+    "duplicate key": (H + "2000,101,m,0,1\n2000,102,m,0,2\n2000,101,m,0,3\n", {},
+        "t: duplicate key (2000, '101', 'm', 0)"),
+    "zero then duplicate": (H + "2000,101,m,0,0\n2000,101,m,0,4\n", {},
+        "t: duplicate key (2000, '101', 'm', 0)"),
+    "duplicate across age tokens": (H + "2000,101,m,5,1\n2000,101,m,5+,2\n",
+                                    {"resolution": RES},
+        "t: duplicate key (2000, '101', 'm', 5)"),
+    "negative value": (H + "2000,101,m,0,1\n2000,101,f,0,-2\n", {},
+        "t: value -2.0 at (2000, '101', 'f', 0) is not a finite non-negative number"),
+    "nan value": (H + "2000,101,m,0,nan\n", {},
+        "t: value nan at (2000, '101', 'm', 0) is not a finite non-negative number"),
+    "inf value": (H + "2000,101,m,0,inf\n", {},
+        "t: value inf at (2000, '101', 'm', 0) is not a finite non-negative number"),
+    "fraction in an integer table": (H + "2000,101,m,0,2.5\n", {"integer": True},
+        "t: value 2.5 at (2000, '101', 'm', 0) is not an integer"),
+    "fraction in a float table": (H + "2000,101,m,0,2.5\n", {},
+        None),
+    "overlapping open class": (H + "2000,101,m,5+,1\n2000,101,m,10,2\n", {},
+        't: open class 5+ overlaps age 10'),
+    "open class equal to an age": (H + "2000,101,m,5+,1\n2000,101,f,5,2\n", {},
+        't: open class 5+ overlaps age 5'),
+    "multiple open classes": (H + "2000,101,m,5+,1\n2000,101,m,10+,2\n", {},
+        't: multiple open age classes [5, 10]'),
+    "mixed dash sex": (H + "2000,101,m,0,1\n2000,101,-,0,2\n", {},
+        "t: mixes '-' with sexed rows"),
+    "unknown sex": (H + "2000,101,x,0,1\n", {},
+        "t: sex 'x' not in domain ('-',)"),
+    "sex outside the resolution": (H + "2000,101,-,0,1\n", {"resolution": RES},
+        "t: sex '-' not in domain ('m', 'f')"),
+    "year outside the resolution": (H + "2003,101,m,0,1\n", {"resolution": RES},
+        't: year 2003 outside (2000, 2001)'),
+    "age outside the resolution": (H + "2000,101,m,3,1\n", {"resolution": RES},
+        't: no age class starts at 3'),
+    "code invalid at the given level": (H + "2000,10101,m,0,1\n",
+                                        {"resolution": RES},
+        "t: region '10101' invalid at level 'districts'"),
+    "no level fits the codes": (H + "2000,101,m,0,1\n2000,AT-1,m,0,1\n", {},
+        "no regional level fits codes ['101', 'AT-1']..."),
+    "level against the resolution": (H + "2000,101,m,0,1\n",
+                                     {"resolution": RES, "level": "federalstates"},
+        "t: level 'federalstates' contradicts the given resolution"),
+    "level override": (H + "2000,101,m,0,1\n", {"level": "districts_districts"},
+        None),
+    "header only": (H, {},
+        't: empty table needs an explicit resolution'),
+    "header only with a resolution": (H, {"resolution": RES},
+        None),
+    "od header only": (H_OD, {},
+        't: empty table needs an explicit resolution'),
+    "od rows": (H_OD + "2000,101,m,102,3\n2001,102,f,101,0.5\n", {},
+        None),
+    "od bad second code": (H_OD + "2000,101,m,1x2,3\n", {},
+        "no regional level fits codes ['101', '1x2']..."),
+    "od age token is a code": (H_OD + "2000,101,m,5+,3\n", {},
+        "no regional level fits codes ['101', '5+']..."),
+    "od duplicate": (H_OD + "2000,101,m,102,3\n2000,101,m,102,0\n", {},
+        "t: duplicate key (2000, '101', 'm', '102')"),
+    "zeros only": (H + "2000,101,m,0,0\n2001,102,f,5+,0.0\n", {},
+        None),
+    "spaced tokens": (H + " 2000,101,m,0, 7\n", {},
+        None),
+    "quoted tokens": (H + '"2000","101","m","0","1e3"\n', {},
+        None),
+    "crlf line ends": (H.replace("\n", "\r\n") + "2000,101,m,0,1\r\n", {},
+        None),
+    "no final newline": (H + "2000,101,m,0,1\n2000,101,f,0,2", {},
+        None),
+    "quoted comma": (H + '2000,"101,5",m,0,1\n', {},
+        "no regional level fits codes ['101,5']..."),
+    "quoted newline": (H + '2000,"10\n1",m,0,1\n', {},
+        "no regional level fits codes ['10\\n1']..."),
+    "cr inside a row": (H + "2000,101,m,0\r,1\n", {},
+        't:2: expected 5 columns, got 4'),
+    "lone cr": (H + "2000,101,m,0,1\r2000,101,f,0,2\n", {},
+        None),
+    "od bad second code at a given level": (H_OD + "2000,101,m,1x2,3\n",
+                                            {"resolution": RES_OD},
+        "t: region2 '1x2' invalid at level 'districts'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_malformed_inputs_fail_as_the_reference_does(tmp_path, case):
+    text, kwargs, message = CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    kwargs = dict(kwargs, name="t")
+    ours = _outcome(lambda: read_csv(str(path), **kwargs))
+    assert ours == _outcome(lambda: ref_read_csv(str(path), **kwargs))
+    # both sides share the constructor, so its checks are pinned here too
+    assert ours[0] == ("ok" if message is None else "error")
+    assert message is None or ours[1] == message
+
+
+def test_values_survive_the_round_trip_exactly(tmp_path):
+    res = ResolutionSpec((2000, 2000), "districts", ages=(0,), open_age=None)
+    values = [math.nextafter(1.0, 2.0), 5e-324, 1.7976931348623157e308, 0.1 + 0.2]
+    t = CensusTable(res, {(2000, c, "m", 0): v
+                          for c, v in zip(("101", "102", "103", "104"), values)})
+    path = str(tmp_path / "t.csv")
+    write_csv(t, path)
+    assert read_csv(path, resolution=res) == t

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from censim.errors import DataError
 from censim.table import (
     CensusTable,
     ResolutionSpec,
+    add_tables,
     aggregate,
     infer_level,
     read_csv,
@@ -100,6 +102,18 @@ def test_table_validation():
         CensusTable(res, {(2020, "101", "m", 0): 1.5}, integer=True)
     with pytest.raises(DataError):
         CensusTable(res, {(2020, "101", "m", 0): math.nan})
+
+
+def test_malformed_key_components_raise_data_errors_naming_them():
+    res = ResolutionSpec((2020, 2020), "districts")
+    with pytest.raises(DataError, match="region 101 invalid at level 'districts'"):
+        CensusTable(res, {(2020, 101, "m", 0): 1})
+    with pytest.raises(DataError, match="malformed age 'x'"):
+        CensusTable(res, {(2020, "101", "m", "x"): 1})
+    with pytest.raises(DataError, match="malformed year 'y'"):
+        CensusTable(res, {("y", "101", "m", 0): 1})
+    with pytest.raises(DataError, match="malformed year None"):
+        CensusTable(res, {(None, "101", "m", 0): 1})
 
 
 def test_zero_entry_does_not_hide_a_duplicate_key(tmp_path):
@@ -262,6 +276,8 @@ def test_level_inference_preferences():
     assert infer_level({"AT-3"}) == "federalstates"
     with pytest.raises(DataError):
         infer_level({"abc"})
+    with pytest.raises(DataError, match="from no codes"):
+        infer_level(set())
 
 
 def test_read_csv_level_override(tmp_path):
@@ -287,3 +303,25 @@ def test_od_aggregate_reductions():
     for drop in ({"region2"}, {"region"}, {"region", "region2"}, {"age"}):
         with pytest.raises(DataError, match="origin-destination"):
             aggregate(t, drop=drop)
+
+
+def test_add_tables_matches_a_loop_over_keys():
+    """add_tables equals the running sums of a loop over the tables' keys,
+    bit for bit, on plain and origin-destination tables."""
+    rng = random.Random(7)
+    codes = ("101", "102", "201", "301", "302")
+    for od in (False, True):
+        res = ResolutionSpec((2020, 2021), "districts", ages=(0, 1, 5), open_age=5,
+                             od=od)
+        lasts = codes if od else res.ages
+        tables = [CensusTable(res, {
+            (rng.choice((2020, 2021)), rng.choice(codes), rng.choice(("m", "f")),
+             rng.choice(lasts)): rng.choice((0.1, 0.7, 1 / 3, 2.0, 5e-17))
+            for _ in range(12)}) for _ in range(3)]
+        expect = {}
+        for t in tables:
+            for key, v in t.items():
+                expect[key] = expect.get(key, 0.0) + v
+        got = add_tables(tables, name="sum")
+        assert got.items() == sorted(expect.items())
+        assert got.name == "sum" and got.resolution == res
