@@ -144,8 +144,16 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
         if res.years[0] > years[0] or res.years[1] < years[1]:
             raise DataError(f"{what} does not cover years {years[0]}..{years[1]}")
 
-    origins = sorted({k[1] for k in ab.keys()} | {k[1] for k in ac.keys()})
-    dests = sorted({k[1] for k in bc.keys()} | {k[3] for k in ac.keys()})
+    # a plain table's codes are its regions; an od table's codes join both
+    # region axes, so each axis is read from its key column
+    flows = ac._entries()
+
+    def used(k):
+        counts = np.bincount(flows.index[k], minlength=len(flows.axes[k]))
+        return {flows.axes[k][i] for i in np.flatnonzero(counts).tolist()}
+
+    origins = sorted(set(ab.codes) | used(1))
+    dests = sorted(set(bc.codes) | used(3))
     classes = abr.ages
     per_class: dict[int, list] = {lo: [] for lo in classes}
     stats = {"blocks": 0, "iterations": 0, "residual": 0.0, "converged": True}

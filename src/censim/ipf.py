@@ -92,9 +92,13 @@ def ipf2(a, b, m0, tol: float = 1e-10, max_iter: int = 1000) -> IpfResult:
     return IpfResult(X, iterations, res, res < tol)
 
 
-def residual3(M: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray) -> float:
-    """L1 distance of M's three pairwise marginals from their targets."""
-    return float(np.abs(M.sum(axis=2) - A).sum()
+def residual3(M: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray,
+              sum2: np.ndarray | None = None) -> float:
+    """L1 distance of M's three pairwise marginals from their targets;
+    sum2 is M.sum(axis=2) when the caller already holds it."""
+    if sum2 is None:
+        sum2 = M.sum(axis=2)
+    return float(np.abs(sum2 - A).sum()
                  + np.abs(M.sum(axis=0) - B).sum()
                  + np.abs(M.sum(axis=1) - C).sum())
 
@@ -131,15 +135,18 @@ def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult
             or ((C > 0) & ~(M.sum(axis=1) > 0)).any()):
         raise DataError("a positive marginal has no positive initial entries")
 
-    res = residual3(M, A, B, C)
+    # each residual's sum over the third axis is the next sweep's first sum
+    sum2 = M.sum(axis=2)
+    res = residual3(M, A, B, C, sum2)
     iterations = 0
     stall = 0
     while res >= tol and iterations < max_iter:
-        M *= _scale_factors(A, M.sum(axis=2))[:, :, None]
+        M *= _scale_factors(A, sum2)[:, :, None]
         M *= _scale_factors(B, M.sum(axis=0))[None, :, :]
         M *= _scale_factors(C, M.sum(axis=1))[:, None, :]
         iterations += 1
-        new_res = residual3(M, A, B, C)
+        sum2 = M.sum(axis=2)
+        new_res = residual3(M, A, B, C, sum2)
         if res - new_res < _STALL_EPS:
             stall += 1
             if stall >= _STALL_SWEEPS:

@@ -4,11 +4,14 @@ The generator is SplitMix64: a stateless 64-bit mixing function applied to a
 counter.  Every (seed, person, year) triple owns an independent substream,
 and each random decision within the person-year occupies a fixed slot, so a
 simulation is reproducible across platforms and person updates can run in
-any order.  All draws of a person-year are made up front, so the order of
-events within the year never changes which numbers a person gets.
+any order.  A draw is computed straight from its (seed, person, year, slot)
+key, so drawing only the slots a person-year reads, for only the persons
+that read them, gives every person the same numbers as drawing all slots up
+front, whatever the order of events within the year.
 
 Scalar helpers work on plain Python integers; the _array variants accept
-numpy uint64 arrays and vectorize the identical arithmetic.
+numpy uint64 arrays and vectorize the identical arithmetic (mix64_array
+overwrites its argument; the others return new arrays).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def uniform(handle: int, slot: int) -> float:
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64, copy=True)
+    """mix64 of every element of a uint64 array, in place; returns z."""
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_M1)
@@ -61,15 +64,19 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
 
 def stream_array(seed: int, pids: np.ndarray, year: int) -> np.ndarray:
     base = mix64(seed & MASK)
-    h = mix64_array(np.uint64(base) ^ pids.astype(np.uint64))
-    return mix64_array(h ^ np.uint64(year & MASK))
+    h = mix64_array(np.uint64(base) ^ np.asarray(pids, np.uint64))
+    h ^= np.uint64(year & MASK)
+    return mix64_array(h)
 
 
 def draw_array(handles: np.ndarray, slot: int) -> np.ndarray:
     with np.errstate(over="ignore"):
-        counter = handles + np.uint64((((slot + 1) * GOLDEN) & MASK))
+        counter = (np.asarray(handles, np.uint64)
+                   + np.uint64((((slot + 1) * GOLDEN) & MASK)))
     return mix64_array(counter)
 
 
 def uniform_array(handles: np.ndarray, slot: int) -> np.ndarray:
-    return (draw_array(handles, slot) >> np.uint64(11)) * TO_UNIT
+    u = draw_array(handles, slot)
+    u >>= np.uint64(11)
+    return u * TO_UNIT

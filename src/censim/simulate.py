@@ -9,12 +9,20 @@ counter-based SplitMix64 substream keyed by (run seed, person id, year), so
 results are reproducible across platforms and insensitive to processing
 order.
 
-Events within a person-year: death, emigration and (for females) birth and
-internal migration each get an occurrence draw and a uniform time in the
-year.  The earliest terminal event (death or emigration, death winning exact
-ties) ends the year; a birth or internal move happens only if it falls
-strictly before that.  Deaths and emigrations are attributed to the region
-the person occupies at the event time.
+Events within a person-year: death, emigration, birth (females only) and
+internal migration each get an occurrence draw, and an event that occurs
+gets a uniform time in the year from a slot of its own.  Only the draws a
+person-year reads are made: the birth occurrence for females, each event
+time for the persons whose occurrence draw fired; an event that did not
+occur has time inf.  As every draw is keyed by its slot, skipping the
+unread ones changes none of the numbers that are read.  The earliest
+terminal event (death or emigration, death winning exact ties) ends the
+year; a birth or internal move happens only if it falls strictly before
+that.  Deaths and emigrations are attributed to the region the person
+occupies at the event time.
+
+All runs of a scenario start from one materialized population, which draws
+no random numbers; steps only read a state's arrays.
 
 Because every draw is keyed by (person, year) and the outputs are the Jan 1
 censuses and the year's event counts, stepping month by month would give the
@@ -296,7 +304,9 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
 
     Movers are grouped by what their weight row depends on: origin and sex,
     plus the age for the ii profile or the age class for the per-age od
-    tables.  Each group gets one cumulative row and one searchsorted.
+    tables.  Each group gets one cumulative row and one searchsorted; the
+    rows come from one (origin, sex, destination) plane per od table,
+    read once per year.
     """
     if mode == "full":
         lows = sorted(params.m_by_age)
@@ -310,14 +320,17 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
     groups, starts = np.unique(code[order], return_index=True)
     dest = np.empty(len(u), dtype=np.int32)
     stranded = []
+    od_planes: dict = {}
     for g, members in zip(groups.tolist(), np.split(order, starts[1:])):
         o, rest = divmod(g, 202)
         s, k = divmod(rest, 101)
         if mode == "biregional":
             row = ii[:, s, k].copy()
         else:
-            od = params.od if mode == "interregional" else params.m_by_age[lows[k]]
-            row = od.grid((year,), (regions[o],), (SEXES[s],), regions)[0, 0, 0]
+            if k not in od_planes:
+                od = params.od if mode == "interregional" else params.m_by_age[lows[k]]
+                od_planes[k] = od.grid((year,), regions, SEXES, regions)[0]
+            row = od_planes[k][o, s].copy()
         row[o] = 0.0  # a move always leaves the origin
         cum = np.cumsum(row)
         if cum[-1] <= 0:
@@ -333,48 +346,74 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
     return dest
 
 
+def _event_times(h: np.ndarray, fired: np.ndarray, slot: int) -> np.ndarray:
+    """Each person's event time from the slot's uniform where the
+    occurrence draw fired, inf elsewhere; only the fired persons draw."""
+    t = np.full(len(fired), np.inf)
+    at = np.flatnonzero(fired)
+    t[at] = uniform_array(h[at], slot)
+    return t
+
+
+def _year_events(h: np.ndarray, state: SimulationState, la: np.ndarray,
+                 p: dict) -> tuple:
+    """Who dies, emigrates, moves and gives birth in the year.
+
+    Returns the masks of the persons whose year ends in death and in
+    emigration, the indices of the movers and of the mothers, and for each
+    mother whether her move came first.  The event times are freed on
+    return, before the step builds the next state.
+    """
+    n = len(h)
+    cell = (state.region.astype(np.intp) * 2 + state.sex) * 101 + la
+    dies = uniform_array(h, S_DEATH_U) < p["death"][cell]
+    emigrates = uniform_array(h, S_EMIG_U) < p["emig"][cell]
+    births_drawn = np.zeros(n, dtype=bool)
+    females = np.flatnonzero(state.sex == 1)
+    births_drawn[females] = (uniform_array(h[females], S_BIRTH_U)
+                             < p["birth"][cell[females]])
+    if "ie" in p:
+        moves_drawn = uniform_array(h, S_IE_U) < p["ie"][cell]
+    else:
+        moves_drawn = np.zeros(n, dtype=bool)
+
+    td = _event_times(h, dies, S_DEATH_T)
+    te = _event_times(h, emigrates, S_EMIG_T)
+    t_birth = _event_times(h, births_drawn, S_BIRTH_T)
+    t_ie = _event_times(h, moves_drawn, S_IE_T)
+    terminal = np.minimum(td, te)
+    # an undrawn birth or move has time inf, never before the terminal event
+    moves = t_ie < terminal
+    mothers = np.flatnonzero(t_birth < terminal)
+    moved_first = moves[mothers] & (t_ie[mothers] < t_birth[mothers])
+    return (dies & (td <= te), emigrates & (te < td), np.flatnonzero(moves),
+            mothers, moved_first)
+
+
 def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
               seed: int, planes: dict):
     """Advance the state across one calendar year.
 
     `planes` are the scenario's probability arrays from `_planes`.  Returns
     (new_state, events) where events maps table names to key->count Entries
-    for the year just simulated.
+    for the year just simulated.  The state's arrays are only read, so one
+    start state can seed every run.
     """
     y = state.year
     regions = state.regions
-    n = len(state.pid)
-    p = {name: plane[y - config.t0] for name, plane in planes.items()}
+    # each plane's (region, sex, age) cells raveled, read by one flat index
+    p = {name: plane[y - config.t0].ravel() for name, plane in planes.items()}
 
     h = stream_array(seed, state.pid, y)
-    la = np.minimum(y - state.birth_year - 1, 100)
-    idx = (state.region, state.sex, la)
-
-    dies = uniform_array(h, S_DEATH_U) < p["death"][idx]
-    emigrates = uniform_array(h, S_EMIG_U) < p["emig"][idx]
-    births_drawn = (state.sex == 1) & (uniform_array(h, S_BIRTH_U)
-                                       < p["birth"][idx])
-    t_birth = uniform_array(h, S_BIRTH_T)
-    if "ie" in p:
-        moves_drawn = uniform_array(h, S_IE_U) < p["ie"][idx]
-        t_ie = uniform_array(h, S_IE_T)
-    else:
-        moves_drawn = np.zeros(n, dtype=bool)
-        t_ie = np.full(n, np.inf)
-
-    td = np.where(dies, uniform_array(h, S_DEATH_T), np.inf)
-    te = np.where(emigrates, uniform_array(h, S_EMIG_T), np.inf)
-    terminal = np.minimum(td, te)
-    is_death = dies & (td <= te)
-    is_emig = emigrates & (te < td)
-    gives_birth = births_drawn & (t_birth < terminal)
-    moves = moves_drawn & (t_ie < terminal)
-
     sex = state.sex
-    movers = np.flatnonzero(moves)
+    la = np.minimum(y - state.birth_year - 1, 100)
+    is_death, is_emig, movers, mothers, moved_first = _year_events(
+        h, state, la, p)
+
     origin = state.region[movers]
-    dest = _destinations(params, config.im_mode, p.get("ii"), y, regions,
-                         origin, sex[movers], la[movers],
+    ii = planes["ii"][y - config.t0] if "ii" in planes else None
+    dest = _destinations(params, config.im_mode, ii, y, regions, origin,
+                         sex[movers], la[movers],
                          uniform_array(h[movers], S_DEST))
     final_region = state.region.copy()
     final_region[movers] = dest
@@ -390,8 +429,6 @@ def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
     }
 
     # newborns: region is the mother's location at the birth instant
-    mothers = np.flatnonzero(gives_birth)
-    moved_first = moves[mothers] & (t_ie[mothers] < t_birth[mothers])
     nb_region = np.where(moved_first, final_region[mothers],
                          state.region[mothers])
     u_sex = uniform_array(h[mothers], S_NEWBORN_SEX)
@@ -432,12 +469,19 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
     planes = _planes(config, params, regions)
     level = params.population.resolution.level
 
+    # the start population draws no random numbers: every run starts from
+    # the same state, shared read-only since step_year never writes to it
+    start = init_population(params.population, config.scale,
+                            year=config.t0, regions=regions)
+    for column in (start.pid, start.sex, start.birth_year, start.region):
+        column.flags.writeable = False
+    start_census = census_counts(start)
+
     outputs = []
     for k in range(config.runs):
         seed_k = (config.seed ^ k) & ((1 << 64) - 1)
-        state = init_population(params.population, config.scale,
-                                year=config.t0, regions=regions)
-        census = [census_counts(state)]
+        state = start
+        census = [start_census]
         acc = {name: [] for name in EVENT_NAMES}
         for _ in range(config.t0, config.te):
             state, events = step_year(state, params, config, seed_k,

@@ -520,19 +520,48 @@ def _format_age(a: int, open_age: int | None) -> str:
     return f"{a}+" if a == open_age else str(a)
 
 
+# rows per write call: a few calls per table, each string about 100 kB;
+# one string per 64k rows (over 1 MB) wrote slower and raised peak RSS
+_CHUNK_ROWS = 1 << 12
+
+
 def write_csv(table: CensusTable, path: str) -> None:
+    """Write a table in the canonical CSV form.
+
+    Census tables repeat few values, so each distinct value is formatted
+    once, and each distinct ``year,region,sex,`` prefix and ``age,value``
+    tail (``region2,value`` for od tables) is built once.  Rows sharing a
+    prefix are consecutive in key order, and each such run is one join of
+    its tails.  After the header the rows go out in chunks of at least
+    _CHUNK_ROWS rows (the last one shorter), so no string holds the whole
+    file.
+    """
     res = table.resolution
     header = _HEADER_OD if res.od else _HEADER
     e = table._entries()
     years, codes, sexes, lasts = e.axes
+    yi, ri, si, li = e.index
     lasts = lasts if res.od else [_format_age(a, res.open_age) for a in lasts]
-    tokens = ([str(y) for y in years], codes, sexes, lasts)
+    distinct, vi = np.unique(table.values, return_inverse=True)
+    nv = len(distinct)
+    tokens = list(map(_format_value, distinct.tolist()))
+    tail_ids, ti = np.unique(li * nv + vi, return_inverse=True)
+    tails = [f"{lasts[t // nv]},{tokens[t % nv]}\n" for t in tail_ids.tolist()]
+    n = len(ti)
+    starts = np.flatnonzero(np.diff((yi * len(codes) + ri) * 3 + si,
+                                    prepend=-1)).tolist()
     with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for y, r, s, last, v in zip(*(map(tok.__getitem__, ix.tolist())
-                                      for tok, ix in zip(tokens, e.index)),
-                                    table.values.tolist()):
-            fh.write(f"{y},{r},{s},{last},{_format_value(v)}\n")
+        chunk, first = [], 0
+        for a, b, y, r, s in zip(starts, starts[1:] + [n],
+                                 yi[starts].tolist(), ri[starts].tolist(),
+                                 si[starts].tolist()):
+            prefix = f"{years[y]},{codes[r]},{sexes[s]},"
+            chunk.append(prefix + prefix.join(map(tails.__getitem__,
+                                                  ti[a:b].tolist())))
+            if b - first >= _CHUNK_ROWS or b == n:
+                fh.write("".join(chunk))
+                chunk, first = [], b
 
 
 def _parse_age_token(tok: str) -> tuple[int, bool]:

@@ -327,3 +327,132 @@ def test_values_survive_the_round_trip_exactly(tmp_path):
     path = str(tmp_path / "t.csv")
     write_csv(t, path)
     assert read_csv(path, resolution=res) == t
+
+
+# writer edge cases: distinct values, awkward floats, every table shape and
+# bodies of several write chunks
+
+EDGE_VALUES = (1e16, 0.1 + 0.2, 5e-324, 1e300, 2.0 ** 53, 2.0 ** 53 + 2,
+               1e15 + 0.5, 1e-5, 1 / 3, 7.0)
+MUNICIPALITIES = tuple(f"{d}{m:02d}" for d in (101, 102, 201, 202, 301)
+                       for m in range(1, 19))
+
+
+def _assert_writes_match(tmp_path, t):
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    write_csv(t, str(ours))
+    ref_write_csv(t, str(theirs))
+    assert ours.read_bytes() == theirs.read_bytes()
+    return ours.read_bytes()
+
+
+def _edge_table(kind, rng):
+    ages = tuple(range(0, 101, 5))
+    if kind == "od":
+        res = ResolutionSpec((2000, 2001), "districts", od=True)
+        keys = [(y, r, s, r2) for y in (2000, 2001) for r in CODES["districts"]
+                for s in SEXES for r2 in CODES["districts"]]
+    elif kind == "sexless":
+        res = ResolutionSpec((2000, 2001), "districts", sexes=(), ages=ages,
+                             open_age=None)
+        keys = [(y, r, NO_SEX, a) for y in (2000, 2001)
+                for r in CODES["districts"] for a in ages]
+    else:
+        res = ResolutionSpec((2000, 2001), "districts", ages=ages,
+                             open_age=100 if kind == "open age" else None)
+        keys = [(y, r, s, a) for y in (2000, 2001) for r in CODES["districts"]
+                for s in SEXES for a in ages]
+    if kind == "distinct":
+        values = rng.permutation(len(keys)) + rng.random(len(keys))
+    else:
+        values = [EDGE_VALUES[i] for i in rng.integers(len(EDGE_VALUES),
+                                                       size=len(keys))]
+    return CensusTable(res, dict(zip(keys, map(float, values))))
+
+
+@pytest.mark.parametrize("kind", ["distinct", "edge values", "od", "open age",
+                                  "sexless"])
+def test_writer_edge_tables_match_the_reference(tmp_path, kind):
+    t = _edge_table(kind, np.random.default_rng(len(kind)))
+    _assert_writes_match(tmp_path, t)
+    if kind == "distinct":
+        assert len(set(t.values.tolist())) == len(t)
+    assert read_csv(str(tmp_path / "ours.csv"), resolution=t.resolution) == t
+
+
+def test_edge_values_are_written_as_the_reference_does(tmp_path):
+    text = _assert_writes_match(tmp_path, _edge_table(
+        "edge values", np.random.default_rng(0))).decode()
+    for token in ("10000000000000000", "0.30000000000000004", "5e-324",
+                  str(int(1e300)), "1000000000000000.5"):
+        assert f",{token}\n" in text
+
+
+@pytest.mark.parametrize("od", [False, True])
+def test_empty_tables_write_the_header_only(tmp_path, od):
+    res = (ResolutionSpec((2000, 2000), "districts", od=True) if od else
+           ResolutionSpec((2000, 2000), "districts", ages=(0, 5), open_age=5))
+    text = _assert_writes_match(tmp_path, CensusTable(res, {}))
+    assert text == ((",".join(_HEADER_OD if od else _HEADER)) + "\n").encode()
+
+
+def _counting_writes(monkeypatch):
+    import contextlib
+
+    import censim.table as table_mod
+
+    writes = []
+
+    class Counting:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(text)
+            return self.fh.write(text)
+
+    real_open = table_mod.atomic_open
+
+    @contextlib.contextmanager
+    def counting_open(*args, **kwargs):
+        with real_open(*args, **kwargs) as fh:
+            yield Counting(fh)
+
+    monkeypatch.setattr(table_mod, "atomic_open", counting_open)
+    return writes
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 100])
+def test_small_chunks_write_the_same_bytes(tmp_path, monkeypatch, chunk):
+    import censim.table as table_mod
+
+    t = _edge_table("od", np.random.default_rng(chunk))
+    monkeypatch.setattr(table_mod, "_CHUNK_ROWS", chunk)
+    writes = _counting_writes(monkeypatch)
+    _assert_writes_match(tmp_path, t)
+    # one write for the header, then one per chunk of at least `chunk` rows
+    # (the last one shorter), each ending on a whole run of one prefix
+    rows = [w.count("\n") for w in writes[1:]]
+    assert sum(rows) == len(t)
+    assert all(r >= chunk for r in rows[:-1])
+    assert all(r < chunk + len(CODES["districts"]) for r in rows)
+
+
+def test_a_table_larger_than_one_chunk(tmp_path, monkeypatch):
+    from censim.table import _CHUNK_ROWS
+
+    rng = np.random.default_rng(1)
+    ages = tuple(range(101))
+    res = ResolutionSpec((2000, 2001), "municipalities", ages=ages,
+                         open_age=100)
+    grid = rng.integers(0, 60, size=(2, len(MUNICIPALITIES), 2, 101))
+    t = CensusTable(res, {(2000 + y, MUNICIPALITIES[r], SEXES[s], a): float(v)
+                          for (y, r, s, a), v in np.ndenumerate(grid)},
+                    integer=True)
+    assert len(t) > 2 * _CHUNK_ROWS
+    writes = _counting_writes(monkeypatch)
+    _assert_writes_match(tmp_path, t)
+    rows = [w.count("\n") for w in writes[1:]]
+    assert len(rows) > 2 and sum(rows) == len(t)
+    assert all(_CHUNK_ROWS <= r < _CHUNK_ROWS + len(ages) for r in rows[:-1])
+    assert rows[-1] < _CHUNK_ROWS + len(ages)

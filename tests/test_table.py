@@ -182,30 +182,47 @@ def test_csv_roundtrip_is_bit_exact(tmp_path):
 
 
 def test_write_csv_failing_partway_keeps_the_previous_file(tmp_path, monkeypatch):
+    import contextlib
+
     import censim.table as table_mod
 
     res = ResolutionSpec((2020, 2020), "districts", ages=(0,), open_age=None)
     path = tmp_path / "t.csv"
     write_csv(CensusTable(res, {(2020, "101", "m", 0): 5}), str(path))
     before = path.read_bytes()
-    calls = []
+    writes = []
 
-    def failing(v):
-        calls.append(v)
-        if len(calls) == 2:
-            raise OSError("disk full")
-        return str(v)
+    class FailingHandle:
+        """The real file handle, whose second write raises."""
 
-    monkeypatch.setattr(table_mod, "_format_value", failing)
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            writes.append(text)
+            if len(writes) == 2:
+                raise OSError("disk full")
+            return self.fh.write(text)
+
+    real_open = table_mod.atomic_open
+
+    @contextlib.contextmanager
+    def failing_open(*args, **kwargs):
+        with real_open(*args, **kwargs) as fh:
+            yield FailingHandle(fh)
+
+    monkeypatch.setattr(table_mod, "atomic_open", failing_open)
     bigger = CensusTable(res, {(2020, c, "m", 0): 1 for c in ("101", "102", "103")})
     with pytest.raises(OSError, match="disk full"):
         write_csv(bigger, str(path))
-    assert len(calls) == 2
+    # the header went through, the body did not
+    assert writes == ["year,region,sex,age,value\n",
+                      "2020,101,m,0,1\n2020,102,m,0,1\n2020,103,m,0,1\n"]
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
     # a failed first write leaves no file at all
     with pytest.raises(OSError):
-        calls.clear()
+        writes.clear()
         write_csv(bigger, str(tmp_path / "new.csv"))
     assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
