@@ -18,25 +18,34 @@ Representation, on divisor methods).  The kernel finds them without the
 loop: a threshold t estimated from the divisor sum(p)/(awards + x) gives
 each cell's count above it from the closed form p/t + 1/2, corrected by the
 float priorities at the boundary, and a Newton step on t follows while too
-many awards stay in doubt.  Those left, a window of a few thousand (or one
-per cell at a tie), are ranked with one partition; a call whose cells' next
-x awards already fit in that window ranks them all without a threshold.
+many awards stay in doubt.  Those left, a window of a few thousand per
+call (or one per cell at a tie), are sorted by priority; a call whose
+cells' next x awards already fit in that window ranks them all without a
+threshold.
+
+The kernel splits many fibers in one call.  A fiber is a run of cells with
+its own x, thresholds and counts; the open fibers are probed together, and
+the window's awards are sorted by priority fiber by fiber, equal
+priorities at a fiber's cut going to the larger weight, then the earlier
+award.  huntington_hill is the call with one fiber.
 
 For integer weights, k*sum(p) awards are handed out as k*p up front and the
 selection starts from that state; in particular x = k*sum(p) returns k*p
 exactly.  Without that prefill, the split of x is a prefix of the split of
 x + 1, which huntington_hill_splits uses to read many splits off one award
-sequence.
+sequence; for integer weights it splits each x as a fiber of one call.
 
-disaggregate_table applies either method fiber by fiber: each coarse source
-cell is split over the finer keys of the target resolution that aggregate
-back onto it, weighted by a distribution table.  The distribution may be
-coarser than the target along any dimension; each fine key is projected
-onto the distribution's resolution to find its weight (region to the
-distribution's level, age to the containing distribution class, sex dropped
-when the distribution is sexless, year matched directly or broadcast from a
-single-year distribution).  key_dims names the dimensions along which the
-distribution follows the source's own indexing rather than refining it.
+disaggregate_table splits each coarse source cell over its fiber, the finer
+keys of the target resolution that aggregate back onto it, weighted by a
+distribution table.  The distribution may be coarser than the target along
+any dimension; each fine key is projected onto the distribution's
+resolution to find its weight (region to the distribution's level, age to
+the containing distribution class, sex dropped when the distribution is
+sexless, year matched directly or broadcast from a single-year
+distribution).  key_dims names the dimensions along which the distribution
+follows the source's own indexing rather than refining it.  All fibers of a
+table are built at once as index arrays, their weights read with one index
+into the distribution's grid, and split in one kernel call.
 """
 
 from __future__ import annotations
@@ -47,20 +56,20 @@ import numpy as np
 
 from .errors import DataError
 from .regions import RegionManifest, coarser_or_equal, parent_region
-from .table import CensusTable, ResolutionSpec
+from .table import NO_SEX, CensusTable, Entries, ResolutionSpec
 
 _METHODS = ("proportional", "huntington_hill")
 
 
-def _check_weights(p) -> list[float]:
-    p = [float(v) for v in p]
-    if not p:
+def _check_weights(p) -> np.ndarray:
+    p = np.fromiter(map(float, p), float)
+    if not p.size:
         raise DataError("empty weight vector")
-    for v in p:
-        if not math.isfinite(v) or v < 0:
-            raise DataError(f"negative or non-finite weight {v}")
+    bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0)))
+    if bad.size:
+        raise DataError(f"negative or non-finite weight {p[bad[0]].item()}")
     try:
-        total = math.fsum(p)
+        total = math.fsum(p.tolist())
     except OverflowError:
         raise DataError("weights sum overflows a float") from None
     if total <= 0:
@@ -73,7 +82,7 @@ def proportional_disaggregate(x: float, p) -> list[float]:
     x = float(x)
     if not math.isfinite(x) or x < 0:
         raise DataError(f"cannot disaggregate {x}")
-    p = _check_weights(p)
+    p = _check_weights(p).tolist()
     total = math.fsum(p)
     return [v * x / total for v in p]
 
@@ -90,22 +99,25 @@ def _priorities(p: np.ndarray, k: np.ndarray) -> np.ndarray:
     return p / np.sqrt(np.where(k > 0, kf * (kf + 1.0), 1.0))
 
 
-def _counts_above(t: float, p: np.ndarray, w: np.ndarray, x: int) -> np.ndarray:
-    """How many of each cell's next x awards have a priority above t."""
+def _starts(fiber: np.ndarray, n_fibers: int) -> np.ndarray:
+    """Each fiber's first cell; cells come fiber by fiber and no fiber is empty."""
+    return np.searchsorted(fiber, np.arange(n_fibers))
+
+
+def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """How many of each cell's next x awards have a priority above t (t and x
+    given per cell)."""
     n = len(p)
-    if t > 0:
-        # about p/t + 1/2 awards of a cell lie above t; test the estimate
-        # and its two neighbours against the float priorities themselves
-        q = np.divide(p, t, out=np.full(n, np.inf), where=p * 2.0 ** -900 < t)
-        est = np.clip(np.floor(q + 0.5) - w, 0, x).astype(np.int64)
-        idx = est[:, None] + np.arange(-1, 2)
-        hits = _priorities(p[:, None], w[:, None] + idx) > t
-        hits = np.where(idx < 0, True, np.where(idx >= x, False, hits)).sum(1)
-        a = np.where(hits == 0, 0, est - 1 + hits)
-        b = np.where(hits == 3, x, est - 1 + hits)
-    else:
-        a = np.zeros(n, dtype=np.int64)
-        b = np.full(n, x, dtype=np.int64)
+    # about p/t + 1/2 awards of a cell lie above t > 0; test the estimate and
+    # its two neighbours against the float priorities themselves
+    q = np.divide(p, t, out=np.full(n, np.inf), where=p * 2.0 ** -900 < t)
+    est = np.clip(np.floor(q + 0.5) - w, 0, x).astype(np.int64)
+    idx = est[:, None] + np.arange(-1, 2)
+    hits = _priorities(p[:, None], w[:, None] + idx) > t[:, None]
+    hits = np.where(idx < 0, True, np.where(idx >= x[:, None], False, hits)).sum(1)
+    a = np.where((t > 0) & (hits > 0), est - 1 + hits, 0)
+    b = np.where((t > 0) & (hits < 3), est - 1 + hits, x)
     # bisect where the estimate missed: the answer lies in [a, b]
     while True:
         open_ = a < b
@@ -117,82 +129,114 @@ def _counts_above(t: float, p: np.ndarray, w: np.ndarray, x: int) -> np.ndarray:
         b = np.where(open_ & ~above, mid, b)
 
 
-def _take_top(m: int, p: np.ndarray, w: np.ndarray, cell: np.ndarray,
-              k: np.ndarray) -> np.ndarray:
-    """Per-cell counts of the m first awards among candidates (cell, k).
+def _window(x: np.ndarray, p: np.ndarray, w: np.ndarray, fiber: np.ndarray,
+            start: np.ndarray) -> tuple:
+    """Per-cell bounds lo <= awards <= hi, from thresholds on each fiber's
+    priorities.
 
-    Candidates come cell by cell with k rising, their order among equal
-    priorities of equal weights.
-    """
-    n = len(p)
-    if m == 0:
-        return np.zeros(n, dtype=np.int64)
-    pr = _priorities(p[cell], w[cell] + k)
-    cut = np.partition(pr, len(pr) - m)[len(pr) - m]     # the m-th largest
-    above = pr > cut
-    ties = np.flatnonzero(pr == cut)
-    need = m - np.count_nonzero(above)
-    if len(ties) > need:
-        # equal priorities go to the larger weight, then the earlier candidate
-        ties = ties[np.argsort(-p[cell[ties]], kind="stable")[:need]]
-    return (np.bincount(cell[above], minlength=n)
-            + np.bincount(cell[ties], minlength=n))
-
-
-def _window(x: int, p: np.ndarray, w: np.ndarray) -> tuple:
-    """Per-cell bounds lo <= awards <= hi, from thresholds on the priorities.
-
-    The bounds start at 0 and x, which small calls keep.  Each probe t
-    counts the awards above t; with s of them, s <= x puts all of them in
-    and leaves at most x - s more per cell, s >= x keeps every award at or
-    below t out and drops at most s - x of those above it.
+    The bounds start at 0 and x, which small calls keep.  Each probe t counts
+    a fiber's awards above t; with s of them, s <= x puts all of them in and
+    leaves at most x - s more per cell, s >= x keeps every award at or below
+    t out and drops at most s - x of those above it.  The fibers still open
+    are probed together, each at its own t.
     """
     n = len(p)
     lo = np.zeros(n, dtype=np.int64)
-    hi = np.full(n, x, dtype=np.int64)
-    total = float(p.sum())
-    t_lo, t_hi = 0.0, float(p.max())
-    t = min(total / (int(w.sum()) + x), t_hi)
+    hi = x[fiber]
+    size = np.diff(np.append(start, n))
+    # a fiber is open while its window holds more than one award per cell
+    todo = x > 1
+    if (x * size).sum() <= max(_WINDOW, n) or not todo.any():
+        return lo, hi
+    total = np.bincount(fiber, p, len(x))
+    top = np.maximum.reduceat(p, start)
+    t_lo, t_hi = np.zeros(len(x)), top.copy()
+    t = np.minimum(total / (np.add.reduceat(w, start) + np.maximum(x, 1)), t_hi)
     for _ in range(_MAX_PROBES):
-        if int((hi - lo).sum()) <= max(_WINDOW, n):
-            break
-        c = _counts_above(t, p, w, x)
-        s = int(c.sum())
-        if t == 0 and s < x:
+        f = np.flatnonzero(todo)
+        at = np.flatnonzero(todo[fiber])
+        rel = np.repeat(np.arange(len(f)), size[f])
+        tf, xf = t[f], x[f]
+        c = _counts_above(tf[rel], p[at], w[at], xf[rel])
+        gap = xf - np.add.reduceat(c, np.cumsum(size[f]) - size[f])
+        under = (tf == 0) & (gap > 0)
+        if under.any():
             # the rest have priority 0 (underflow): the largest weight, first
             # of equals, wins every one of them
-            c[np.argmax(p)] += x - s
-            return c, c
-        if s <= x:
-            lo = np.maximum(lo, c)
-            hi = np.minimum(hi, c + (x - s))
-            t_hi = t
-        if s >= x:
-            lo = np.maximum(lo, c - (s - x))
-            hi = np.minimum(hi, c)
-            t_lo = t
-        # Newton step on s(t) ~ total/t, else bisect the bracket
-        den = 1.0 + (x - s) * (t / total)
-        t_next = t / den if den > 0 else -1.0
-        if not t_lo < t_next < t_hi:
-            t_next = math.sqrt(t_lo) * math.sqrt(t_hi) if t_lo > 0 else t_hi / 2
-        if not t_lo < t_next < t_hi:
-            if t_lo > 0 or t == 0:
-                break
-            t_next = 0.0
-        t = t_next
+            tops = np.flatnonzero(p[at] == top[f][rel])
+            c[tops[np.searchsorted(rel[tops], np.flatnonzero(under))]] += gap[under]
+            gap[under] = 0
+        lo[at] = np.maximum(lo[at], c + np.minimum(gap, 0)[rel])
+        hi[at] = np.minimum(hi[at], c + np.maximum(gap, 0)[rel])
+        t_hi[f] = b = np.where(gap >= 0, tf, t_hi[f])
+        t_lo[f] = a = np.where(gap <= 0, tf, t_lo[f])
+        # Newton step on s(t) ~ total/t, else bisect the bracket; a bracket
+        # with nothing left inside closes the fiber, unless t = 0 is untried
+        den = 1.0 + gap * (tf / total[f])
+        t_next = np.divide(tf, den, out=np.full(len(f), -1.0), where=den > 0)
+        inside = (a < t_next) & (t_next < b)
+        t_next = np.where(inside, t_next,
+                          np.where(a > 0, np.sqrt(a) * np.sqrt(b), b / 2))
+        inside = (a < t_next) & (t_next < b)
+        todo[f] = inside | ((a == 0) & (tf != 0))
+        t[f] = np.where(inside, t_next, 0.0)
+        width = np.add.reduceat(hi - lo, start)
+        todo &= width > size
+        if width.sum() <= max(_WINDOW, n) or not todo.any():
+            break
     return lo, hi
 
 
-def _award(x: int, p: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Awards per cell of the x top priorities after start counts w."""
-    if x == 0:
-        return np.zeros(len(p), dtype=np.int64)
-    lo, hi = _window(x, p, w)
+def _award(x: np.ndarray, p: np.ndarray, w: np.ndarray,
+           fiber: np.ndarray) -> np.ndarray:
+    """Awards per cell of each fiber f's x[f] top priorities after start
+    counts w."""
+    start = _starts(fiber, len(x))
+    lo, hi = _window(x, p, w, fiber, start)
     length = hi - lo
     cell = np.repeat(np.arange(len(p)), length)
     k = lo[cell] + np.arange(len(cell)) - (np.cumsum(length) - length)[cell]
-    return lo + _take_top(x - int(lo.sum()), p, w, cell, k)
+    f = fiber[cell]
+    pr = _priorities(p[cell], w[cell] + k)
+    # each fiber's candidates by larger priority, fiber by fiber; fiber f's
+    # cut is the priority of its left[f]-th best
+    order = np.argsort(-pr)
+    order = order[np.argsort(f[order], kind="stable")]
+    count = np.add.reduceat(length, start)
+    left = x - np.add.reduceat(lo, start)
+    cut = np.full(len(x), np.inf)
+    cut[left > 0] = pr[order[(np.cumsum(count) - count + left - 1)[left > 0]]]
+    above = pr > cut[f]
+    # equal priorities at the cut go to the larger weight, then to the
+    # earlier candidate (lower cell, earlier award)
+    tie = np.flatnonzero(pr == cut[f])
+    tie = tie[np.lexsort((-p[cell[tie]], f[tie]))]
+    need = left - np.bincount(f[above], minlength=len(x))
+    ties = np.bincount(f[tie], minlength=len(x))
+    won = tie[np.arange(len(tie)) - (np.cumsum(ties) - ties)[f[tie]] < need[f[tie]]]
+    return lo + np.bincount(cell[above], minlength=len(p)) \
+        + np.bincount(cell[won], minlength=len(p))
+
+
+def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+    """Huntington-Hill split of x[f] over the cells of each fiber f.
+
+    Cells come fiber by fiber, and the callers have checked each fiber's
+    weights.  A fiber of integer weights whose sum fits k >= 1 times into x
+    gets k*p first.
+    """
+    start = _starts(fiber, len(x))
+    w = np.zeros(len(p), dtype=np.int64)
+    whole = np.logical_and.reduceat(p == np.floor(p), start)
+    due = whole & (np.bincount(fiber, p, len(x)) <= x)
+    if due.any():
+        # an integer weight here is at most x, so it fits an int64
+        units = np.where(due[fiber], p, 0.0).astype(np.int64)
+        total = np.add.reduceat(units, start)
+        k = np.where(due, x // np.maximum(total, 1), 0)
+        x = x - k * total
+        w = k[fiber] * units
+    return w + _award(x, p, w, fiber)
 
 
 def huntington_hill(x: int, p) -> list[int]:
@@ -200,16 +244,9 @@ def huntington_hill(x: int, p) -> list[int]:
     xf = float(x)
     if not xf.is_integer() or xf < 0:
         raise DataError(f"cannot split {x!r} into integer parts")
-    x = int(xf)
-    p = np.asarray(_check_weights(p), dtype=float)
-    w = np.zeros(len(p), dtype=np.int64)
-    if all(v.is_integer() for v in p.tolist()):
-        total = int(p.sum())
-        k, x = divmod(x, total)
-        if k:
-            w += k * p.astype(np.int64)
-    w += _award(x, p, w)
-    return w.tolist()
+    p = _check_weights(p)
+    return _apportion(np.array([int(xf)], dtype=np.int64), p,
+                      np.zeros(len(p), dtype=np.int64)).tolist()
 
 
 def huntington_hill_splits(xs, p) -> np.ndarray:
@@ -223,24 +260,31 @@ def huntington_hill_splits(xs, p) -> np.ndarray:
     if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0):
         raise DataError("splits need non-negative integer totals")
     xs = xs.astype(np.int64)
-    weights = _check_weights(p)
-    n = len(weights)
-    if all(v.is_integer() for v in weights):
-        # the prefill makes these splits no prefixes of one sequence
-        flat = [huntington_hill(int(x), weights) for x in xs.ravel()]
-        return np.array(flat, dtype=np.int64).reshape(xs.shape + (n,))
-    p = np.asarray(weights)
+    p = _check_weights(p)
+    n = len(p)
+    if np.all(p == np.floor(p)):
+        # the prefill makes these splits no prefixes of one sequence: each x
+        # is a fiber of its own over the same weights
+        flat = xs.ravel()
+        counts = _apportion(flat, np.tile(p, len(flat)),
+                            np.repeat(np.arange(len(flat)), n))
+        return counts.reshape(xs.shape + (n,))
     top = int(xs.max(initial=0))
-    counts = _award(top, p, np.zeros(n, dtype=np.int64))
-    # the awards cell by cell, and their places in the award sequence
-    cell = np.repeat(np.arange(n), counts)
-    first = np.cumsum(counts) - counts
-    k = np.arange(top) - first[cell]
-    seq = np.lexsort((np.arange(top), -p[cell], -_priorities(p[cell], k)))
-    place = np.empty(top, dtype=np.int64)
+    zeros = np.zeros(n, dtype=np.int64)
+    _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])
+    # every award below the window's upper bounds, cell by cell; ranked (the
+    # sort is stable), the first top of them are the award sequence
+    cell = np.repeat(np.arange(n), hi)
+    k = np.arange(len(cell)) - (np.cumsum(hi) - hi)[cell]
+    seq = np.lexsort((-p[cell], -_priorities(p[cell], k)))[:top]
+    place = np.empty(len(cell), dtype=np.int64)
     place[seq] = np.arange(top)
-    key = cell * (top + 1) + place
-    return np.searchsorted(key, np.arange(n) * (top + 1) + xs[..., None]) - first
+    # the sequence's awards cell by cell, keyed by cell and place
+    won = np.sort(seq)
+    counts = np.bincount(cell[won], minlength=n)
+    key = cell[won] * (top + 1) + place[won]
+    return np.searchsorted(key, np.arange(n) * (top + 1) + xs[..., None]) \
+        - (np.cumsum(counts) - counts)
 
 
 def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
@@ -280,80 +324,99 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
     if "age" in key_dims and dist.ages == (0,) and dist.open_age == 0:
         raise DataError("key dimension age needs a distribution with an age axis")
 
-    # region fibers: fine codes under each coarse code
-    refine_regions = target.level != src.level
-    fine_by_coarse: dict[str, tuple[str, ...]] = {}
-    if refine_regions:
-        if regions is not None and regions.has_level(target.level):
-            def fiber_regions(r):
-                if r not in fine_by_coarse:
-                    fine_by_coarse[r] = regions.descendants(r, src.level, target.level)
-                return fine_by_coarse[r]
-        elif dist.level == target.level:
-            groups: dict[str, list[str]] = {}
-            for code in distribution.codes:
-                groups.setdefault(parent_region(code, target.level, src.level), []).append(code)
-            fine_by_coarse = {r: tuple(sorted(cs)) for r, cs in groups.items()}
-
-            def fiber_regions(r):
-                return fine_by_coarse.get(r, ())
-        else:
-            raise DataError(
-                "refining the region axis beyond the distribution's level needs "
-                "a region manifest")
-
-    # age fibers and weight projections
+    # region fibers: the fine codes under each source code, in split order
+    if target.level == src.level:
+        fine = {r: (r,) for r in source.codes}
+    elif regions is not None and regions.has_level(target.level):
+        fine = {r: regions.descendants(r, src.level, target.level)
+                for r in source.codes}
+    elif dist.level == target.level:
+        groups: dict[str, list[str]] = {}
+        for code in distribution.codes:
+            groups.setdefault(parent_region(code, target.level, src.level), []).append(code)
+        fine = {r: tuple(sorted(groups.get(r, ()))) for r in source.codes}
+    else:
+        raise DataError(
+            "refining the region axis beyond the distribution's level needs "
+            "a region manifest")
     to_source_class = target.classes_onto(src, "target")
-    ages_by_coarse: dict[int, list[int]] = {}
-    for fine_age, coarse_age in to_source_class.items():
-        ages_by_coarse.setdefault(coarse_age, []).append(fine_age)
     to_dist_class = target.classes_onto(dist, "distribution")
 
-    # the distribution read once onto its own grid, as nested lists
-    weight = distribution.grid(dist.year_list(), distribution.codes,
-                               dist.sex_domain, dist.ages).tolist()
-    at_code = {c: i for i, c in enumerate(distribution.codes)}
-    at_sex = {s: i for i, s in enumerate(dist.sexes)}
-    at_age = {a: i for i, a in enumerate(dist.ages)}
-    region_to_dist: dict[str, int | None] = {}
+    # every fiber as index arrays: source entry i covers its fine regions x
+    # sexes x fine ages, in that nesting, each axis in split order
+    e = source._entries()
+    years, _, sex_axis, _ = e.axes
+    yi, ri, si, ai = e.index
+    x = e.values
+    codes = [c for r in source.codes for c in fine[r]]
+    n_codes = np.array([len(fine[r]) for r in source.codes], dtype=np.int64)
+    sexes = [sex_axis.index(s) for s in target.sex_domain]
+    n_sexes = 1 if src.sexes else len(sexes)
+    n_ages = np.bincount([to_source_class[a] for a in target.ages],
+                         minlength=src.ages[-1] + 1)
+    size = n_codes[ri] * n_sexes * n_ages[ai]
+    fib = np.repeat(np.arange(len(x)), size)
+    j = np.arange(len(fib)) - (np.cumsum(size) - size)[fib]
+    j, age_at = np.divmod(j, n_ages[ai][fib])
+    code_at, sex_at = np.divmod(j, n_sexes)
+    region = (np.cumsum(n_codes) - n_codes)[ri][fib] + code_at
+    sex = si[fib] if src.sexes else np.array(sexes, dtype=np.int64)[sex_at]
+    age = np.array(target.ages)[(np.cumsum(n_ages) - n_ages)[ai][fib] + age_at]
 
-    def dist_weight(y, r, s, a):
-        if dist.years[0] <= y <= dist.years[1]:
-            py = y
-        elif single_year:
-            py = dist.years[0]
-        else:
-            raise DataError(f"distribution covers no year usable for {y}")
-        if r not in region_to_dist:
-            region_to_dist[r] = at_code.get(parent_region(r, target.level, dist.level))
-        pr = region_to_dist[r]
-        ps = at_sex.get(s) if dist.sexes else 0
-        if pr is None or ps is None:
-            return 0.0
-        return weight[py - dist.years[0]][pr][ps][at_age[to_dist_class[a]]]
+    # weights: each fine key projected onto the distribution's grid, where
+    # codes and sexes the distribution lacks read 0
+    parents = [parent_region(c, target.level, dist.level) for c in codes]
+    on_grid = sorted(set(parents))
+    code_on = np.searchsorted(on_grid, parents)
+    sex_on = (np.arange(len(sex_axis)) if dist.sexes
+              else np.full(len(sex_axis), sex_axis.index(NO_SEX)))
+    age_on = np.zeros(target.ages[-1] + 1, dtype=np.int64)
+    age_on[list(target.ages)] = [dist.ages.index(to_dist_class[a]) for a in target.ages]
+    year_on = (yi + (src.years[0] - dist.years[0]) if "year" in key_dims
+               else np.zeros_like(yi))
+    grid = distribution.grid(dist.year_list(), on_grid, sex_axis, dist.ages)
+    weight = grid[year_on[fib], code_on[region], sex_on[sex], age_on[age]]
+    positive = np.bincount(fib, weight > 0, len(x)) > 0
+    if uniform_fallback:
+        weight[~positive[fib]] = 1.0
 
-    out: dict[tuple, float] = {}
+    # each fiber's weight sum as math.fsum gives it, inf where that
+    # overflows: all of them for the proportional shares, else those whose
+    # float sum leaves too little headroom to rule an overflow out
     hh = method == "huntington_hill"
-    for (y, r, s, a), x in source.items():
-        if hh and not float(x).is_integer():
-            raise DataError(f"{source.name}: non-integer value {x} at {(y, r, s, a)}")
-        fiber = [
-            (y, fr, fs, fa)
-            for fr in (fiber_regions(r) if refine_regions else (r,))
-            for fs in (target.sex_domain if not src.sexes else (s,))
-            for fa in ages_by_coarse.get(a, ())
-        ]
-        if not fiber:
-            raise DataError(f"{source.name}: no target keys under cell {(y, r, s, a)}")
-        weights = [dist_weight(*key) for key in fiber]
-        if not any(weights):
-            if not uniform_fallback:
-                raise DataError(
-                    f"{source.name}: all-zero distribution under cell {(y, r, s, a)}")
-            weights = [1.0] * len(fiber)
-        shares = huntington_hill(int(x), weights) if hh else \
-            proportional_disaggregate(x, weights)
-        for key, share in zip(fiber, shares):
-            if share:
-                out[key] = float(share)
-    return CensusTable(target, out, integer=hh, name=source.name)
+    total = np.bincount(fib, weight, len(x))
+    bounds = np.cumsum(size).tolist()
+    for i in (np.flatnonzero(total >= 1e307) if hh else range(len(x))):
+        try:
+            total[i] = math.fsum(weight[bounds[i] - size[i]:bounds[i]].tolist())
+        except OverflowError:
+            total[i] = math.inf
+
+    # the first failing source cell in key order names its first failure
+    bad = (hh & (x != np.floor(x)), size == 0,
+           ~positive & (not uniform_fallback), total == math.inf)
+    failing = np.flatnonzero(np.logical_or.reduce(bad))
+    if failing.size:
+        i = failing[0]
+        key = (years[yi[i]], source.codes[ri[i]], sex_axis[si[i]], int(ai[i]))
+        if bad[0][i]:
+            raise DataError(f"{source.name}: non-integer value {x[i].item()} at {key}")
+        if bad[1][i]:
+            raise DataError(f"{source.name}: no target keys under cell {key}")
+        if bad[2][i]:
+            raise DataError(f"{source.name}: all-zero distribution under cell {key}")
+        raise DataError("weights sum overflows a float")
+
+    if hh:
+        # int64 counts: a value past 2**63 raises OverflowError
+        share = _apportion(np.fromiter(map(int, x.tolist()), np.int64, len(x)),
+                           weight, fib).astype(float)
+    else:
+        # a share past the float range reads inf, which the table rejects
+        with np.errstate(over="ignore"):
+            share = weight * x[fib] / total[fib]
+    kept = np.flatnonzero(share)
+    return CensusTable(target, Entries(
+        (years, codes, sex_axis, range(target.ages[-1] + 1)),
+        (yi[fib[kept]], region[kept], sex[kept], age[kept]),
+        share[kept]), integer=hh, name=source.name)

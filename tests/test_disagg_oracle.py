@@ -1,11 +1,17 @@
 """Differential tests: the threshold-selection Huntington-Hill kernel against
-the award loop it replaced.
+the award loop it replaced, and the array disaggregate_table against the
+fiber-by-fiber loop it replaced.
 
 The loop below is the reference: each award goes to the largest priority
 p/sqrt(w(w+1)) (p itself before a cell's first award), ties to the larger
 weight, then the lower index.  The kernel must return the same split bit for
-bit, at the default window and with the window forced to zero, which makes
-the threshold search probe until at most one award per cell is in doubt.
+bit, one fiber per call or many fibers in one call, at the default window
+and with the window forced to zero, which makes the threshold search probe
+until at most one award per cell is in doubt.
+
+reference_disaggregate_table is the table path as it was before the fibers
+became index arrays, kept verbatim and run on the reference splits above.
+The array version must return equal tables and raise equal messages.
 """
 
 import math
@@ -15,9 +21,12 @@ import numpy as np
 import pytest
 
 from censim import disagg
-from censim.disagg import _check_weights, huntington_hill, huntington_hill_splits
+from censim.disagg import (_apportion, disaggregate_table, huntington_hill,
+                           huntington_hill_splits)
 from censim.errors import DataError
+from censim.regions import RegionManifest, coarser_or_equal, parent_region
 from censim.synthgen import SynthSpec, _kernel
+from censim.table import SEXES, CensusTable, ResolutionSpec
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -31,6 +40,22 @@ def _draw_loop(x: int, p: np.ndarray, w: np.ndarray) -> None:
         j = top[0] if top.size == 1 else top[np.argmax(p[top])]
         w[j] += 1
         v[j] = p[j] / math.sqrt(w[j] * (w[j] + 1.0))
+
+
+def _check_weights(p) -> list[float]:
+    p = [float(v) for v in p]
+    if not p:
+        raise DataError("empty weight vector")
+    for v in p:
+        if not math.isfinite(v) or v < 0:
+            raise DataError(f"negative or non-finite weight {v}")
+    try:
+        total = math.fsum(p)
+    except OverflowError:
+        raise DataError("weights sum overflows a float") from None
+    if total <= 0:
+        raise DataError("weights sum to zero")
+    return p
 
 
 def reference_huntington_hill(x: int, p) -> list[int]:
@@ -79,17 +104,19 @@ def test_random_weights_match_the_award_loop(monkeypatch, kind):
     _check(monkeypatch, cases)
 
 
+# weights equal to the float priority of another weight's award k, so
+# priorities of different weights tie exactly and the weight decides
+ECHOES = [p / math.sqrt(k * (k + 1.0)) if k else p for p in (1.0, 2.0, 3.0)
+          for k in range(5)]
+
+
 def test_heavy_ties_match_the_award_loop(monkeypatch):
     rng = random.Random(1234)
     cases = [(_house(rng), [rng.choice((1, 2, 3, 4)) * rng.choice((1, 1, 0.5))
                             for _ in range(rng.randint(1, 40))])
              for _ in range(2000)]
     cases += [(x, [1.0] * n) for n in (1, 7, 40) for x in (0, 1, n - 1, n, 3 * n + 1, 400)]
-    # weights equal to the float priority of another weight's award k, so
-    # priorities of different weights tie exactly and the weight decides
-    echoes = [p / math.sqrt(k * (k + 1.0)) if k else p for p in (1.0, 2.0, 3.0)
-              for k in range(5)]
-    cases += [(_house(rng), [rng.choice(echoes) for _ in range(rng.randint(1, 40))])
+    cases += [(_house(rng), [rng.choice(ECHOES) for _ in range(rng.randint(1, 40))])
               for _ in range(1000)]
     _check(monkeypatch, cases)
 
@@ -141,17 +168,54 @@ def test_large_houses_match_the_award_loop(monkeypatch):
     _check(monkeypatch, cases)
 
 
-def test_splits_are_prefix_counts_of_one_award_sequence():
+def _fiber(rng):
+    """One fiber (x, weights) of a kind that a table splits beside others."""
+    n = rng.choice((1, 1, rng.randint(2, 6), rng.randint(2, 40)))
+    draw = rng.choice((lambda: rng.randint(0, 9), lambda: rng.uniform(0, 5),
+                       lambda: rng.choice((0, 0, 2.5, rng.uniform(0, 3))),
+                       lambda: rng.choice((1.0, 2.0)),
+                       lambda: rng.choice((5e-324, 1e-323, 1e-321, 0.0))))
+    x = rng.choice((0, rng.randint(0, 5), _house(rng), rng.randint(401, 1500)))
+    return x, _nonzero([draw() for _ in range(n)])
+
+
+def test_many_fibers_in_one_call_match_the_award_loop(monkeypatch):
+    # integer and fractional fibers side by side, with x = 0, single cells,
+    # zero weights, ties and priorities that underflow to 0: each fiber's
+    # split equals its own loop
+    rng = random.Random(31)
+    calls = []
+    for _ in range(250):
+        fibers = [_fiber(rng) for _ in range(rng.randint(1, 12))]
+        calls.append((np.array([x for x, _ in fibers]),
+                      np.concatenate([np.asarray(p, float) for _, p in fibers]),
+                      np.repeat(np.arange(len(fibers)), [len(p) for _, p in fibers]),
+                      [v for x, p in fibers for v in reference_huntington_hill(x, p)]))
+    for window in (disagg._WINDOW, 0):
+        with monkeypatch.context() as m:
+            m.setattr(disagg, "_WINDOW", window)
+            for x, p, fiber, expected in calls:
+                assert _apportion(x, p, fiber).tolist() == expected
+
+
+def test_splits_are_prefix_counts_of_one_award_sequence(monkeypatch):
+    # houses up to 3000 make the window probe; with the window at zero every
+    # split probes
     rng = random.Random(21)
-    for trial in range(300):
+    windows = (disagg._WINDOW, 0)
+    for trial in range(600):
+        monkeypatch.setattr(disagg, "_WINDOW", windows[trial % 2])
         n = rng.randint(1, 40)
         if trial % 3 == 0:
             p = _nonzero([rng.randint(0, 5) for _ in range(n)])   # prefill path
-        else:
+        elif trial % 3 == 1:
             p = _nonzero([rng.choice((0.0, rng.uniform(0, 4), 2.5)) for _ in range(n)])
-        xs = np.array([rng.randint(0, 90) for _ in range(rng.randint(1, 12))])
+        else:
+            p = [rng.choice(ECHOES) for _ in range(n)] + [0.5]
+        top = 3000 if trial % 10 < 2 else 90
+        xs = np.array([rng.randint(0, top) for _ in range(rng.randint(1, 12))])
         got = huntington_hill_splits(xs.reshape(-1, 1) if trial % 2 else xs, p)
-        assert got.reshape(len(xs), n).tolist() == [huntington_hill(int(x), p) for x in xs]
+        assert got.reshape(len(xs), len(p)).tolist() == [huntington_hill(int(x), p) for x in xs]
     assert huntington_hill_splits([0, 0], [0.5, 1.5]).tolist() == [[0, 0], [0, 0]]
     with pytest.raises(DataError):
         huntington_hill_splits([2.5], [0.5, 1.5])
@@ -168,3 +232,220 @@ def test_synthgen_splits_equal_per_cell_calls():
         for si in range(2):
             for a in range(101):
                 assert splits[si, a].tolist() == huntington_hill(int(movers[si, a]), weights)
+
+
+def reference_proportional(x: float, p) -> list[float]:
+    x = float(x)
+    if not math.isfinite(x) or x < 0:
+        raise DataError(f"cannot disaggregate {x}")
+    p = _check_weights(p)
+    total = math.fsum(p)
+    return [v * x / total for v in p]
+
+
+_METHODS = ("proportional", "huntington_hill")
+
+
+def reference_disaggregate_table(source, distribution, key_dims, target, method,
+                                 regions=None, uniform_fallback=False):
+    """disaggregate_table as it was, fiber by fiber, splitting with the
+    reference functions above."""
+    src = source.resolution
+    dist = distribution.resolution
+    if src.od or dist.od or target.od:
+        raise DataError("origin-destination tables cannot be disaggregated")
+    if method not in _METHODS:
+        raise DataError(f"unknown method {method!r}; expected one of {_METHODS}")
+    if target.years != src.years:
+        raise DataError("the year range is never disaggregated; target must match source")
+    if not coarser_or_equal(src.level, target.level):
+        raise DataError(
+            f"source level {src.level!r} is not coarser than target {target.level!r}")
+    if src.sexes and src.sexes != target.sexes:
+        raise DataError("a sexed source fixes the target's sex domain")
+    if not coarser_or_equal(dist.level, target.level):
+        raise DataError(
+            f"distribution level {dist.level!r} does not cover target {target.level!r}")
+
+    key_dims = tuple(key_dims)
+    unknown = set(key_dims) - {"year", "region", "sex", "age"}
+    if unknown:
+        raise DataError(f"unknown key dimensions {sorted(unknown)}")
+    single_year = dist.years[0] == dist.years[1]
+    if "year" in key_dims:
+        if dist.years[0] > src.years[0] or dist.years[1] < src.years[1]:
+            raise DataError("distribution does not cover the source years")
+    elif not single_year:
+        raise DataError("a distribution without a year key must hold a single year")
+    if "sex" in key_dims and not dist.sexes:
+        raise DataError("key dimension sex needs a sexed distribution")
+    if "age" in key_dims and dist.ages == (0,) and dist.open_age == 0:
+        raise DataError("key dimension age needs a distribution with an age axis")
+
+    # region fibers: fine codes under each coarse code
+    refine_regions = target.level != src.level
+    fine_by_coarse: dict[str, tuple[str, ...]] = {}
+    if refine_regions:
+        if regions is not None and regions.has_level(target.level):
+            def fiber_regions(r):
+                if r not in fine_by_coarse:
+                    fine_by_coarse[r] = regions.descendants(r, src.level, target.level)
+                return fine_by_coarse[r]
+        elif dist.level == target.level:
+            groups: dict[str, list[str]] = {}
+            for code in distribution.codes:
+                groups.setdefault(parent_region(code, target.level, src.level), []).append(code)
+            fine_by_coarse = {r: tuple(sorted(cs)) for r, cs in groups.items()}
+
+            def fiber_regions(r):
+                return fine_by_coarse.get(r, ())
+        else:
+            raise DataError(
+                "refining the region axis beyond the distribution's level needs "
+                "a region manifest")
+
+    # age fibers and weight projections
+    to_source_class = target.classes_onto(src, "target")
+    ages_by_coarse: dict[int, list[int]] = {}
+    for fine_age, coarse_age in to_source_class.items():
+        ages_by_coarse.setdefault(coarse_age, []).append(fine_age)
+    to_dist_class = target.classes_onto(dist, "distribution")
+
+    # the distribution read once onto its own grid, as nested lists
+    weight = distribution.grid(dist.year_list(), distribution.codes,
+                               dist.sex_domain, dist.ages).tolist()
+    at_code = {c: i for i, c in enumerate(distribution.codes)}
+    at_sex = {s: i for i, s in enumerate(dist.sexes)}
+    at_age = {a: i for i, a in enumerate(dist.ages)}
+    region_to_dist: dict[str, int | None] = {}
+
+    def dist_weight(y, r, s, a):
+        if dist.years[0] <= y <= dist.years[1]:
+            py = y
+        elif single_year:
+            py = dist.years[0]
+        else:
+            raise DataError(f"distribution covers no year usable for {y}")
+        if r not in region_to_dist:
+            region_to_dist[r] = at_code.get(parent_region(r, target.level, dist.level))
+        pr = region_to_dist[r]
+        ps = at_sex.get(s) if dist.sexes else 0
+        if pr is None or ps is None:
+            return 0.0
+        return weight[py - dist.years[0]][pr][ps][at_age[to_dist_class[a]]]
+
+    out: dict[tuple, float] = {}
+    hh = method == "huntington_hill"
+    for (y, r, s, a), x in source.items():
+        if hh and not float(x).is_integer():
+            raise DataError(f"{source.name}: non-integer value {x} at {(y, r, s, a)}")
+        fiber = [
+            (y, fr, fs, fa)
+            for fr in (fiber_regions(r) if refine_regions else (r,))
+            for fs in (target.sex_domain if not src.sexes else (s,))
+            for fa in ages_by_coarse.get(a, ())
+        ]
+        if not fiber:
+            raise DataError(f"{source.name}: no target keys under cell {(y, r, s, a)}")
+        weights = [dist_weight(*key) for key in fiber]
+        if not any(weights):
+            if not uniform_fallback:
+                raise DataError(
+                    f"{source.name}: all-zero distribution under cell {(y, r, s, a)}")
+            weights = [1.0] * len(fiber)
+        shares = reference_huntington_hill(int(x), weights) if hh else \
+            reference_proportional(x, weights)
+        for key, share in zip(fiber, shares):
+            if share:
+                out[key] = float(share)
+    return CensusTable(target, out, integer=hh, name=source.name)
+
+
+MUNIS = ("10101", "10102", "10103", "10201", "10202", "20101", "20102", "20201")
+LEVELS = ("municipalities", "districts", "federalstates")
+CODES = {level: sorted({parent_region(c, "municipalities", level) for c in MUNIS})
+         for level in LEVELS}
+
+
+def _table(rng, res, codes, draw, name):
+    return CensusTable(res, {(y, r, s, a): draw()
+                             for y in res.year_list() for r in codes
+                             for s in res.sex_domain for a in res.ages
+                             if rng.random() < 0.7}, name=name)
+
+
+def _some(rng, codes):
+    """All of the codes but one or two, now and then."""
+    return tuple(rng.sample(codes, max(1, len(codes) - rng.choice((0, 0, 0, 1, 2)))))
+
+
+def _table_case(rng):
+    """Keyword arguments of one random disaggregate_table call; one in twenty
+    breaks a rule that the checks before the fibers catch."""
+    def rare():
+        return rng.random() < 0.05
+
+    method = rng.choice(_METHODS)
+    target_level = rng.choice(LEVELS[:2])
+    src_level = rng.choice(LEVELS[LEVELS.index(target_level):])
+    dist_level = rng.choice(LEVELS[LEVELS.index(target_level):])
+    src_sexes = rng.choice((SEXES, ()))
+    target_ages = (3, 4, 5, 6) if rare() else tuple(range(7))
+    src_ages, src_open = rng.choice((((0, 3, 6), 6), ((0,), 0)))
+    dist_ages, dist_open = ((1, 4), 4) if rare() else rng.choice(
+        (((0, 2, 5, 6), 6), ((0,), 0), (tuple(range(7)), 6)))
+    dist_years, key_dims = rng.choice((((2019, 2019), ["region"]),
+                                       ((2019, 2022), ["year", "region"]),
+                                       ((2020, 2021), ["year"])))
+    if rare():
+        dist_years = (2020, 2020) if "year" in key_dims else (2019, 2022)
+    if dist_ages != (0,) or rare():
+        key_dims.append("age")
+    dist_sexes = rng.choice((SEXES, ()))
+    if (dist_sexes and rng.random() < 0.5) or rare():
+        key_dims.append("sex")
+    source = _table(
+        rng, ResolutionSpec((2020, 2021), src_level, src_sexes, src_ages, src_open),
+        CODES[src_level],
+        (lambda: 2.5 if rare() else rng.randint(1, 30))
+        if method == "huntington_hill" else (lambda: rng.uniform(0.1, 30)), "P")
+    draw = rng.choice((lambda: rng.randint(0, 9), lambda: rng.uniform(0, 5),
+                       lambda: 1.0, lambda: rng.choice((0, 0, 0, 3)),
+                       lambda: 1e308 if rare() else 1.0))
+    dist_codes = _some(rng, CODES[dist_level])
+    distribution = _table(
+        rng, ResolutionSpec(dist_years, dist_level, dist_sexes, dist_ages, dist_open),
+        dist_codes, draw, "dist")
+    manifest = None
+    if rng.random() < 0.8:
+        manifest = RegionManifest({target_level: _some(rng, CODES[target_level])})
+    return dict(source=source, distribution=distribution, key_dims=key_dims,
+                target=ResolutionSpec((2020, 2021), target_level,
+                                      src_sexes or rng.choice((SEXES, ())),
+                                      target_ages, 6),
+                method=method, regions=manifest,
+                uniform_fallback=rng.random() < 0.5)
+
+
+def _outcome(disaggregate, case):
+    try:
+        return disaggregate(**case)
+    except DataError as err:
+        return str(err)
+
+
+def test_disaggregate_table_matches_the_fiber_loop():
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(1500):
+        case = _table_case(rng)
+        expected = _outcome(reference_disaggregate_table, case)
+        assert _outcome(disaggregate_table, case) == expected, case
+        if isinstance(expected, CensusTable):
+            seen.add((case["method"], case["uniform_fallback"], len(expected) > 0))
+        else:
+            seen.add(expected.split(": ")[-1].split(" ")[0])
+    # both methods split cells, with and without the fallback, and each
+    # failure of a source cell is reached
+    assert {(m, u, True) for m in _METHODS for u in (False, True)} <= seen
+    assert {"non-integer", "no", "all-zero", "weights"} <= seen
