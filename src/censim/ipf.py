@@ -10,8 +10,16 @@ Entries that start at zero stay exactly zero.
 
 The 3D solver fits a tensor M to three pairwise marginals: A (sum over the
 third axis), B (sum over the first), and C (sum over the second), sweeping
-them in that order.  The defaults mirror the places the solvers are used:
-tol=1e-10 for matrices and tol=1e-4 for tensors.
+them in that order.  Its first sweep runs on the whole tensor.  A cell that
+sweep zeroes stays zero, so the later sweeps run on the support, the cells
+it left positive: each marginal is one bincount over the support's fiber
+ids, and a target that no support cell reaches adds its whole mass to every
+residual.  A fiber's sum over the third axis therefore runs in cell order,
+not numpy's pairwise order; it can differ from a dense sweep's in the last
+bits only where the fiber holds three or more support cells.
+
+The defaults mirror the places the solvers are used: tol=1e-10 for matrices
+and tol=1e-4 for tensors.  Both solvers reject non-finite input.
 """
 
 from __future__ import annotations
@@ -40,6 +48,10 @@ def _check_consistent(name_a: str, ta: float, name_b: str, tb: float) -> None:
         raise DataError(f"marginals disagree: sum({name_a})={ta!r} vs sum({name_b})={tb!r}")
 
 
+def _finite_non_negative(x: np.ndarray) -> bool:
+    return bool(np.isfinite(x).all() and (x >= 0).all())
+
+
 def _scale_factors(target: np.ndarray, current: np.ndarray) -> np.ndarray:
     # zero fibers are skipped: only legal when the target is zero too, and
     # an infeasible positive target then shows up as a residual plateau
@@ -65,8 +77,8 @@ def ipf2(a, b, m0, tol: float = 1e-10, max_iter: int = 1000) -> IpfResult:
     X = np.array(m0, dtype=float)
     if a.ndim != 1 or b.ndim != 1 or X.shape != (a.size, b.size):
         raise DataError(f"shape mismatch: init {X.shape}, targets {a.size} and {b.size}")
-    if (a < 0).any() or (b < 0).any() or (X < 0).any():
-        raise DataError("marginals and the initial matrix must be non-negative")
+    if not all(_finite_non_negative(x) for x in (a, b, X)):
+        raise DataError("marginals and the initial matrix must be finite and non-negative")
     _check_consistent("rows", float(a.sum()), "cols", float(b.sum()))
     row_support = X.sum(axis=1) > 0
     col_support = X.sum(axis=0) > 0
@@ -103,6 +115,18 @@ def residual3(M: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray,
                  + np.abs(M.sum(axis=1) - C).sum())
 
 
+def _fibers(ids: np.ndarray, target: np.ndarray):
+    """Compact one marginal's fiber ids over the support cells.
+
+    Returns each cell's compact fiber index, the targets of the fibers the
+    support reaches and the summed targets of the fibers it does not reach
+    (their sums are zero, so each of them adds its whole target to the
+    residual, every sweep)."""
+    reached, index = np.unique(ids, return_inverse=True)
+    flat = target.reshape(-1)
+    return index, flat[reached], float(np.delete(flat, reached).sum())
+
+
 def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult:
     """Fit a tensor M with M.sum(2)=A, M.sum(0)=B, M.sum(1)=C.
 
@@ -122,8 +146,8 @@ def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult
     M = np.ones((m, n, r)) if m0 is None else np.array(m0, dtype=float)
     if M.shape != (m, n, r):
         raise DataError(f"init shape {M.shape} does not match {(m, n, r)}")
-    if (A < 0).any() or (B < 0).any() or (C < 0).any() or (M < 0).any():
-        raise DataError("marginals and the initial tensor must be non-negative")
+    if not all(_finite_non_negative(x) for x in (A, B, C, M)):
+        raise DataError("marginals and the initial tensor must be finite and non-negative")
     for i in range(m):
         _check_consistent(f"A[{i},:]", float(A[i].sum()), f"C[{i},:]", float(C[i].sum()))
     for j in range(n):
@@ -135,18 +159,35 @@ def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult
             or ((C > 0) & ~(M.sum(axis=1) > 0)).any()):
         raise DataError("a positive marginal has no positive initial entries")
 
-    # each residual's sum over the third axis is the next sweep's first sum
     sum2 = M.sum(axis=2)
     res = residual3(M, A, B, C, sum2)
     iterations = 0
     stall = 0
     while res >= tol and iterations < max_iter:
-        M *= _scale_factors(A, sum2)[:, :, None]
-        M *= _scale_factors(B, M.sum(axis=0))[None, :, :]
-        M *= _scale_factors(C, M.sum(axis=1))[:, None, :]
+        if iterations == 0:
+            # the first sweep runs on the whole tensor; every cell it zeroes
+            # stays zero (its factors are finite), so later sweeps run on
+            # the cells it leaves positive, with one fiber index per marginal
+            M *= _scale_factors(A, sum2)[:, :, None]
+            M *= _scale_factors(B, M.sum(axis=0))[None, :, :]
+            M *= _scale_factors(C, M.sum(axis=1))[:, None, :]
+            i, j, k = np.nonzero(M)
+            x = M[i, j, k]
+            ia, At, a_fixed = _fibers(i * n + j, A)
+            ib, Bt, b_fixed = _fibers(j * r + k, B)
+            ic, Ct, c_fixed = _fibers(i * r + k, C)
+            fixed = a_fixed + b_fixed + c_fixed
+        else:
+            x *= _scale_factors(At, sa)[ia]
+            x *= _scale_factors(Bt, np.bincount(ib, x))[ib]
+            x *= _scale_factors(Ct, np.bincount(ic, x))[ic]
         iterations += 1
-        sum2 = M.sum(axis=2)
-        new_res = residual3(M, A, B, C, sum2)
+        # each residual's sums over A's fibers are the next sweep's first sums
+        sa = np.bincount(ia, x)
+        new_res = float(np.abs(sa - At).sum()
+                        + np.abs(np.bincount(ib, x) - Bt).sum()
+                        + np.abs(np.bincount(ic, x) - Ct).sum()
+                        + fixed)
         if res - new_res < _STALL_EPS:
             stall += 1
             if stall >= _STALL_SWEEPS:
@@ -155,4 +196,6 @@ def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult
         else:
             stall = 0
         res = new_res
+    if iterations:
+        M[i, j, k] = x
     return IpfResult(M, iterations, res, res < tol)

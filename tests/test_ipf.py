@@ -157,3 +157,50 @@ def test_ipf3_preserves_structural_zeros():
     assert out.converged
     for i in range(4):
         assert (out.values[i, :, i] == 0.0).all()
+
+
+def test_ipf3_leaves_the_start_tensor_alone_and_zero_off_the_support():
+    rng = np.random.default_rng(5)
+    hidden = rng.uniform(0.5, 1.5, size=(5, 3, 5)) * (rng.random((5, 3, 5)) < 0.5)
+    for i in range(5):
+        hidden[i, :, i] = 0.0
+    A, B, C = hidden.sum(axis=2), hidden.sum(axis=0), hidden.sum(axis=1)
+    m0 = np.ones((5, 3, 5))
+    for i in range(5):
+        m0[i, :, i] = 0.0
+    before = m0.copy()
+    out = ipf3(A, B, C, m0, tol=1e-10, max_iter=5000)
+    # the fuse stage hands one start tensor to every block
+    assert np.array_equal(m0, before)
+    assert out.iterations > 1
+    # a cell is off the support when the start tensor or a target fiber
+    # through it is zero
+    off = ((m0 == 0) | (A[:, :, None] == 0) | (B[None, :, :] == 0)
+           | (C[:, None, :] == 0))
+    assert off.any() and (out.values[off] == 0.0).all()
+    assert (out.values[~off] > 0).all()
+
+
+_GOOD3 = (np.full((2, 2), 2.0), np.full((2, 2), 2.0), np.full((2, 2), 2.0),
+          np.ones((2, 2, 2)))
+_GOOD2 = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("which", range(4), ids=["A", "B", "C", "m0"])
+def test_ipf3_rejects_non_finite_input(which, bad):
+    args = [x.copy() for x in _GOOD3]
+    args[which].flat[0] = bad
+    with pytest.raises(DataError, match="^marginals and the initial tensor "
+                                        "must be finite and non-negative$"):
+        ipf3(*args)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("which", range(3), ids=["a", "b", "m0"])
+def test_ipf2_rejects_non_finite_input(which, bad):
+    args = [x.copy() for x in _GOOD2]
+    args[which].flat[0] = bad
+    with pytest.raises(DataError, match="^marginals and the initial matrix "
+                                        "must be finite and non-negative$"):
+        ipf2(*args)
