@@ -316,50 +316,54 @@ def _check_unique_targets(rows: list) -> None:
         seen.add((y, r))
 
 
-def _fit_births_rows(pop: CensusTable, rows: list, out: str) -> CensusTable:
-    """Fit one fertility curve per (year, region, births, mac) target row.
+def _fit_rows(pop: CensusTable, rows: list, out: str, fit, sexes: tuple,
+              name: str) -> CensusTable:
+    """Fit one curve per sex in `sexes` for each (year, region) target row.
 
-    Writes the ``<out>.report.csv`` sidecar and returns the birth_p table.
+    fit(pop, year, region, target, diagnostics) returns the parameters and
+    the curves.  Writes the ``<out>.report.csv`` sidecar and returns the
+    table of the curves.
     """
     _check_unique_targets(rows)
     entries: dict[tuple, float] = {}
     report = []
-    for y, r, births, mac in rows:
-        avg = average_slice(pop, y, r, "f")
+    for y, r, *target in rows:
         diag: dict = {}
-        theta, _ = fit_births(BirthFitTarget(births, mac, (avg, avg)),
-                              diagnostics=diag)
-        entries.update(((y, r, "f", a), v)
-                       for a, v in enumerate(gaussian_rates(theta)))
+        theta, curves = fit(pop, y, r, target, diag)
+        for s, q in zip(sexes, curves):
+            entries.update(((y, r, s, a), v) for a, v in enumerate(q))
         report.append((y, r, repr(diag["objective"]), diag["iterations"],
                        diag["evals"], str(diag["converged"]).lower())
                       + tuple(repr(float(t)) for t in theta))
-        log.info("fit-births %d %s: objective %.3g in %d evals", y, r,
+        log.info("%s fit %d %s: objective %.3g in %d evals", name, y, r,
                  diag["objective"], diag["evals"])
     root, ext = os.path.splitext(out)
     with atomic_open(f"{root}.report{ext or '.csv'}", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_FIT_REPORT + ("theta1", "theta2", "theta3"))
+        w.writerow(_FIT_REPORT
+                   + tuple(f"theta{i}" for i in range(1, len(theta) + 1)))
         w.writerows(report)
     years = [row[0] for row in rows]
     res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
-                         sexes=("f",), ages=_FULL_AGES, open_age=100)
-    return CensusTable(res, entries, name="birth_p")
+                         sexes=sexes, ages=_FULL_AGES, open_age=100)
+    return CensusTable(res, entries, name=name)
 
 
-def _fit_mortality_rows(pop: CensusTable, prob: CensusTable, qref_years: tuple,
-                        rows: list, out: str) -> CensusTable:
-    """Fit the six death-probability multipliers per target row.
+def _birth_fit(pop: CensusTable, y: int, r: str, target: list,
+               diag: dict):
+    """A fertility curve from a (births, mac) target."""
+    avg = average_slice(pop, y, r, "f")
+    theta, _ = fit_births(BirthFitTarget(*target, (avg, avg)), diagnostics=diag)
+    return theta, (gaussian_rates(theta),)
 
-    A row is (year, region, deaths, le_m_0, le_f_0, le_m_65, le_f_65); the
-    reference curves are the region's mean of `prob` over `qref_years`.
-    Writes the ``<out>.report.csv`` sidecar and returns the death_p table.
-    """
-    _check_unique_targets(rows)
+
+def _mortality_fit(prob: CensusTable, qref_years: tuple):
+    """The fit of the six death-probability multipliers to a (deaths,
+    le_m_0, le_f_0, le_m_65, le_f_65) target; the reference curves are the
+    region's mean of `prob` over `qref_years`."""
     qref_cache: dict[str, tuple] = {}
-    entries: dict[tuple, float] = {}
-    report = []
-    for y, r, *target in rows:
+
+    def fit(pop: CensusTable, y: int, r: str, target: list, diag: dict):
         if r not in qref_cache:
             qref_cache[r] = tuple(qref_series(prob, qref_years, r, s)
                                   for s in SEXES)
@@ -370,31 +374,17 @@ def _fit_mortality_rows(pop: CensusTable, prob: CensusTable, qref_years: tuple,
                         f"reference years {', '.join(map(str, qref_years))}")
         qref = qref_cache[r]
         pop_avg = tuple(average_slice(pop, y, r, s) for s in SEXES)
-        diag: dict = {}
         theta, _ = fit_mortality(MortalityFitTarget(*target), pop_avg, qref,
                                  diagnostics=diag)
-        for s, q in zip(SEXES, mortality_curves(theta, *qref)):
-            entries.update(((y, r, s, a), v) for a, v in enumerate(q))
-        report.append((y, r, repr(diag["objective"]), diag["iterations"],
-                       diag["evals"], str(diag["converged"]).lower())
-                      + tuple(repr(float(t)) for t in theta))
-        log.info("fit-mortality %d %s: objective %.3g in %d evals", y, r,
-                 diag["objective"], diag["evals"])
-    root, ext = os.path.splitext(out)
-    with atomic_open(f"{root}.report{ext or '.csv'}", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(_FIT_REPORT + tuple(f"theta{i}" for i in range(1, 7)))
-        w.writerows(report)
-    years = [row[0] for row in rows]
-    res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
-                         sexes=SEXES, ages=_FULL_AGES, open_age=100)
-    return CensusTable(res, entries, name="death_p")
+        return theta, mortality_curves(theta, *qref)
+    return fit
 
 
 def cmd_fit_births(args) -> int:
     pop = read_csv(args.population)
     rows = _read_targets(args.targets, ("year", "region", "births", "mac"))
-    write_csv(_fit_births_rows(pop, rows, args.out), args.out)
+    write_csv(_fit_rows(pop, rows, args.out, _birth_fit, ("f",), "birth_p"),
+              args.out)
     return 0
 
 
@@ -407,8 +397,8 @@ def cmd_fit_mortality(args) -> int:
         raise DataError(f"bad --qref-years {args.qref_years!r}") from None
     rows = _read_targets(args.targets, ("year", "region", "deaths", "le_m_0",
                                         "le_f_0", "le_m_65", "le_f_65"))
-    write_csv(_fit_mortality_rows(pop, prob, qref_years, rows, args.out),
-              args.out)
+    write_csv(_fit_rows(pop, rows, args.out, _mortality_fit(prob, qref_years),
+                        SEXES, "death_p"), args.out)
     return 0
 
 
@@ -465,7 +455,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
 
     config = ScenarioConfig(
         t0=cfg.integer("t0"), te=cfg.integer("te"),
-        step=cfg.text("step", "year"), scale=cfg.floating("scale", 1.0),
+        scale=cfg.floating("scale", 1.0),
         runs=cfg.integer("runs", 1), im_mode=cfg.text("im_mode", "none"),
         seed=cfg.integer("seed", 0),
         male_share=cfg.floating("male_share", MALE_SHARE))
@@ -613,7 +603,6 @@ class _Pipeline:
         self.runs = cfg.integer("runs", 3)
         self.scale = cfg.floating("scale", 1.0)
         self.im_mode = cfg.text("im_mode", "full")
-        self.step = cfg.text("step", "year")
         if self.im_mode not in ("none", "interregional", "full"):
             raise DataError(
                 f"pipeline im_mode must be none, interregional or full, "
@@ -759,7 +748,7 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
         mac = sum((ages * by_age).tolist()) / weight
         rows.append((y, "AT", births, mac))
     out = ctx.path("est/birth_p.csv")
-    country = _fit_births_rows(P_c, rows, out)
+    country = _fit_rows(P_c, rows, out, _birth_fit, ("f",), "birth_p")
     write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
 
 
@@ -783,7 +772,8 @@ def _stage_fit_mortality(ctx: _Pipeline) -> None:
                      life_expectancy(q_f, 65, alpha)))
     qref_years = (ctx.t0 - 3, ctx.t0 - 2, ctx.t0 - 1)
     out = ctx.path("est/death_p.csv")
-    country = _fit_mortality_rows(P_c, q_hat, qref_years, rows, out)
+    country = _fit_rows(P_c, rows, out, _mortality_fit(q_hat, qref_years),
+                        SEXES, "death_p")
     write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
 
 
@@ -829,7 +819,7 @@ def _stage_fuse(ctx: _Pipeline) -> None:
 
 def _stage_simulate(ctx: _Pipeline) -> None:
     lines = [
-        f"t0={ctx.t0}", f"te={ctx.te}", f"step={ctx.step}",
+        f"t0={ctx.t0}", f"te={ctx.te}",
         f"scale={_format_value(ctx.scale)}", f"runs={ctx.runs}",
         f"im_mode={ctx.im_mode}", f"seed={ctx.seed + 1}",
         "population=P_hat.csv", "birth_p=birth_p.csv", "death_p=death_p.csv",

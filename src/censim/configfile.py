@@ -71,11 +71,8 @@ class Config:
             return ()
         return tuple(tok.strip() for tok in raw.split(","))
 
-    def numbers(self, key: str, default=_MISSING) -> tuple:
-        toks = self.tokens(key, default)
-        if not isinstance(toks, tuple):
-            return toks
+    def numbers(self, key: str) -> tuple:
         try:
-            return tuple(float(t) for t in toks)
+            return tuple(float(t) for t in self.tokens(key))
         except ValueError:
             raise DataError(f"{self.source}: {key} must be a list of numbers") from None

@@ -27,19 +27,8 @@ _AGES = np.arange(AGE_COUNT, dtype=float)
 
 BIRTH_BOUNDS = ((0.0, 1.0), (15.0, 49.0), (1.0, 20.0))
 MORTALITY_BOUNDS = ((0.2, 5.0),) * 6
-
-
-@dataclass(frozen=True)
-class BirthTheta:
-    amplitude: float
-    center: float
-    width: float
-
-    def __post_init__(self):
-        if self.amplitude < 0:
-            raise DataError("amplitude must be non-negative")
-        if self.width <= 0:
-            raise DataError("width must be positive")
+TOL = 1e-9  # stop once the projected gradient is below this everywhere
+MAX_EVALS = 5000
 
 
 @dataclass(frozen=True)
@@ -75,8 +64,6 @@ class MortalityFitTarget:
 
 
 def _theta_array(theta, n: int) -> np.ndarray:
-    if isinstance(theta, BirthTheta):
-        theta = (theta.amplitude, theta.center, theta.width)
     arr = np.asarray(theta, dtype=float)
     if arr.shape != (n,):
         raise DataError(f"expected {n} parameters, got shape {arr.shape}")
@@ -160,11 +147,9 @@ def mortality_objective(theta, target: MortalityFitTarget, pop_avg, qref,
             + abs(e_m[65] - target.le_m_65) + abs(e_f[65] - target.le_f_65))
 
 
-def fd_gradient(objective, x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                fx: float, evaluate=None) -> np.ndarray:
+def fd_gradient(evaluate, x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
+                fx: float) -> np.ndarray:
     """Central differences with the stencil clamped into the bounds."""
-    if evaluate is None:
-        evaluate = objective
     g = np.zeros(len(x))
     for j in range(len(x)):
         h = 1e-6 * max(1.0, abs(x[j]))
@@ -187,8 +172,7 @@ def fd_gradient(objective, x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
     return g
 
 
-def minimize(objective, x0, bounds, tol: float = 1e-9, max_evals: int = 5000,
-             diagnostics: dict | None = None):
+def minimize(objective, x0, bounds, diagnostics: dict | None = None):
     """Projected BFGS descent; returns the best point seen and its value."""
     lb = np.array([b[0] for b in bounds], dtype=float)
     ub = np.array([b[1] for b in bounds], dtype=float)
@@ -222,16 +206,16 @@ def minimize(objective, x0, bounds, tol: float = 1e-9, max_evals: int = 5000,
 
     eye = np.eye(n)
     H = eye.copy()
-    g = fd_gradient(objective, x, lb, ub, fx, evaluate=f)
+    g = fd_gradient(f, x, lb, ub, fx)
     iterations = 0
     reset_used = False
     stale = 0
     converged = False
-    while evals < max_evals:
+    while evals < MAX_EVALS:
         pg = g.copy()
         pg[(x <= lb) & (g > 0)] = 0.0
         pg[(x >= ub) & (g < 0)] = 0.0
-        if np.abs(pg).max() < tol:
+        if np.abs(pg).max() < TOL:
             converged = True
             break
         p = -H @ g
@@ -250,7 +234,7 @@ def minimize(objective, x0, bounds, tol: float = 1e-9, max_evals: int = 5000,
                 accepted = True
                 break
             t *= 0.5
-            if evals >= max_evals:
+            if evals >= MAX_EVALS:
                 break
         if not accepted:
             if not reset_used:
@@ -259,7 +243,7 @@ def minimize(objective, x0, bounds, tol: float = 1e-9, max_evals: int = 5000,
                 reset_used = True
                 continue
             break
-        gn = fd_gradient(objective, xn, lb, ub, fn, evaluate=f)
+        gn = fd_gradient(f, xn, lb, ub, fn)
         s = xn - x
         y = gn - g
         sy = float(s @ y)
@@ -282,20 +266,17 @@ def minimize(objective, x0, bounds, tol: float = 1e-9, max_evals: int = 5000,
     return best_x.copy(), best_f
 
 
-def fit_births(target: BirthFitTarget, theta0=None, bounds=BIRTH_BOUNDS,
-               tol: float = 1e-9, max_evals: int = 5000,
-               diagnostics: dict | None = None):
-    if theta0 is None:
-        center = min(max(target.target_mac, bounds[1][0]), bounds[1][1])
-        width = 5.0
-        shape = np.exp(-(((_AGES - 1.0) - center) / width) ** 2)
-        p_avg = (np.asarray(target.female_pop[0], float)
-                 + np.asarray(target.female_pop[1], float)) / 2.0
-        scale = float(shape @ p_avg)
-        amp = target.total_births / scale if scale > 0 else 0.05
-        theta0 = (min(max(amp, 1e-6), bounds[0][1]), center, width)
-    return minimize(lambda th: birth_objective(th, target), theta0, bounds,
-                    tol=tol, max_evals=max_evals, diagnostics=diagnostics)
+def fit_births(target: BirthFitTarget, diagnostics: dict | None = None):
+    center = min(max(target.target_mac, BIRTH_BOUNDS[1][0]), BIRTH_BOUNDS[1][1])
+    width = 5.0
+    shape = np.exp(-(((_AGES - 1.0) - center) / width) ** 2)
+    p_avg = (np.asarray(target.female_pop[0], float)
+             + np.asarray(target.female_pop[1], float)) / 2.0
+    scale = float(shape @ p_avg)
+    amp = target.total_births / scale if scale > 0 else 0.05
+    theta0 = (min(max(amp, 1e-6), BIRTH_BOUNDS[0][1]), center, width)
+    return minimize(lambda th: birth_objective(th, target), theta0,
+                    BIRTH_BOUNDS, diagnostics=diagnostics)
 
 
 def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
@@ -371,22 +352,20 @@ def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
 
 
 def fit_mortality(target: MortalityFitTarget, pop_avg, qref, alpha=None,
-                  theta0=None, bounds=MORTALITY_BOUNDS, tol: float = 1e-9,
-                  max_evals: int = 5000, diagnostics: dict | None = None):
+                  diagnostics: dict | None = None):
     if alpha is None:
         alpha = death_table_alpha()
-    if theta0 is None:
-        lo = max(b[0] for b in bounds)
-        hi = min(b[1] for b in bounds)
-        try:
-            theta0 = _anchored_mortality_start(target, pop_avg, qref, alpha,
-                                               lo, hi)
-        except DataError:
-            theta0 = np.ones(6)
-        theta0 = np.clip(theta0, [b[0] for b in bounds], [b[1] for b in bounds])
+    lo = max(b[0] for b in MORTALITY_BOUNDS)
+    hi = min(b[1] for b in MORTALITY_BOUNDS)
+    try:
+        theta0 = _anchored_mortality_start(target, pop_avg, qref, alpha,
+                                           lo, hi)
+    except DataError:
+        theta0 = np.ones(6)
+    theta0 = np.clip(theta0, lo, hi)  # the six bounds are the same
     return minimize(
         lambda th: mortality_objective(th, target, pop_avg, qref, alpha=alpha),
-        theta0, bounds, tol=tol, max_evals=max_evals, diagnostics=diagnostics)
+        theta0, MORTALITY_BOUNDS, diagnostics=diagnostics)
 
 
 def average_slice(pop, year: int, region: str, sex: str) -> np.ndarray:

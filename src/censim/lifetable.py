@@ -28,21 +28,14 @@ class LifeTable:
     a_max: int
 
 
-def build_life_table(q, alpha, a_max: int | None = None,
-                     l0: float = 100000.0) -> LifeTable:
+def build_life_table(q, alpha, l0: float = 100000.0) -> LifeTable:
     """Fill the survivor, person-year, and expectancy series from q."""
     q = np.asarray(q, dtype=float)
     if q.ndim != 1 or q.size == 0:
         raise DataError("q must be a non-empty series")
     if ((q < 0) | (q > 1)).any():
         raise DataError("death probabilities must lie in [0,1]")
-    if a_max is None:
-        a_max = q.size - 1
-    elif a_max >= q.size:
-        # constant extension of the last given probability
-        q = np.concatenate([q, np.full(a_max - q.size + 1, q[-1])])
-    else:
-        raise DataError(f"a_max={a_max} truncates the {q.size}-term series")
+    a_max = q.size - 1
     if q[a_max] == 0.0:
         raise DataError("q at the open age class must be positive (the tail diverges)")
     if l0 <= 0:

@@ -62,20 +62,19 @@ def invert_farr(q: float, P_avg: float, alpha_a: float) -> float:
 
 
 def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
-                           y_N: int | None = None,
                            diagnostics: dict | None = None) -> CensusTable:
     """Per-cell event probabilities from counts X, population P, leavers Q.
 
     For each year y the count is divided by the mid-year population plus
     half the leavers, and the probability is the mean of this quotient at y
-    and at min(y+1, y_N).  Results are clipped into [0,1]; the number of
-    clipped cells lands in diagnostics["clipped"] and in the log.
+    and at min(y+1, y_N), y_N being P's last census year.  Results are
+    clipped into [0,1]; the number of clipped cells lands in
+    diagnostics["clipped"] and in the log.
     """
     xres = X.resolution
     if xres.od or P.resolution.od or Q.resolution.od:
         raise DataError("probability tables have no origin-destination form")
-    if y_N is None:
-        y_N = P.resolution.years[1]
+    y_N = P.resolution.years[1]
     if xres.years[1] > y_N:
         raise DataError(f"counts reach {xres.years[1]}, past the last census year {y_N}")
     if Q.resolution.years[0] > xres.years[0] or Q.resolution.years[1] < xres.years[1]:
@@ -93,7 +92,7 @@ def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
         + Q.grid(years, *axes) / 2.0
     unexposed = (x != 0) & (denom <= 0)
     if unexposed.any():
-        key = min(cells(years, *axes, unexposed))
+        key = min(k for k, _ in cells(years, *axes, unexposed).items())
         raise DataError(f"{X.name}: events at {key} but no exposure")
     quotient = np.divide(x, denom, out=np.zeros_like(x), where=x != 0)
 

@@ -23,10 +23,6 @@ occupies at the event time.
 
 All runs of a scenario start from one materialized population, which draws
 no random numbers; steps only read a state's arrays.
-
-Because every draw is keyed by (person, year) and the outputs are the Jan 1
-censuses and the year's event counts, stepping month by month would give the
-same outputs; `step="month"` is accepted as an alias of `"year"`.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ from .rng import stream_array, uniform_array
 from .table import CensusTable, Entries, ResolutionSpec, SEXES, cells
 
 IM_MODES = ("none", "interregional", "biregional", "full")
-STEPS = ("year", "month")  # "month" is an alias of "year"
 
 # substream slots, one per decision in a person-year
 S_DEATH_U, S_DEATH_T = 0, 1
@@ -62,7 +57,6 @@ EVENT_NAMES = ("B", "D", "E", "I", "IE", "II", "OD")
 class ScenarioConfig:
     t0: int
     te: int
-    step: str = "year"
     scale: float = 1.0
     runs: int = 1
     im_mode: str = "none"
@@ -72,8 +66,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.t0 >= self.te:
             raise DataError(f"start year {self.t0} must precede end year {self.te}")
-        if self.step not in STEPS:
-            raise DataError(f"unknown step {self.step!r}, expected one of {STEPS}")
         if not 0 < self.scale <= 1:
             raise DataError(f"scale must lie in (0,1], got {self.scale}")
         if self.runs < 1:

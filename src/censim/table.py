@@ -586,16 +586,16 @@ def _raise_malformed(name: str, rows, od: bool):
             _parse_age_token(row[3])
 
 
-def read_csv(path: str, level: str | None = None, integer: bool = False,
+def read_csv(path: str, integer: bool = False,
              resolution: ResolutionSpec | None = None,
              name: str | None = None) -> CensusTable:
     """Read a canonical census CSV.
 
     The resolution is inferred from the data unless given: years span the
     observed range, age classes are the observed lower bounds, and the
-    regional level is the coarsest level all codes are valid at (pass level
-    to override; districts and municipalities win over the Viennese splits
-    when codes are ambiguous).  Each distinct token is parsed once.
+    regional level is the coarsest level all codes are valid at (districts
+    and municipalities win over the Viennese splits when codes are
+    ambiguous).  Each distinct token is parsed once.
     """
     name = name or path
     with open(path, newline="", encoding="utf-8") as fh:
@@ -632,7 +632,7 @@ def read_csv(path: str, level: str | None = None, integer: bool = False,
     if resolution is None:
         if not len(vtok):
             raise DataError(f"{name}: empty table needs an explicit resolution")
-        lvl = level or infer_level(set(codes) | set(lasts if od else ()))
+        lvl = infer_level(set(codes) | set(lasts if od else ()))
         sexes_seen = set(sexes)
         if NO_SEX in sexes_seen and sexes_seen != {NO_SEX}:
             raise DataError(f"{name}: mixes '-' with sexed rows")
@@ -651,8 +651,6 @@ def read_csv(path: str, level: str | None = None, integer: bool = False,
             resolution = ResolutionSpec((min(years), max(years)), lvl,
                                         sexes=sex_domain, ages=tuple(singles + opens),
                                         open_age=opens[0] if opens else None)
-    elif level is not None and level != resolution.level:
-        raise DataError(f"{name}: level {level!r} contradicts the given resolution")
 
     lasts = lasts if od else [a for a, _ in ages]
     return CensusTable(resolution, Entries((years, codes, sexes, lasts),

@@ -76,11 +76,11 @@ def mc_mean(tables) -> CensusTable:
     return CensusTable(res, cells(*axes, mean), name=first.name)
 
 
-def age_band_label(lo: int, width: int = 20, top: int = 100) -> str:
-    if lo >= top:
-        return f"{top}+"
-    b = (lo // width) * width
-    return f"{b}-{b + width - 1}"
+def age_band_label(lo: int) -> str:
+    if lo >= 100:
+        return "100+"
+    b = (lo // 20) * 20
+    return f"{b}-{b + 19}"
 
 
 def _grouped_series(table: CensusTable, group: str, years) -> dict:

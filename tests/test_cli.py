@@ -180,6 +180,21 @@ def test_farr_cli_stationary_value(tmp_path):
                                                        rel=1e-12)
 
 
+def test_farr_cli_unexposed_events_exit_one(tmp_path, caplog):
+    P = CensusTable(res((2000, 2001), level="country", sexes=("m",)),
+                    {(y, "AT", "m", 0): 1000.0 for y in (2000, 2001)})
+    X = CensusTable(res((2000, 2001), sexes=("m",)),
+                    {(y, "AT-1", "m", 0): 5.0 for y in (2000, 2001)})
+    Q = CensusTable(res((2000, 2001), sexes=("m",)),
+                    {(y, "AT-2", "m", 0): 1.0 for y in (2000, 2001)})
+    code = main(["farr", "--events", save(tmp_path, "x.csv", X),
+                 "--population", save(tmp_path, "pp.csv", P),
+                 "--leavers", save(tmp_path, "q.csv", Q),
+                 "--out", str(tmp_path / "p.csv")])
+    assert code == 1
+    assert "events at (2000, 'AT-1', 'm', 0) but no exposure" in caplog.text
+
+
 def test_lifetable_cli_constant_hazard(tmp_path):
     q = 0.1
     series = CensusTable(res((2000, 2000), level="country", sexes=("f",),
@@ -590,7 +605,7 @@ OUTPUT_SHA256 = {
     "pipeline/est/m_index.csv":
         "1f58c1a9af2689d4be11bd0d7fb5f8038fd82738b0f8e6e52d125b8f1ac5095a",
     "pipeline/est/scenario.cfg":
-        "d68c62fbced08276dad4ed9e01994f8da025d6668eace1ace66505e4e3e6617c",
+        "070064efeccf99e4def59b0f8138e5bbd3650f71eec824ec13ae35a3a6df69d4",
     "pipeline/results/census_run00.csv":
         "1a9051df35da4629c7c86898345fbd2c62429d8a01d0f1e9dcebd146655bb9b9",
     "pipeline/results/census_run01.csv":

@@ -47,7 +47,7 @@ def _parse_age_token(tok: str) -> tuple[int, bool]:
     return int(body), open_class
 
 
-def ref_read_csv(path: str, level: str | None = None, integer: bool = False,
+def ref_read_csv(path: str, integer: bool = False,
                  resolution: ResolutionSpec | None = None,
                  name: str | None = None) -> CensusTable:
     name = name or path
@@ -96,7 +96,7 @@ def ref_read_csv(path: str, level: str | None = None, integer: bool = False,
     if resolution is None:
         if not rows:
             raise DataError(f"{name}: empty table needs an explicit resolution")
-        lvl = level or infer_level(codes)
+        lvl = infer_level(codes)
         if NO_SEX in sexes and sexes != {NO_SEX}:
             raise DataError(f"{name}: mixes '-' with sexed rows")
         sex_domain = () if sexes == {NO_SEX} else tuple(sorted(sexes & set(SEXES)))
@@ -115,8 +115,6 @@ def ref_read_csv(path: str, level: str | None = None, integer: bool = False,
             resolution = ResolutionSpec((min(years), max(years)), lvl,
                                         sexes=sex_domain, ages=ages,
                                         open_age=opens[0] if opens else None)
-    elif level is not None and level != resolution.level:
-        raise DataError(f"{name}: level {level!r} contradicts the given resolution")
 
     return CensusTable(resolution, entries, integer=integer, name=name)
 
@@ -263,11 +261,6 @@ CASES = {
         "t: region '10101' invalid at level 'districts'"),
     "no level fits the codes": (H + "2000,101,m,0,1\n2000,AT-1,m,0,1\n", {},
         "no regional level fits codes ['101', 'AT-1']..."),
-    "level against the resolution": (H + "2000,101,m,0,1\n",
-                                     {"resolution": RES, "level": "federalstates"},
-        "t: level 'federalstates' contradicts the given resolution"),
-    "level override": (H + "2000,101,m,0,1\n", {"level": "districts_districts"},
-        None),
     "header only": (H, {},
         't: empty table needs an explicit resolution'),
     "header only with a resolution": (H, {"resolution": RES},

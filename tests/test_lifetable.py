@@ -59,8 +59,8 @@ def test_open_class_tail_against_brute_force():
 
 
 def test_deaths_exhaust_radix():
-    q = [0.01] * 30 + [0.4]
-    table = build_life_table(q, model_alpha, a_max=400)
+    q = [0.01] * 30 + [0.4] * 371
+    table = build_life_table(q, model_alpha)
     assert table.d.sum() == pytest.approx(100000.0, rel=1e-9)
 
 
@@ -74,20 +74,9 @@ def test_lower_hazard_never_shortens_life(i, bump):
     assert better.e[0] >= base.e[0] - 1e-12
 
 
-def test_constant_extension():
-    q = [0.02, 0.03, 0.5]
-    table = build_life_table(q, model_alpha, a_max=5)
-    assert list(table.q) == [0.02, 0.03, 0.5, 0.5, 0.5, 0.5]
-    assert table.a_max == 5
-    with pytest.raises(DataError):
-        build_life_table(q, model_alpha, a_max=1)
-
-
 def test_zero_terminal_hazard_rejected():
     with pytest.raises(DataError):
         build_life_table([0.1, 0.0], model_alpha)
-    with pytest.raises(DataError):
-        build_life_table([0.1, 0.0], model_alpha, a_max=4)
 
 
 def test_life_expectancy_checks_survivors():

@@ -100,6 +100,19 @@ def test_farr_model_rejects_short_exposure():
         farr_probability_model(D, P_short, D)
 
 
+def test_farr_model_names_the_first_unexposed_cell():
+    res = ResolutionSpec((2000, 2001), "country", sexes=("m",), ages=(50, 60),
+                         open_age=None)
+    P = CensusTable(res, {(y, "AT", "m", 50): 1000 for y in (2000, 2001)},
+                    name="P")
+    D = CensusTable(res, {(2001, "AT", "m", 60): 3, (2000, "AT", "m", 60): 2,
+                          (2000, "AT", "m", 50): 10}, name="D")
+    none = CensusTable(res, {}, name="Q")
+    with pytest.raises(DataError,
+                       match=r"D: events at \(2000, 'AT', 'm', 60\) but no exposure"):
+        farr_probability_model(D, P, none)
+
+
 def test_alpha_profiles():
     profile = death_table_alpha()
     assert profile(0) == 0.923

@@ -7,7 +7,9 @@ own tests.  Names exported through ``censim.__all__`` are the public API
 and count as reachable.
 
 Likewise every name a package module imports is used in that module, so a
-refactor that moves code leaves no stale import behind.
+refactor that moves code leaves no stale import behind, and every parameter
+default is overridden by some call in ``src/censim`` or ``perfbench/``: an
+option no caller sets is a configuration nothing runs.
 """
 
 import ast
@@ -111,3 +113,71 @@ def test_every_import_is_used():
             if name not in used and f"{path.stem}.{name}" not in UNUSED_IMPORTS_ALLOWED:
                 unused.append(f"{path.name}:{line} {name}")
     assert unused == []
+
+
+DEFAULTS_ALLOWED = {
+    # perfbench calls it as censim_main, with an argument list
+    "main(argv)",
+    # the acceptance criteria in tests/test_acceptance.py set these
+    "fit_mortality(alpha)", "ipf2(max_iter)", "ipf3(max_iter)",
+    "build_life_table(l0)",
+}
+
+
+def _defaulted(tree: ast.Module):
+    """(callable name, parameter, positional index or None) for every
+    parameter with a default; an __init__ is called by its class's name."""
+    def visit(node, owner):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, ast.ClassDef):
+                yield from visit(sub, sub)
+            elif isinstance(sub, ast.FunctionDef):
+                name = owner.name if sub.name == "__init__" else sub.name
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in sub.decorator_list)
+                positional = sub.args.posonlyargs + sub.args.args
+                if owner is not None and not static:
+                    positional = positional[1:]
+                tail = positional[len(positional) - len(sub.args.defaults):]
+                for arg in tail:
+                    yield name, arg.arg, positional.index(arg)
+                for arg, default in zip(sub.args.kwonlyargs, sub.args.kw_defaults):
+                    if default is not None:
+                        yield name, arg.arg, None
+                yield from visit(sub, None)
+            else:
+                yield from visit(sub, owner)
+    yield from visit(tree, None)
+
+
+def _passed(node: ast.AST, owner: str | None = None):
+    """(callee name, parameter name or positional index) for every argument
+    a call passes; a *args or **kwargs argument passes every one, and cls
+    inside a class is that class."""
+    for sub in ast.iter_child_nodes(node):
+        if isinstance(sub, ast.Call):
+            func = sub.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "cls" and owner is not None:
+                name = owner
+            for i, arg in enumerate(sub.args):
+                yield name, "*" if isinstance(arg, ast.Starred) else i
+            for kw in sub.keywords:
+                yield name, kw.arg or "**"
+        yield from _passed(sub, sub.name if isinstance(sub, ast.ClassDef) else owner)
+
+
+def test_every_parameter_default_is_set_outside_tests():
+    passed = set()
+    for path in SOURCES:
+        passed |= set(_passed(ast.parse(path.read_text(encoding="utf-8"))))
+    unset = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, param, index in _defaulted(tree):
+            ways = {param, "**"} | ({index, "*"} if index is not None else set())
+            if not any((name, way) in passed for way in ways):
+                unset.add(f"{name}({param})")
+    assert sorted(unset - DEFAULTS_ALLOWED) == []
+    # an allowlist entry whose parameter gained a caller goes
+    assert sorted(DEFAULTS_ALLOWED - unset) == []

@@ -180,37 +180,6 @@ def test_runs_are_deterministic_and_seed_indexed():
     assert solo[0] == first[1]
 
 
-def test_monthly_and_annual_stepping_agree():
-    pop = pop_tab(2000, {
-        (2000, "AT-1", "m", 40): 80,
-        (2000, "AT-1", "f", 30): 90,
-        (2000, "AT-2", "f", 25): 60,
-    })
-    years = (2000, 2002)
-    death = {(y, r, s, a): 0.2 for y in (2000, 2001, 2002)
-             for r in ("AT-1", "AT-2") for s in ("m", "f")
-             for a in range(24, 46)}
-    birth = {(y, r, "f", a): 0.3 for y in (2000, 2001, 2002)
-             for r in ("AT-1", "AT-2") for a in range(24, 34)}
-    ie = {(y, r, s, a): 0.25 for y in (2000, 2001, 2002)
-          for r in ("AT-1", "AT-2") for s in ("m", "f") for a in range(101)}
-    od = od_tab(2000, 2002, {
-        (y, r, s, r2): 1.0 for y in (2000, 2001, 2002)
-        for s in ("m", "f")
-        for r, r2 in (("AT-1", "AT-2"), ("AT-2", "AT-1"))})
-    imm = {(y, "AT-2", "m", 18): 7 for y in (2000, 2001, 2002)}
-
-    def build():
-        return make_params(pop, 2000, 2002, birth=birth, death=death,
-                           imm=imm, ie=ie, od=od)
-
-    annual = run(ScenarioConfig(t0=2000, te=2003, im_mode="interregional",
-                                seed=11), build())
-    monthly = run(ScenarioConfig(t0=2000, te=2003, im_mode="interregional",
-                                 seed=11, step="month"), build())
-    assert annual == monthly
-
-
 def balance_residuals(out):
     years = range(out.census.resolution.years[0],
                   out.census.resolution.years[1])
@@ -339,8 +308,6 @@ def test_config_validation():
         ScenarioConfig(t0=2005, te=2005)
     with pytest.raises(DataError):
         ScenarioConfig(t0=2000, te=2001, scale=0.0)
-    with pytest.raises(DataError):
-        ScenarioConfig(t0=2000, te=2001, step="week")
     with pytest.raises(DataError):
         ScenarioConfig(t0=2000, te=2001, im_mode="teleport")
 

@@ -5,7 +5,7 @@ to the draws, to the order they are used in or to the tallies changes a
 digest.  The scenarios cover all four internal-migration modes,
 scale 1 and a scale below 1, two runs, four years, immigrants, births, pure
 destination regions, self flows that must be ignored, and a year that starts
-with nobody alive.  Both `step` values must give the same digest.
+with nobody alive.
 """
 
 import dataclasses
@@ -130,11 +130,10 @@ PINNED = {
 PARAMS = {"busy": busy_params, "extinct": extinct_params}
 
 
-@pytest.mark.parametrize("step", ["year", "month"])
 @pytest.mark.parametrize("case", sorted(PINNED))
-def test_outputs_match_pinned_digest(case, step, tmp_path):
+def test_outputs_match_pinned_digest(case, tmp_path):
     scenario, im_mode, scale = case
-    config = ScenarioConfig(t0=T0, te=TE, step=step, scale=scale, runs=2,
+    config = ScenarioConfig(t0=T0, te=TE, scale=scale, runs=2,
                             im_mode=im_mode, seed=20261)
     outputs = run(config, PARAMS[scenario]())
     if scenario == "extinct":

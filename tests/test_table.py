@@ -297,13 +297,6 @@ def test_level_inference_preferences():
         infer_level(set())
 
 
-def test_read_csv_level_override(tmp_path):
-    path = tmp_path / "p.csv"
-    path.write_text("year,region,sex,age,value\n2020,101,m,0,1\n", encoding="utf-8")
-    t = read_csv(str(path), level="districts_districts")
-    assert t.resolution.level == "districts_districts"
-
-
 def test_od_aggregate_reductions():
     res = ResolutionSpec((2020, 2020), "districts", od=True)
     t = CensusTable(res, {
