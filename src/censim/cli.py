@@ -497,6 +497,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
         ii=person_table("ii", "II", widen=True, required=False),
         m_by_age=_read_od_bundle(path_of("m_index"), span, level)
         if cfg.has("m_index") else None)
+    cfg.reject_unread()
     return config, params
 
 
@@ -562,10 +563,12 @@ def _synth_spec_from(cfg: Config) -> SynthSpec:
     for key in ("emig_level", "ie_level", "im_level"):
         if cfg.has(key):
             extras[key] = cfg.floating(key)
-    return SynthSpec(regions=cfg.tokens("regions"), level=cfg.text("level"),
+    spec = SynthSpec(regions=cfg.tokens("regions"), level=cfg.text("level"),
                      years=(cfg.integer("y0"), cfg.integer("y1")),
                      base=cfg.floating("base", 2000.0),
                      seed=cfg.integer("seed", 0), **extras)
+    cfg.reject_unread()
+    return spec
 
 
 def cmd_synth(args) -> int:
@@ -945,7 +948,6 @@ def _rows_fresh(rows: list, workdir: str, cfg_sha: str) -> bool:
 def run_pipeline(cfg: Config, base_dir: str = ".") -> list[tuple]:
     """Run the stage sequence, skipping stages whose manifest still holds."""
     ctx = _Pipeline(cfg, base_dir)
-    os.makedirs(ctx.workdir, exist_ok=True)
     stages = _stage_table(ctx)
     names = [s[0] for s in stages]
     if cfg.has("stages"):
@@ -955,6 +957,8 @@ def run_pipeline(cfg: Config, base_dir: str = ".") -> list[tuple]:
             raise DataError(f"unknown pipeline stages {sorted(unknown)}; "
                             f"known: {names}")
         stages = [s for s in stages if s[0] in set(wanted)]
+    cfg.reject_unread()
+    os.makedirs(ctx.workdir, exist_ok=True)
     manifest_path = os.path.join(ctx.workdir, "manifest.csv")
     manifest = _read_manifest(manifest_path)
     cfg_sha = hashlib.sha256("\n".join(

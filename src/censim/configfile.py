@@ -2,7 +2,10 @@
 
 One `key=value` pair per line; blank lines and lines starting with `#` are
 ignored; whitespace around keys and values is stripped.  Keys may not
-repeat.  Values are strings until a typed accessor interprets them.
+repeat.  Values are strings until a typed accessor interprets them.  The
+accessors record the keys they read, so a caller that has read all it
+knows can reject the rest: a misspelt key fails instead of running the
+default.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ class Config:
     def __init__(self, values: dict, source: str = "config"):
         self.values = dict(values)
         self.source = source
+        self.read: set = set()
 
     @classmethod
     def from_file(cls, path) -> "Config":
@@ -38,6 +42,7 @@ class Config:
         return key in self.values
 
     def text(self, key: str, default=_MISSING) -> str:
+        self.read.add(key)
         if key in self.values:
             return self.values[key]
         if default is _MISSING:
@@ -76,3 +81,9 @@ class Config:
             return tuple(float(t) for t in self.tokens(key))
         except ValueError:
             raise DataError(f"{self.source}: {key} must be a list of numbers") from None
+
+    def reject_unread(self) -> None:
+        """Raise a DataError naming every key no accessor has read."""
+        unread = sorted(set(self.values) - self.read)
+        if unread:
+            raise DataError(f"{self.source}: unknown keys {unread}")

@@ -31,9 +31,10 @@ award.  huntington_hill is the call with one fiber.
 
 For integer weights, k*sum(p) awards are handed out as k*p up front and the
 selection starts from that state; in particular x = k*sum(p) returns k*p
-exactly.  Without that prefill, the split of x is a prefix of the split of
-x + 1, which huntington_hill_splits uses to read many splits off one award
-sequence; for integer weights it splits each x as a fiber of one call.
+exactly.  That state is the award loop's own after k*sum(p) awards: award
+m of weight p has priority above 1/k for m < k*p and below it from k*p on.
+So the split of x is a prefix of the split of x + 1 for every weight vector,
+and huntington_hill_splits reads many splits off one award sequence.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -252,9 +253,9 @@ def huntington_hill(x: int, p) -> list[int]:
 def huntington_hill_splits(xs, p) -> np.ndarray:
     """huntington_hill(x, p) for every x in the integer array xs, stacked.
 
-    Without the integer prefill, the split of x is the first x awards of one
-    award sequence, so that sequence is ordered once, up to max(xs), and
-    each split is a prefix count of it.
+    The split of x is the first x awards of one award sequence, so that
+    sequence is ordered once, up to max(xs), and each split is a prefix
+    count of it.
     """
     xs = np.asarray(xs)
     if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0):
@@ -262,13 +263,6 @@ def huntington_hill_splits(xs, p) -> np.ndarray:
     xs = xs.astype(np.int64)
     p = _check_weights(p)
     n = len(p)
-    if np.all(p == np.floor(p)):
-        # the prefill makes these splits no prefixes of one sequence: each x
-        # is a fiber of its own over the same weights
-        flat = xs.ravel()
-        counts = _apportion(flat, np.tile(p, len(flat)),
-                            np.repeat(np.arange(len(flat)), n))
-        return counts.reshape(xs.shape + (n,))
     top = int(xs.max(initial=0))
     zeros = np.zeros(n, dtype=np.int64)
     _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])

@@ -9,9 +9,8 @@ key, so drawing only the slots a person-year reads, for only the persons
 that read them, gives every person the same numbers as drawing all slots up
 front, whatever the order of events within the year.
 
-Scalar helpers work on plain Python integers; the _array variants accept
-numpy uint64 arrays and vectorize the identical arithmetic (mix64_array
-overwrites its argument; the others return new arrays).
+Every function works on numpy uint64 arrays (mix64_array overwrites its
+argument; the others return new arrays).
 """
 
 from __future__ import annotations
@@ -25,34 +24,9 @@ _M2 = 0x94D049BB133111EB
 TO_UNIT = 2.0 ** -53
 
 
-def mix64(z: int) -> int:
-    z &= MASK
-    z = ((z ^ (z >> 30)) * _M1) & MASK
-    z = ((z ^ (z >> 27)) * _M2) & MASK
-    return z ^ (z >> 31)
-
-
-def stream(seed: int, pid: int, year: int) -> int:
-    """Substream handle for one person-year."""
-    return mix64(mix64(mix64(seed & MASK) ^ (pid & MASK)) ^ (year & MASK))
-
-
-def draw(handle: int, slot: int) -> int:
-    """The slot-th 64-bit value of a substream."""
-    return mix64((handle + (slot + 1) * GOLDEN) & MASK)
-
-
-def unit(u: int) -> float:
-    """Map a 64-bit draw onto [0, 1) with 53-bit resolution."""
-    return (u >> 11) * TO_UNIT
-
-
-def uniform(handle: int, slot: int) -> float:
-    return unit(draw(handle, slot))
-
-
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """mix64 of every element of a uint64 array, in place; returns z."""
+    """The SplitMix64 finalizer of every element of a uint64 array, in
+    place; returns z."""
     with np.errstate(over="ignore"):
         z ^= z >> np.uint64(30)
         z *= np.uint64(_M1)
@@ -62,14 +36,17 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def stream_array(seed: int, pids: np.ndarray, year: int) -> np.ndarray:
-    base = mix64(seed & MASK)
-    h = mix64_array(np.uint64(base) ^ np.asarray(pids, np.uint64))
-    h ^= np.uint64(year & MASK)
-    return mix64_array(h)
+def stream_array(seed: int, pids: np.ndarray, year) -> np.ndarray:
+    """Substream handles of person-years; year is an integer or an integer
+    array that broadcasts against pids, and both wrap modulo 2**64."""
+    base = mix64_array(np.array(seed & MASK, dtype=np.uint64))
+    h = mix64_array(base ^ np.asarray(pids, np.uint64))
+    year = np.asarray(year).astype(object) & MASK
+    return mix64_array(h ^ np.asarray(year, dtype=np.uint64))
 
 
 def draw_array(handles: np.ndarray, slot: int) -> np.ndarray:
+    """The slot-th 64-bit value of each substream."""
     with np.errstate(over="ignore"):
         counter = (np.asarray(handles, np.uint64)
                    + np.uint64((((slot + 1) * GOLDEN) & MASK)))
@@ -77,6 +54,7 @@ def draw_array(handles: np.ndarray, slot: int) -> np.ndarray:
 
 
 def uniform_array(handles: np.ndarray, slot: int) -> np.ndarray:
+    """draw_array mapped onto [0, 1) with 53-bit resolution."""
     u = draw_array(handles, slot)
     u >>= np.uint64(11)
     return u * TO_UNIT

@@ -9,6 +9,13 @@ child/adult/senior activation split the forecast fitter uses, and fertility
 is an exact member of the fitter's Gaussian family, so parameter recovery
 on this data is well-posed.
 
+The random parts, each region's size multiplier and the noise of the
+origin-destination attractiveness kernel, are drawn once per bundle from the
+counter RNG, keyed by region index: the same (seed, region) always gets the
+same draw, however many regions the spec lists.  Each year's events are
+array expressions over (region, sex, age); only the Huntington-Hill split of
+each origin's internal movers over its destinations runs region by region.
+
 The coarse inputs a harmonization pipeline starts from are these tables
 summed onto coarser resolutions with censim.table.degrade, so estimates stay
 comparable against known truth.
@@ -23,7 +30,7 @@ import numpy as np
 from .disagg import huntington_hill_splits
 from .errors import DataError
 from .fitting import activation, gaussian_rates
-from .rng import stream, uniform
+from .rng import stream_array, uniform_array
 # degrade is unused here; it stays bound because the benchmark imports it
 # from this module and traces it as censim.synthgen:degrade
 from .table import SEXES, CensusTable, Entries, ResolutionSpec, cells, degrade
@@ -100,46 +107,38 @@ def internal_probability(spec: SynthSpec) -> np.ndarray:
     return spec.ie_level * np.exp(-(((_AGES - 24.0) / 16.0) ** 2))
 
 
-def _region_mult(spec: SynthSpec, i: int) -> float:
-    return 0.6 + 0.8 * uniform(stream(spec.seed, i + 1, 0), 0)
+def _region_mult(spec: SynthSpec) -> np.ndarray:
+    """Each region's size multiplier, in [0.6, 1.4)."""
+    pids = np.arange(1, len(spec.regions) + 1)
+    return 0.6 + 0.8 * uniform_array(stream_array(spec.seed, pids, 0), 0)
 
 
 def _kernel(spec: SynthSpec) -> np.ndarray:
     """Fixed destination attractiveness between region indexes."""
-    n = len(spec.regions)
-    w = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            noise = uniform(stream(spec.seed, i + 1, j + 1), 1)
-            w[i, j] = 1.0 / (1.0 + abs(i - j)) + 0.5 * noise
+    idx = np.arange(1, len(spec.regions) + 1)
+    noise = uniform_array(stream_array(spec.seed, idx[:, None], idx), 1)
+    w = 1.0 / (1.0 + np.abs(idx[:, None] - idx)) + 0.5 * noise
+    np.fill_diagonal(w, 0.0)
     return w
 
 
-def _initial_population(spec: SynthSpec) -> np.ndarray:
+def _initial_population(spec: SynthSpec, mult: np.ndarray) -> np.ndarray:
     """Integer head counts shaped (region, sex, age) for the first census."""
     profile = np.exp(-((_AGES / 62.0) ** 1.8)) + 0.12 * np.exp(
         -(((_AGES - 30.0) / 12.0) ** 2))
-    n = len(spec.regions)
-    out = np.zeros((n, 2, 101), dtype=np.int64)
-    for i in range(n):
-        mult = spec.base * _region_mult(spec, i)
-        out[i, 0] = np.round(mult * profile * 0.505).astype(np.int64)
-        out[i, 1] = np.round(mult * profile * 0.495).astype(np.int64)
-    return out
+    size = (spec.base * mult)[:, None, None]
+    return np.round(size * profile * np.array([[0.505], [0.495]])).astype(np.int64)
 
 
-def _immigrants(spec: SynthSpec, year: int) -> np.ndarray:
+def _immigrants(spec: SynthSpec, mult: np.ndarray) -> np.ndarray:
+    """Integer immigrants shaped (year, region, sex, age), one year per
+    transition."""
     shape = np.exp(-(((_AGES - 27.0) / 14.0) ** 2))
-    dy = year - spec.years[0]
-    n = len(spec.regions)
-    out = np.zeros((n, 2, 101), dtype=np.int64)
-    for i in range(n):
-        level = spec.im_level * spec.base * _region_mult(spec, i) * (1 + 0.01 * dy)
-        out[i, 0] = np.round(level * shape * 0.52).astype(np.int64)
-        out[i, 1] = np.round(level * shape * 0.48).astype(np.int64)
-    return out
+    y0, y1 = spec.years
+    growth = 1 + 0.01 * np.arange(y1 - y0)
+    level = spec.im_level * spec.base * mult * growth[:, None]
+    return np.round(level[..., None, None] * shape
+                    * np.array([[0.52], [0.48]])).astype(np.int64)
 
 
 def generate_truth(spec: SynthSpec) -> dict:
@@ -157,22 +156,17 @@ def generate_truth(spec: SynthSpec) -> dict:
     od_flows = []
     flow_by_class = {lo: [] for lo in FLOW_AGE_CLASSES}
 
-    n = _initial_population(spec)
+    mult = _region_mult(spec)
+    n = _initial_population(spec, mult)
     pop.append(n)
-    for y in range(y0, y1):
-        q_death = {s: mortality_probability(spec, y, s) for s in ("m", "f")}
+    for y, imm in zip(range(y0, y1), _immigrants(spec, mult)):
+        q_death = np.stack([mortality_probability(spec, y, s) for s in SEXES])
         q_birth = fertility_probability(spec, y)
-        imm = _immigrants(spec, y)
 
-        d = np.zeros_like(n)
-        e = np.zeros_like(n)
-        ie = np.zeros_like(n)
+        d = np.round(q_death * n).astype(np.int64)
+        e = np.round(q_emig * n).astype(np.int64)
+        ie = np.round(q_ie * n).astype(np.int64)
         ii = np.zeros_like(n)
-        for i in range(n_r):
-            for si, s in enumerate(("m", "f")):
-                d[i, si] = np.round(q_death[s] * n[i, si]).astype(np.int64)
-                e[i, si] = np.round(q_emig * n[i, si]).astype(np.int64)
-                ie[i, si] = np.round(q_ie * n[i, si]).astype(np.int64)
         # keep every cell's removals within its head count
         over = d + e + ie - n
         ie -= np.clip(over, 0, ie)

@@ -380,7 +380,8 @@ def test_balance_cli(tmp_path):
     assert I[(2000, "AT", "f", 0)] == 100 - 100 - 2 + 4 + 1
 
 
-def test_simulate_cli_runs_scenario(tmp_path):
+def write_scenario(tmp_path, extra=""):
+    """A one-region scenario in which everyone dies in its first year."""
     level = "federalstates"
     # explicit zero rows so the reader can infer the full age range
     lines = ["year,region,sex,age,value"]
@@ -404,9 +405,13 @@ def test_simulate_cli_runs_scenario(tmp_path):
     (tmp_path / "scenario.cfg").write_text(
         "t0=2000\nte=2003\nruns=2\nseed=9\n"
         "population=P.csv\nbirth_p=birth.csv\ndeath_p=death.csv\n"
-        "emig_p=emig.csv\n")
+        "emig_p=emig.csv\n" + extra)
+    return tmp_path / "scenario.cfg"
+
+
+def test_simulate_cli_runs_scenario(tmp_path):
     out_dir = tmp_path / "results"
-    code = main(["simulate", "--config", str(tmp_path / "scenario.cfg"),
+    code = main(["simulate", "--config", str(write_scenario(tmp_path)),
                  "--out-dir", str(out_dir)])
     assert code == 0
     run0 = read_csv(str(out_dir / "census_run00.csv"), integer=True)
@@ -416,6 +421,16 @@ def test_simulate_cli_runs_scenario(tmp_path):
     assert sum(v for (y, *_), v in run0.items() if y == 2000) == 80
     assert sum(v for (y, *_), v in run0.items() if y > 2000) == 0
     assert mean[(2000, "AT-1", "m", 30)] == 40.0
+
+
+def test_simulate_cli_misspelt_key_exits_one(tmp_path, caplog):
+    out_dir = tmp_path / "results"
+    code = main(["simulate", "--config",
+                 str(write_scenario(tmp_path, "im-mode=none\n")),
+                 "--out-dir", str(out_dir)])
+    assert code == 1
+    assert "unknown keys ['im-mode']" in caplog.text
+    assert not out_dir.exists()
 
 
 def test_validate_cli(tmp_path):
@@ -468,6 +483,15 @@ def test_synth_cli_bad_spec_exits_one(tmp_path):
     spec.write_text("regions=AT-1\nlevel=federalstates\ny0=2000\ny1=2003\n")
     code = main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")])
     assert code == 1
+
+
+def test_synth_cli_misspelt_key_exits_one(tmp_path, caplog):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("regions=AT-1,AT-2\nlevel=federalstates\n"
+                    "y0=2000\ny1=2003\nim_levl=0.5\n")
+    code = main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")])
+    assert code == 1
+    assert "unknown keys ['im_levl']" in caplog.text
 
 
 PIPELINE_CFG = """
@@ -737,6 +761,14 @@ def test_pipeline_unknown_stage_exits_one(tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("workdir=w\nstages=synth,warp\n")
     assert main(["pipeline", "--config", str(cfg)]) == 1
+
+
+def test_pipeline_misspelt_key_exits_one(tmp_path, caplog):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("workdir=w\nim-mode=none\nsead=4\nstages=\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert "unknown keys ['im-mode', 'sead']" in caplog.text
+    assert not (tmp_path / "w").exists()
 
 
 def test_pipeline_stage_subset_runs_in_order(tmp_path):

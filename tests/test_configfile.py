@@ -67,3 +67,16 @@ def test_bad_numbers_rejected():
 
 def test_empty_token_list():
     assert Config({"stages": ""}).tokens("stages") == ()
+
+
+def test_reject_unread_names_every_key_no_accessor_read():
+    cfg = Config({"n": "7", "x": "2.5", "flag": "", "typo": "1"}, source="t.cfg")
+    cfg.integer("n")
+    cfg.text("missing", "default")
+    assert cfg.has("flag") and cfg.has("x")
+    with pytest.raises(DataError, match=r"t.cfg: unknown keys \['flag', 'typo', 'x'\]"):
+        cfg.reject_unread()
+    cfg.numbers("x")
+    cfg.tokens("flag")
+    cfg.floating("typo")
+    cfg.reject_unread()

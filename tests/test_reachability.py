@@ -3,8 +3,9 @@
 A module-level function or public method whose name is referred to nowhere
 in ``src/censim`` or ``perfbench/`` except inside its own definition can
 only be reached from tests.  Such code is deleted, not kept alive by its
-own tests.  Names exported through ``censim.__all__`` are the public API
-and count as reachable.
+own tests.  A perfbench trace site ("module:attribute") refers to the
+attribute only while that module binds it.  Names exported through
+``censim.__all__`` are the public API and count as reachable.
 
 Likewise every name a package module imports is used in that module, so a
 refactor that moves code leaves no stale import behind, and every parameter
@@ -13,6 +14,7 @@ option no caller sets is a configuration nothing runs.
 """
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -35,7 +37,18 @@ UNUSED_IMPORTS_ALLOWED = {
 }
 
 # perfbench binds trace points by "module:attribute" strings
-_SITE = re.compile(r"censim\.\w+:([\w.]+)")
+_SITE = re.compile(r"(censim\.\w+):([\w.]+)")
+
+
+def _binds(module: str, path: str) -> bool:
+    """Whether a trace site's module binds its dotted attribute path; a
+    stale site names nothing and so refers to nothing."""
+    obj = importlib.import_module(module)
+    for part in path.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
 
 
 def _references(tree: ast.AST) -> list[tuple[str, int]]:
@@ -48,7 +61,8 @@ def _references(tree: ast.AST) -> list[tuple[str, int]]:
             out.append((node.attr, node.lineno))
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             for m in _SITE.finditer(node.value):
-                out += [(part, node.lineno) for part in m.group(1).split(".")]
+                if _binds(*m.groups()):
+                    out += [(part, node.lineno) for part in m.group(2).split(".")]
     return out
 
 

@@ -1,8 +1,13 @@
+import numpy as np
 import pytest
+from test_rng import stream, uniform
 
 from censim.errors import DataError
-from censim.synthgen import SynthSpec, degrade, generate_truth
-from censim.table import CensusTable, ResolutionSpec
+from censim.synthgen import (SynthSpec, _immigrants, _initial_population,
+                             _kernel, _region_mult, degrade,
+                             emigration_probability, generate_truth,
+                             internal_probability, mortality_probability)
+from censim.table import SEXES, CensusTable, ResolutionSpec
 
 SPEC = SynthSpec(regions=("10101", "10102", "20101"), level="municipalities",
                  years=(2000, 2004), base=500.0, seed=3)
@@ -167,3 +172,108 @@ def test_spec_validation():
     with pytest.raises(DataError):
         SynthSpec(regions=("10101", "10102"), level="municipalities",
                   years=(2000, 2002), base=0.0)
+
+
+# The per-region loops synthgen ran before its array expressions, on the
+# scalar SplitMix64 reference; the array code must match them exactly.
+
+DIFF_SPECS = [
+    SPEC,
+    SynthSpec(regions=tuple(f"101{m:02d}" for m in range(1, 8)),
+              level="municipalities", years=(2000, 2003), base=300.0, seed=11),
+    SynthSpec(regions=tuple(f"{(1 + d // 30) * 100 + 1 + d % 30}{m:02d}"
+                            for d in range(8) for m in range(1, 21)),
+              level="municipalities", years=(2000, 2002), base=400.0, seed=42),
+]
+DIFF_IDS = [f"{len(spec.regions)}regions" for spec in DIFF_SPECS]
+
+
+def ref_region_mult(spec, i):
+    return 0.6 + 0.8 * uniform(stream(spec.seed, i + 1, 0), 0)
+
+
+def ref_kernel(spec):
+    n = len(spec.regions)
+    w = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            noise = uniform(stream(spec.seed, i + 1, j + 1), 1)
+            w[i, j] = 1.0 / (1.0 + abs(i - j)) + 0.5 * noise
+    return w
+
+
+def ref_initial_population(spec):
+    ages = np.arange(101, dtype=float)
+    profile = np.exp(-((ages / 62.0) ** 1.8)) + 0.12 * np.exp(
+        -(((ages - 30.0) / 12.0) ** 2))
+    n = len(spec.regions)
+    out = np.zeros((n, 2, 101), dtype=np.int64)
+    for i in range(n):
+        mult = spec.base * ref_region_mult(spec, i)
+        out[i, 0] = np.round(mult * profile * 0.505).astype(np.int64)
+        out[i, 1] = np.round(mult * profile * 0.495).astype(np.int64)
+    return out
+
+
+def ref_immigrants(spec, year):
+    shape = np.exp(-(((np.arange(101, dtype=float) - 27.0) / 14.0) ** 2))
+    dy = year - spec.years[0]
+    n = len(spec.regions)
+    out = np.zeros((n, 2, 101), dtype=np.int64)
+    for i in range(n):
+        level = spec.im_level * spec.base * ref_region_mult(spec, i) * (1 + 0.01 * dy)
+        out[i, 0] = np.round(level * shape * 0.52).astype(np.int64)
+        out[i, 1] = np.round(level * shape * 0.48).astype(np.int64)
+    return out
+
+
+def ref_removals(spec, year, n):
+    """Deaths, emigrants and internal movers of head counts n, cell by cell."""
+    q_death = {s: mortality_probability(spec, year, s) for s in ("m", "f")}
+    q_emig = emigration_probability(spec)
+    q_ie = internal_probability(spec)
+    d, e, ie = np.zeros_like(n), np.zeros_like(n), np.zeros_like(n)
+    for i in range(len(spec.regions)):
+        for si, s in enumerate(("m", "f")):
+            d[i, si] = np.round(q_death[s] * n[i, si]).astype(np.int64)
+            e[i, si] = np.round(q_emig * n[i, si]).astype(np.int64)
+            ie[i, si] = np.round(q_ie * n[i, si]).astype(np.int64)
+    over = d + e + ie - n
+    ie -= np.clip(over, 0, ie)
+    over = d + e - n
+    e -= np.clip(over, 0, e)
+    return d, e, ie
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS, ids=DIFF_IDS)
+def test_kernel_matches_the_per_pair_loop(spec):
+    assert np.array_equal(_kernel(spec), ref_kernel(spec))
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS, ids=DIFF_IDS)
+def test_region_draws_match_the_per_region_loops(spec):
+    y0, y1 = spec.years
+    mult = _region_mult(spec)
+    assert np.array_equal(
+        mult, [ref_region_mult(spec, i) for i in range(len(spec.regions))])
+    assert np.array_equal(_initial_population(spec, mult),
+                          ref_initial_population(spec))
+    assert np.array_equal(_immigrants(spec, mult),
+                          [ref_immigrants(spec, y) for y in range(y0, y1)])
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS, ids=DIFF_IDS)
+def test_removals_match_the_per_cell_rounding(spec):
+    y0, y1 = spec.years
+    truth = generate_truth(spec)
+    ages = range(101)
+
+    def grid(name, y):
+        return truth[name].grid([y], spec.regions, SEXES, ages)[0].astype(np.int64)
+
+    for y in range(y0, y1):
+        want = ref_removals(spec, y, grid("P", y))
+        got = tuple(grid(name, y) for name in ("D", "E", "IE"))
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), y
