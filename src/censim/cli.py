@@ -39,14 +39,13 @@ from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import MALE_SHARE, ScenarioConfig, SimParams, run
 from .synthgen import FLOW_AGE_CLASSES, SynthSpec, generate_truth
-from .table import (SEXES, CensusTable, Entries, ResolutionSpec, _format_age,
-                    _format_value, add_tables, aggregate, cells, degrade,
-                    read_csv, write_csv)
+from .table import (FULL_AGES, SEXES, CensusTable, Entries, ResolutionSpec,
+                    _format_age, _format_value, add_tables, aggregate, cells,
+                    degrade, read_csv, write_csv)
 from .validate import compare, mc_mean, read_window, write_deviations
 
 log = logging.getLogger("censim")
 
-_FULL_AGES = tuple(range(101))
 _AGES5 = tuple(range(0, 101, 5))
 
 _METHOD_NAMES = {"hh": "huntington_hill", "prop": "proportional"}
@@ -224,6 +223,8 @@ def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
                 lo = int(row["age"].rstrip("+"))
             except ValueError:
                 raise DataError(f"{index_path}: bad age token {row['age']!r}") from None
+            if lo in out:
+                raise DataError(f"{index_path}: age {row['age']!r} listed twice")
             rel = row["path"]
             path = rel if os.path.isabs(rel) else os.path.join(base, rel)
             if not _csv_has_rows(path):
@@ -345,7 +346,7 @@ def _fit_rows(pop: CensusTable, rows: list, out: str, fit, sexes: tuple,
         w.writerows(report)
     years = [row[0] for row in rows]
     res = ResolutionSpec((min(years), max(years)), pop.resolution.level,
-                         sexes=sexes, ages=_FULL_AGES, open_age=100)
+                         sexes=sexes, ages=FULL_AGES, open_age=100)
     return CensusTable(res, entries, name=name)
 
 
@@ -440,7 +441,7 @@ def _retype(t: CensusTable, span: tuple, widen_years: bool) -> CensusTable:
         res = replace(res, years=(min(res.years[0], span[0]),
                                   max(res.years[1], span[1])))
     if not res.od:
-        res = replace(res, sexes=SEXES, ages=_FULL_AGES, open_age=100)
+        res = replace(res, sexes=SEXES, ages=FULL_AGES, open_age=100)
     return t if res == t.resolution else CensusTable(
         res, t, integer=t.integer, name=t.name)
 
@@ -470,7 +471,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
             return None
         path = path_of(key)
         if not _csv_has_rows(path):
-            res = ResolutionSpec(span, level, sexes=SEXES, ages=_FULL_AGES,
+            res = ResolutionSpec(span, level, sexes=SEXES, ages=FULL_AGES,
                                  open_age=100)
             return CensusTable(res, {}, name=name)
         return _retype(read_csv(path, name=name), span, widen)
@@ -479,7 +480,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
         immigrants = person_table("immigrants", "I", widen=True)
     else:
         # no key means a closed scenario: an all-zero immigrant table
-        res = ResolutionSpec(span, level, sexes=SEXES, ages=_FULL_AGES,
+        res = ResolutionSpec(span, level, sexes=SEXES, ages=FULL_AGES,
                              open_age=100)
         immigrants = CensusTable(res, {}, name="I")
     if cfg.has("od"):
@@ -615,6 +616,9 @@ class _Pipeline:
                             "mortality reference (y0 <= t0 - 3)")
         if not self.t0 < self.te <= self.y1:
             raise DataError("need y0 <= t0 < te <= y1")
+        # the simulate stage's own checks (runs, scale), before any stage runs
+        ScenarioConfig(t0=self.t0, te=self.te, scale=self.scale, runs=self.runs,
+                       im_mode=self.im_mode, seed=self.seed + 1)
 
     def path(self, rel: str) -> str:
         return os.path.join(self.workdir, rel)
@@ -633,7 +637,7 @@ class _Pipeline:
     def full_res(self, years: tuple, level: str | None = None,
                  sexes: tuple = SEXES) -> ResolutionSpec:
         return ResolutionSpec(years, level or self.level, sexes=sexes,
-                              ages=_FULL_AGES, open_age=100)
+                              ages=FULL_AGES, open_age=100)
 
 
 def _stage_synth(ctx: _Pipeline) -> None:
@@ -662,11 +666,11 @@ def _stage_degrade(ctx: _Pipeline) -> None:
     IE, II = load("IE", full), load("II", full)
     M = load("M", ResolutionSpec(span, ctx.level, od=True))
     country_full = ResolutionSpec(span, "country", sexes=SEXES,
-                                  ages=_FULL_AGES, open_age=100)
+                                  ages=FULL_AGES, open_age=100)
     save(degrade(P, ResolutionSpec((ctx.y0, ctx.y1), "districts", sexes=SEXES,
                                    ages=_AGES5, open_age=100)), "P_coarse")
     save(degrade(P, ResolutionSpec((ctx.t0, ctx.t0), ctx.level, sexes=SEXES,
-                                   ages=_FULL_AGES, open_age=100)), "P_base")
+                                   ages=FULL_AGES, open_age=100)), "P_base")
     save(degrade(B, ResolutionSpec(span, "country", sexes=SEXES)), "B_flat")
     save(degrade(B_m, replace(country_full, sexes=("f",))), "B_m_country")
     save(degrade(D, country_full), "D_country")
@@ -744,7 +748,7 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
     for y in range(ctx.t0, ctx.te):
         # Python sums, left to right in age order
         births = sum(B_flat.grid((y,), ("AT",), SEXES, (0,)).ravel().tolist())
-        by_age = B_m.grid((y,), ("AT",), ("f",), _FULL_AGES).ravel()
+        by_age = B_m.grid((y,), ("AT",), ("f",), FULL_AGES).ravel()
         weight = sum(by_age.tolist())
         if weight <= 0:
             raise DataError(f"no recorded births in {y}")

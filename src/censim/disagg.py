@@ -19,22 +19,24 @@ loop: a threshold t estimated from the divisor sum(p)/(awards + x) gives
 each cell's count above it from the closed form p/t + 1/2, corrected by the
 float priorities at the boundary, and a Newton step on t follows while too
 many awards stay in doubt.  Those left, a window of a few thousand per
-call (or one per cell at a tie), are sorted by priority; a call whose
-cells' next x awards already fit in that window ranks them all without a
+call (or one per cell at a tie), are ranked in the loop's order by one
+stable sort, and the first ones still needed win; a call whose cells'
+next x awards already fit in that window ranks them all without a
 threshold.
 
 The kernel splits many fibers in one call.  A fiber is a run of cells with
 its own x, thresholds and counts; the open fibers are probed together, and
-the window's awards are sorted by priority fiber by fiber, equal
-priorities at a fiber's cut going to the larger weight, then the earlier
-award.  huntington_hill is the call with one fiber.
+the sort keys the window's awards on fiber, then priority, then weight,
+leaving the candidate order (lower cell, earlier award) to break the rest.
+huntington_hill is the call with one fiber.
 
 For integer weights, k*sum(p) awards are handed out as k*p up front and the
 selection starts from that state; in particular x = k*sum(p) returns k*p
 exactly.  That state is the award loop's own after k*sum(p) awards: award
 m of weight p has priority above 1/k for m < k*p and below it from k*p on.
-So the split of x is a prefix of the split of x + 1 for every weight vector,
-and huntington_hill_splits reads many splits off one award sequence.
+So the split of x is a prefix of the split of x + 1 for every weight vector:
+huntington_hill_splits ranks one award sequence, up to the largest x, with
+the same sort and reads each split as a running count of it.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -188,35 +190,32 @@ def _window(x: np.ndarray, p: np.ndarray, w: np.ndarray, fiber: np.ndarray,
     return lo, hi
 
 
+def _ranked(p: np.ndarray, w: np.ndarray, fiber: np.ndarray, lo: np.ndarray,
+            hi: np.ndarray) -> np.ndarray:
+    """Cells of the candidate awards lo..hi-1 after start counts w, fiber by
+    fiber in award order: larger priority first, then the larger weight,
+    then the lower cell and the earlier award."""
+    length = hi - lo
+    cell = np.repeat(np.arange(len(p)), length)
+    k = lo[cell] + np.arange(len(cell)) - (np.cumsum(length) - length)[cell]
+    # stable: equal keys keep the candidate order
+    return cell[np.lexsort((-p[cell], -_priorities(p[cell], w[cell] + k),
+                            fiber[cell]))]
+
+
 def _award(x: np.ndarray, p: np.ndarray, w: np.ndarray,
            fiber: np.ndarray) -> np.ndarray:
     """Awards per cell of each fiber f's x[f] top priorities after start
     counts w."""
     start = _starts(fiber, len(x))
     lo, hi = _window(x, p, w, fiber, start)
-    length = hi - lo
-    cell = np.repeat(np.arange(len(p)), length)
-    k = lo[cell] + np.arange(len(cell)) - (np.cumsum(length) - length)[cell]
-    f = fiber[cell]
-    pr = _priorities(p[cell], w[cell] + k)
-    # each fiber's candidates by larger priority, fiber by fiber; fiber f's
-    # cut is the priority of its left[f]-th best
-    order = np.argsort(-pr)
-    order = order[np.argsort(f[order], kind="stable")]
-    count = np.add.reduceat(length, start)
-    left = x - np.add.reduceat(lo, start)
-    cut = np.full(len(x), np.inf)
-    cut[left > 0] = pr[order[(np.cumsum(count) - count + left - 1)[left > 0]]]
-    above = pr > cut[f]
-    # equal priorities at the cut go to the larger weight, then to the
-    # earlier candidate (lower cell, earlier award)
-    tie = np.flatnonzero(pr == cut[f])
-    tie = tie[np.lexsort((-p[cell[tie]], f[tie]))]
-    need = left - np.bincount(f[above], minlength=len(x))
-    ties = np.bincount(f[tie], minlength=len(x))
-    won = tie[np.arange(len(tie)) - (np.cumsum(ties) - ties)[f[tie]] < need[f[tie]]]
-    return lo + np.bincount(cell[above], minlength=len(p)) \
-        + np.bincount(cell[won], minlength=len(p))
+    ranked = _ranked(p, w, fiber, lo, hi)
+    # fiber f's candidates come in one block; its first x[f] - sum(lo) win
+    f = fiber[ranked]
+    count = np.add.reduceat(hi - lo, start)
+    rank = np.arange(len(ranked)) - (np.cumsum(count) - count)[f]
+    won = ranked[rank < (x - np.add.reduceat(lo, start))[f]]
+    return lo + np.bincount(won, minlength=len(p))
 
 
 def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
@@ -254,31 +253,23 @@ def huntington_hill_splits(xs, p) -> np.ndarray:
     """huntington_hill(x, p) for every x in the integer array xs, stacked.
 
     The split of x is the first x awards of one award sequence, so that
-    sequence is ordered once, up to max(xs), and each split is a prefix
-    count of it.
+    sequence is ranked once, up to max(xs), and each split is a running
+    count of it over the distinct totals.
     """
     xs = np.asarray(xs)
     if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0):
         raise DataError("splits need non-negative integer totals")
-    xs = xs.astype(np.int64)
+    totals, row = np.unique(xs.astype(np.int64).ravel(), return_inverse=True)
     p = _check_weights(p)
     n = len(p)
-    top = int(xs.max(initial=0))
+    top = int(totals[-1]) if totals.size else 0
     zeros = np.zeros(n, dtype=np.int64)
     _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])
-    # every award below the window's upper bounds, cell by cell; ranked (the
-    # sort is stable), the first top of them are the award sequence
-    cell = np.repeat(np.arange(n), hi)
-    k = np.arange(len(cell)) - (np.cumsum(hi) - hi)[cell]
-    seq = np.lexsort((-p[cell], -_priorities(p[cell], k)))[:top]
-    place = np.empty(len(cell), dtype=np.int64)
-    place[seq] = np.arange(top)
-    # the sequence's awards cell by cell, keyed by cell and place
-    won = np.sort(seq)
-    counts = np.bincount(cell[won], minlength=n)
-    key = cell[won] * (top + 1) + place[won]
-    return np.searchsorted(key, np.arange(n) * (top + 1) + xs[..., None]) \
-        - (np.cumsum(counts) - counts)
+    seq = _ranked(p, zeros, zeros, zeros, hi)[:top]
+    # award i first counts toward the smallest total above i
+    at = np.repeat(np.arange(len(totals)), np.diff(totals, prepend=0))
+    counts = np.bincount(at * n + seq, minlength=len(totals) * n)
+    return counts.reshape(-1, n).cumsum(axis=0)[row].reshape(xs.shape + (n,))
 
 
 def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,

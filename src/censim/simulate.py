@@ -35,7 +35,7 @@ from .balance import round_half_away
 from .disagg import huntington_hill
 from .errors import DataError
 from .rng import stream_array, uniform_array
-from .table import CensusTable, Entries, ResolutionSpec, SEXES, cells
+from .table import FULL_AGES, CensusTable, Entries, ResolutionSpec, SEXES, cells
 
 IM_MODES = ("none", "interregional", "biregional", "full")
 
@@ -49,7 +49,6 @@ S_NEWBORN_SEX = 9
 
 MALE_SHARE = 0.513234  # long-run share of male newborns
 
-_FULL_AGES = tuple(range(101))
 EVENT_NAMES = ("B", "D", "E", "I", "IE", "II", "OD")
 
 
@@ -134,7 +133,7 @@ def _check_person_table(t: CensusTable, what: str, level: str, years: tuple,
     _require(not t.resolution.od, f"{what} must be a plain table")
     _require(t.resolution.level == level,
              f"{what} is at level {t.resolution.level}, expected {level}")
-    _require(t.resolution.ages == _FULL_AGES and t.resolution.open_age == 100,
+    _require(t.resolution.ages == FULL_AGES and t.resolution.open_age == 100,
              f"{what} must carry single ages 0..100+")
     for s in sexes:
         _require(s in t.resolution.sex_domain, f"{what} lacks sex {s!r}")
@@ -153,7 +152,7 @@ def validate_coverage(config: ScenarioConfig, params: SimParams):
     level = P.resolution.level
     _require(not P.resolution.od, "population must be a plain table")
     _require(P.integer, "population must be integer-valued")
-    _require(P.resolution.ages == _FULL_AGES and P.resolution.open_age == 100,
+    _require(P.resolution.ages == FULL_AGES and P.resolution.open_age == 100,
              "population must carry single ages 0..100+")
     _require(P.resolution.sexes == SEXES, "population must carry both sexes")
     _require(P.resolution.years[0] <= config.t0 <= P.resolution.years[1],
@@ -259,7 +258,7 @@ def init_population(P: CensusTable, scale: float, year: int | None = None,
 
 
 def _tally(year: int, regions: tuple, region: np.ndarray, sex: np.ndarray,
-           last: np.ndarray, labels: tuple = _FULL_AGES) -> Entries:
+           last: np.ndarray, labels: tuple = FULL_AGES) -> Entries:
     """Count people by (year, regions[region], sex, labels[last])."""
     n = len(labels)
     counts = np.bincount((region.astype(np.int64) * 2 + sex) * n + last,
@@ -284,7 +283,7 @@ def _planes(config: ScenarioConfig, params: SimParams, regions: tuple) -> dict:
     if config.im_mode == "biregional":
         tables["ii"] = params.ii
     years = range(config.t0, config.te)
-    return {name: table.grid(years, regions, SEXES, _FULL_AGES)
+    return {name: table.grid(years, regions, SEXES, FULL_AGES)
             for name, table in tables.items()}
 
 
@@ -485,9 +484,9 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
             name: Entries.concat(parts) for name, parts in acc.items()}
 
         census_res = ResolutionSpec((config.t0, config.te), level,
-                                    ages=_FULL_AGES, open_age=100)
+                                    ages=FULL_AGES, open_age=100)
         span = (config.t0, config.te - 1)
-        aged_res = ResolutionSpec(span, level, ages=_FULL_AGES, open_age=100)
+        aged_res = ResolutionSpec(span, level, ages=FULL_AGES, open_age=100)
         birth_res = ResolutionSpec(span, level, ages=(0,), open_age=None)
         od_res = ResolutionSpec(span, level, od=True)
         outputs.append(RunOutput(

@@ -31,13 +31,14 @@ from .disagg import huntington_hill_splits
 from .errors import DataError
 from .fitting import activation, gaussian_rates
 from .rng import stream_array, uniform_array
-# degrade is unused here; it stays bound because the benchmark imports it
-# from this module and traces it as censim.synthgen:degrade
-from .table import SEXES, CensusTable, Entries, ResolutionSpec, cells, degrade
+from .simulate import MALE_SHARE
+# degrade is unused here; it stays bound because the benchmark and
+# tests/test_acceptance.py import it from this module, and the benchmark
+# traces it as censim.synthgen:degrade
+from .table import (FULL_AGES, SEXES, CensusTable, Entries, ResolutionSpec,
+                    cells, degrade)
 from .regions import validate_code
 
-MALE_SHARE = 0.513234
-FULL_AGES = tuple(range(101))
 FLOW_AGE_CLASSES = (0, 20, 40, 60, 80, 100)
 
 _AGES = np.arange(101, dtype=float)

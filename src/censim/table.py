@@ -47,6 +47,7 @@ from .regions import LEVELS, coarser_or_equal, is_valid_code, parent_region
 
 SEXES = ("m", "f")
 NO_SEX = "-"
+FULL_AGES = tuple(range(101))  # single ages, 100 the open class
 
 
 def single_ages(lo: int, hi: int) -> tuple[int, ...]:

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from censim.cli import _Pipeline, _stage_table, main, run_pipeline
+from censim.cli import (_Pipeline, _read_od_bundle, _stage_table, main,
+                        run_pipeline)
 from censim.configfile import Config
+from censim.errors import DataError
 from censim.fitting import activation, average_slice, gaussian_rates
 from censim.lifetable import life_expectancy
 from censim.rates import death_table_alpha
@@ -769,6 +771,30 @@ def test_pipeline_misspelt_key_exits_one(tmp_path, caplog):
     assert main(["pipeline", "--config", str(cfg)]) == 1
     assert "unknown keys ['im-mode', 'sead']" in caplog.text
     assert not (tmp_path / "w").exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("runs=0", "need at least one run"),
+    ("runs=-2", "need at least one run"),
+    ("scale=0", "scale must lie in (0,1], got 0.0"),
+    ("scale=1.5", "scale must lie in (0,1], got 1.5"),
+])
+def test_pipeline_bad_scenario_exits_one(tmp_path, caplog, line, message):
+    # the scenario is checked when the config loads, before any stage runs
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text(f"workdir=w\n{line}\nstages=synth\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert message in caplog.text
+    assert not (tmp_path / "w").exists()
+
+
+def test_od_index_repeated_age_is_an_error(tmp_path):
+    for fn in ("a.csv", "b.csv"):
+        (tmp_path / fn).write_text("year,origin,sex,destination,value\n")
+    index = tmp_path / "m_index.csv"
+    index.write_text("age,path\n0,a.csv\n0,b.csv\n")
+    with pytest.raises(DataError, match=r"m_index\.csv: age '0' listed twice"):
+        _read_od_bundle(str(index), (2000, 2001), "federalstates")
 
 
 def test_pipeline_stage_subset_runs_in_order(tmp_path):

@@ -216,6 +216,19 @@ def test_splits_are_prefix_counts_of_one_award_sequence(monkeypatch):
         xs = np.array([rng.randint(0, top) for _ in range(rng.randint(1, 12))])
         got = huntington_hill_splits(xs.reshape(-1, 1) if trial % 2 else xs, p)
         assert got.reshape(len(xs), len(p)).tolist() == [huntington_hill(int(x), p) for x in xs]
+    # 2-D totals, as synthgen passes them (sex x age): the running counts
+    # are indexed back into the totals' shape
+    for trial in range(40):
+        monkeypatch.setattr(disagg, "_WINDOW", windows[trial % 2])
+        n = rng.randint(1, 40)
+        p = _nonzero([rng.choice((0.0, rng.randint(0, 5), rng.uniform(0, 4)))
+                      for _ in range(n)])
+        top = 3000 if trial % 4 < 2 else 90
+        shape = rng.choice(((2, 101), (3, 4), (1, 7)))
+        xs = np.array([rng.randint(0, top) for _ in range(shape[0] * shape[1])])
+        got = huntington_hill_splits(xs.reshape(shape), p)
+        assert got.shape == shape + (n,)
+        assert got.reshape(-1, n).tolist() == [huntington_hill(int(x), p) for x in xs]
     assert huntington_hill_splits([0, 0], [0.5, 1.5]).tolist() == [[0, 0], [0, 0]]
     with pytest.raises(DataError):
         huntington_hill_splits([2.5], [0.5, 1.5])

@@ -32,7 +32,8 @@ ALLOWED = {
 }
 
 UNUSED_IMPORTS_ALLOWED = {
-    # perfbench imports degrade from censim.synthgen and traces it there
+    # perfbench imports degrade from censim.synthgen and traces it there;
+    # tests/test_acceptance.py imports it from there too
     "synthgen.degrade",
 }
 
