@@ -156,12 +156,10 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
     classes = abr.ages
     per_class: dict[int, list] = {lo: [] for lo in classes}
     stats = {"blocks": 0, "iterations": 0, "residual": 0.0, "converged": True}
-    m0 = np.ones((len(origins), len(classes), len(dests)))
-    if zero_diagonal:
-        row = {o: i for i, o in enumerate(origins)}
-        for k, d in enumerate(dests):
-            if d in row:
-                m0[row[d], :, k] = 0.0
+    # the fit starts at one in every class of each flow the od table holds,
+    # self-flows excepted under zero_diagonal
+    allowed = (np.array(origins)[:, None] != np.array(dests)) | (not zero_diagonal)
+    nc = len(classes)
     for y in range(years[0], years[1] + 1):
         for s in abr.sex_domain:
             A = ab.grid((y,), origins, (s,), classes)[0, :, 0, :]
@@ -170,7 +168,9 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
             C = ac.grid((y,), origins, (s,), dests)[0, :, 0, :]
             if A.sum() == 0 and B.sum() == 0 and C.sum() == 0:
                 continue
-            result = ipf3(A, B, C, m0=m0, tol=tol)
+            i, k = np.nonzero((C > 0) & allowed)
+            result = ipf3(A, B, C, (i.repeat(nc), np.tile(np.arange(nc), i.size),
+                                    k.repeat(nc)), tol=tol)
             stats["blocks"] += 1
             stats["iterations"] = max(stats["iterations"], result.iterations)
             stats["residual"] = max(stats["residual"], result.residual)
@@ -178,9 +178,10 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
             if not result.converged:
                 log.warning("ipf3 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
+            key = (np.zeros_like(i), i, np.zeros_like(i), k)
             for j, lo in enumerate(classes):
-                per_class[lo].append(cells((y,), origins, (s,), dests,
-                                           result.values[None, :, None, j, :]))
+                per_class[lo].append(Entries(((y,), origins, (s,), dests), key,
+                                             result.values[j::nc]))
     od_res = ResolutionSpec(years, abr.level, sexes=abr.sexes, od=True)
     tables = {lo: CensusTable(od_res, Entries.concat(per_class[lo]), name=f"m{lo}")
               for lo in classes}
@@ -602,7 +603,6 @@ class _Pipeline:
         self.y1 = cfg.integer("y1", 2027)
         self.t0 = cfg.integer("t0", 2002)
         self.te = cfg.integer("te", 2027)
-        self.base = cfg.floating("base", 400.0)
         self.seed = cfg.integer("seed", 42)
         self.runs = cfg.integer("runs", 3)
         self.scale = cfg.floating("scale", 1.0)
@@ -616,7 +616,11 @@ class _Pipeline:
                             "mortality reference (y0 <= t0 - 3)")
         if not self.t0 < self.te <= self.y1:
             raise DataError("need y0 <= t0 < te <= y1")
-        # the simulate stage's own checks (runs, scale), before any stage runs
+        # the synth and simulate stages' own checks (regions, base; runs,
+        # scale), before any stage runs
+        self.synth = SynthSpec(regions=self.regions, level=self.level,
+                               years=(self.y0, self.y1),
+                               base=cfg.floating("base", 400.0), seed=self.seed)
         ScenarioConfig(t0=self.t0, te=self.te, scale=self.scale, runs=self.runs,
                        im_mode=self.im_mode, seed=self.seed + 1)
 
@@ -641,9 +645,7 @@ class _Pipeline:
 
 
 def _stage_synth(ctx: _Pipeline) -> None:
-    spec = SynthSpec(regions=ctx.regions, level=ctx.level,
-                     years=(ctx.y0, ctx.y1), base=ctx.base, seed=ctx.seed)
-    _write_bundle(generate_truth(spec), ctx.path("truth"))
+    _write_bundle(generate_truth(ctx.synth), ctx.path("truth"))
 
 
 def _stage_degrade(ctx: _Pipeline) -> None:
@@ -1041,7 +1043,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ac", required=True, help="origin x destination table")
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--zero-diagonal", action="store_true",
-                   help="start from a seed with zero self-flows")
+                   help="start the fit with no self-flows")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_ipf3)
 

@@ -10,13 +10,15 @@ Entries that start at zero stay exactly zero.
 
 The 3D solver fits a tensor M to three pairwise marginals: A (sum over the
 third axis), B (sum over the first), and C (sum over the second), sweeping
-them in that order.  Its first sweep runs on the whole tensor.  A cell that
-sweep zeroes stays zero, so the later sweeps run on the support, the cells
-it left positive: each marginal is one bincount over the support's fiber
-ids, and a target that no support cell reaches adds its whole mass to every
-residual.  A fiber's sum over the third axis therefore runs in cell order,
-not numpy's pairwise order; it can differ from a dense sweep's in the last
-bits only where the fiber holds three or more support cells.
+them in that order.  M starts at one on a given set of cells, zero
+elsewhere, and is only ever held on those cells.  A cell that a zero target
+passes through is dropped before the first sweep, which would zero it for
+good, so every sweep runs on the cells that remain: each marginal is one
+bincount over the cells' fiber ids, and a target that no cell reaches adds
+its whole mass to every residual.  A fiber's sum over the third axis
+therefore runs in cell order, not numpy's pairwise order; it can differ
+from a dense sweep's in the last bits only where the fiber holds three or
+more cells.
 
 The defaults mirror the places the solvers are used: tol=1e-10 for matrices
 and tol=1e-4 for tensors.  Both solvers reject non-finite input.
@@ -104,17 +106,6 @@ def ipf2(a, b, m0, tol: float = 1e-10, max_iter: int = 1000) -> IpfResult:
     return IpfResult(X, iterations, res, res < tol)
 
 
-def residual3(M: np.ndarray, A: np.ndarray, B: np.ndarray, C: np.ndarray,
-              sum2: np.ndarray | None = None) -> float:
-    """L1 distance of M's three pairwise marginals from their targets;
-    sum2 is M.sum(axis=2) when the caller already holds it."""
-    if sum2 is None:
-        sum2 = M.sum(axis=2)
-    return float(np.abs(sum2 - A).sum()
-                 + np.abs(M.sum(axis=0) - B).sum()
-                 + np.abs(M.sum(axis=1) - C).sum())
-
-
 def _fibers(ids: np.ndarray, target: np.ndarray):
     """Compact one marginal's fiber ids over the support cells.
 
@@ -127,11 +118,13 @@ def _fibers(ids: np.ndarray, target: np.ndarray):
     return index, flat[reached], float(np.delete(flat, reached).sum())
 
 
-def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult:
+def ipf3(A, B, C, cells=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult:
     """Fit a tensor M with M.sum(2)=A, M.sum(0)=B, M.sum(1)=C.
 
     A is m x n, B is n x r, C is m x r; the sweeps rescale towards A, B and
-    C in that order.  m0 defaults to all ones.
+    C in that order.  M starts at one on cells, the (i, j, k) index arrays
+    of distinct cells, and at zero elsewhere; cells defaults to every cell
+    in C order.  values holds M on cells, in their order.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -143,59 +136,53 @@ def ipf3(A, B, C, m0=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult
     m2, r2 = C.shape
     if n2 != n or m2 != m or r2 != r:
         raise DataError(f"marginal shapes disagree: A{A.shape} B{B.shape} C{C.shape}")
-    M = np.ones((m, n, r)) if m0 is None else np.array(m0, dtype=float)
-    if M.shape != (m, n, r):
-        raise DataError(f"init shape {M.shape} does not match {(m, n, r)}")
-    if not all(_finite_non_negative(x) for x in (A, B, C, M)):
-        raise DataError("marginals and the initial tensor must be finite and non-negative")
+    try:
+        flat = (np.arange(m * n * r) if cells is None
+                else np.ravel_multi_index(cells, (m, n, r)))
+    except (TypeError, ValueError):
+        flat = None
+    if flat is None or np.unique(flat).size != flat.size:
+        raise DataError(f"cells must be distinct cells of a {m}x{n}x{r} tensor")
+    if not all(_finite_non_negative(x) for x in (A, B, C)):
+        raise DataError("marginals must be finite and non-negative")
     for i in range(m):
         _check_consistent(f"A[{i},:]", float(A[i].sum()), f"C[{i},:]", float(C[i].sum()))
     for j in range(n):
         _check_consistent(f"A[:,{j}]", float(A[:, j].sum()), f"B[{j},:]", float(B[j].sum()))
     for k in range(r):
         _check_consistent(f"B[:,{k}]", float(B[:, k].sum()), f"C[:,{k}]", float(C[:, k].sum()))
-    if (((A > 0) & ~(M.sum(axis=2) > 0)).any()
-            or ((B > 0) & ~(M.sum(axis=0) > 0)).any()
-            or ((C > 0) & ~(M.sum(axis=1) > 0)).any()):
+    i, j, k = np.unravel_index(flat, (m, n, r))
+    # each cell's fiber of A, B and C, as flat indices into that marginal
+    fibers = ((A.reshape(-1), i * n + j), (B.reshape(-1), j * r + k),
+              (C.reshape(-1), i * r + k))
+    if any(((T > 0) & (np.bincount(f, minlength=T.size) == 0)).any()
+           for T, f in fibers):
         raise DataError("a positive marginal has no positive initial entries")
 
-    sum2 = M.sum(axis=2)
-    res = residual3(M, A, B, C, sum2)
-    iterations = 0
-    stall = 0
-    while res >= tol and iterations < max_iter:
-        if iterations == 0:
-            # the first sweep runs on the whole tensor; every cell it zeroes
-            # stays zero (its factors are finite), so later sweeps run on
-            # the cells it leaves positive, with one fiber index per marginal
-            M *= _scale_factors(A, sum2)[:, :, None]
-            M *= _scale_factors(B, M.sum(axis=0))[None, :, :]
-            M *= _scale_factors(C, M.sum(axis=1))[:, None, :]
-            i, j, k = np.nonzero(M)
-            x = M[i, j, k]
-            ia, At, a_fixed = _fibers(i * n + j, A)
-            ib, Bt, b_fixed = _fibers(j * r + k, B)
-            ic, Ct, c_fixed = _fibers(i * r + k, C)
-            fixed = a_fixed + b_fixed + c_fixed
-        else:
-            x *= _scale_factors(At, sa)[ia]
-            x *= _scale_factors(Bt, np.bincount(ib, x))[ib]
-            x *= _scale_factors(Ct, np.bincount(ic, x))[ic]
-        iterations += 1
+    # a cell that a zero target passes through is zero after the first sweep
+    # and stays zero (every factor is finite), so no sweep visits it
+    keep = np.logical_and.reduce([T[f] > 0 for T, f in fibers])
+    (ia, At, a_fixed), (ib, Bt, b_fixed), (ic, Ct, c_fixed) = (
+        _fibers(f[keep], T) for T, f in fibers)
+    fixed = a_fixed + b_fixed + c_fixed
+    x = np.ones(ia.size)
+    iterations = stall = 0
+    res = np.inf
+    while True:
         # each residual's sums over A's fibers are the next sweep's first sums
-        sa = np.bincount(ia, x)
+        sa = np.bincount(ia, x, At.size)
         new_res = float(np.abs(sa - At).sum()
-                        + np.abs(np.bincount(ib, x) - Bt).sum()
-                        + np.abs(np.bincount(ic, x) - Ct).sum()
+                        + np.abs(np.bincount(ib, x, Bt.size) - Bt).sum()
+                        + np.abs(np.bincount(ic, x, Ct.size) - Ct).sum()
                         + fixed)
-        if res - new_res < _STALL_EPS:
-            stall += 1
-            if stall >= _STALL_SWEEPS:
-                res = new_res
-                break
-        else:
-            stall = 0
+        stall = stall + 1 if res - new_res < _STALL_EPS else 0
         res = new_res
-    if iterations:
-        M[i, j, k] = x
-    return IpfResult(M, iterations, res, res < tol)
+        if res < tol or iterations >= max_iter or stall >= _STALL_SWEEPS:
+            break
+        x *= _scale_factors(At, sa)[ia]
+        x *= _scale_factors(Bt, np.bincount(ib, x, Bt.size))[ib]
+        x *= _scale_factors(Ct, np.bincount(ic, x, Ct.size))[ic]
+        iterations += 1
+    values = np.zeros(keep.shape)
+    values[keep] = x
+    return IpfResult(values, iterations, res, res < tol)

@@ -454,7 +454,8 @@ def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
 
 
 def run(config: ScenarioConfig, params: SimParams) -> list:
-    """Simulate all Monte Carlo runs; run k is seeded with seed xor k."""
+    """Simulate all Monte Carlo runs; run k is seeded with the SplitMix64
+    substream handle of (seed, k), so no two seeds share a run."""
     validate_coverage(config, params)
     regions = _master_regions(params)
     planes = _planes(config, params, regions)
@@ -470,7 +471,7 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
 
     outputs = []
     for k in range(config.runs):
-        seed_k = (config.seed ^ k) & ((1 << 64) - 1)
+        seed_k = int(stream_array(config.seed, np.uint64(k), 0))
         state = start
         census = [start_census]
         acc = {name: [] for name in EVENT_NAMES}

@@ -72,8 +72,8 @@ class SynthSpec:
         y0, y1 = self.years
         if y0 >= y1:
             raise DataError(f"need at least two census years, got {self.years}")
-        if self.base <= 0:
-            raise DataError("base magnitude must be positive")
+        if not 0 < self.base < np.inf:
+            raise DataError(f"base magnitude must be finite and positive, got {self.base!r}")
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "years", (int(y0), int(y1)))
 

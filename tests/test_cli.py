@@ -1,12 +1,13 @@
 import csv
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from censim.cli import (_Pipeline, _read_od_bundle, _stage_table, main,
-                        run_pipeline)
+from censim.cli import (_Pipeline, _fuse_blocks, _read_od_bundle, _stage_table,
+                        main, run_pipeline)
 from censim.configfile import Config
 from censim.errors import DataError
 from censim.fitting import activation, average_slice, gaussian_rates
@@ -163,6 +164,40 @@ def test_ipf3_cli_writes_class_bundle(tmp_path):
     # the two-region case is fully determined, so the truth comes back
     m0 = read_csv(str(out_dir / "m_age_0.csv"))
     assert m0[(2000, "AT-1", "m", "AT-2")] == pytest.approx(12.0, abs=1e-3)
+
+
+def test_fuse_memory_follows_the_flows_not_the_tensor():
+    # 300 origins and destinations, 20 classes and 3 flows per origin: one
+    # float64 origin x class x destination tensor would take 14.4 MB
+    regions = tuple(f"{(1 + d // 30) * 100 + 1 + d % 30}{m:02d}"
+                    for d in range(15) for m in range(1, 21))
+    classes = tuple(range(0, 100, 5))
+    rng = np.random.default_rng(3)
+    flows = {}
+    for i, o in enumerate(regions):
+        for k in rng.choice(len(regions) - 1, 3, replace=False):
+            d = regions[k + (k >= i)]
+            for c in classes:
+                flows[(o, c, d)] = float(rng.integers(1, 50))
+    sums = [{}, {}, {}]
+    for (o, c, d), v in flows.items():
+        for part, key in zip(sums, ((o, c), (d, c), (o, d))):
+            part[key] = part.get(key, 0.0) + v
+    cres = res((2000, 2000), level="municipalities", sexes=("m",), ages=classes,
+               open_age=95)
+    ab, bc = (CensusTable(cres, {(2000, r, "m", c): v for (r, c), v in part.items()})
+              for part in sums[:2])
+    ac = CensusTable(res((2000, 2000), level="municipalities", sexes=("m",), od=True),
+                     {(2000, o, "m", d): v for (o, d), v in sums[2].items()})
+    tracemalloc.start()
+    try:
+        tables, stats = _fuse_blocks(ab, bc, ac, tol=1e-4, zero_diagonal=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert stats["blocks"] == 1 and stats["converged"]
+    assert peak < len(regions) * len(classes) * len(regions) * 8
+    assert sum(len(t) for t in tables.values()) == len(flows)
 
 
 def test_farr_cli_stationary_value(tmp_path):
@@ -617,7 +652,7 @@ OUTPUT_SHA256 = {
     "pipeline/est/P_hat.csv":
         "517f9442c249784c2de94156f0eead2c38ac79b2001778d3a32c813b38629675",
     "pipeline/est/m_age_0.csv":
-        "0d971ee0780f77594ea210965c96533362e19a5fd93e1425ba22ac3d49efe4fa",
+        "e53989848087e450566cde7599a1e54fa72816331495db7963f4f625050b4ad2",
     "pipeline/est/m_age_100.csv":
         "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
     "pipeline/est/m_age_20.csv":
@@ -633,13 +668,13 @@ OUTPUT_SHA256 = {
     "pipeline/est/scenario.cfg":
         "070064efeccf99e4def59b0f8138e5bbd3650f71eec824ec13ae35a3a6df69d4",
     "pipeline/results/census_run00.csv":
-        "1a9051df35da4629c7c86898345fbd2c62429d8a01d0f1e9dcebd146655bb9b9",
+        "7ba49f1f9ccba9fd9b86b7af3103ba8d42d9d5fddb008e67ef96c91698c47ca3",
     "pipeline/results/census_run01.csv":
-        "1d07653bddef87050b39ee795e270ac400733b84a7a5a86bc90559be50a470eb",
+        "c2da29bfd85ea0c5d0a53019dddd63f1778eb058b827b282bfc9cfdb9f68d32a",
     "pipeline/results/mean.csv":
-        "34b414d069e056092419eabc4fe11ac09ea93ced0b15fa1a36512da3386d12c5",
+        "6144d60ae53bb5ba0dd11567dac714269094bcc1be9e0115aeb7907787e7221b",
     "pipeline/results/deviations.csv":
-        "32fb6a6281c6e1d651f6bd1a8fb0ebd008f851e185ac604321a1133f12856df5",
+        "227b5e52184f8488edf1f817870428cd317dd8c9e220d60a508d74eb15f45d27",
     "fit-births/rates.csv":
         "0227bd7edc47fc0a4137ec29e81821b9d13faf9febf4c91ed010810a4ec00707",
     "fit-births/rates.report.csv":
@@ -778,9 +813,13 @@ def test_pipeline_misspelt_key_exits_one(tmp_path, caplog):
     ("runs=-2", "need at least one run"),
     ("scale=0", "scale must lie in (0,1], got 0.0"),
     ("scale=1.5", "scale must lie in (0,1], got 1.5"),
+    ("base=nan", "base magnitude must be finite and positive, got nan"),
+    ("base=inf", "base magnitude must be finite and positive, got inf"),
+    ("base=-1", "base magnitude must be finite and positive, got -1.0"),
 ])
 def test_pipeline_bad_scenario_exits_one(tmp_path, caplog, line, message):
-    # the scenario is checked when the config loads, before any stage runs
+    # the scenario and the synthetic truth's spec are checked when the
+    # config loads, before any stage runs
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text(f"workdir=w\n{line}\nstages=synth\n")
     assert main(["pipeline", "--config", str(cfg)]) == 1

@@ -22,9 +22,9 @@ STAGES = ("synth", "degrade", "disagg", "farr", "residual", "fuse")
 PINNED = {
     "est/P_hat.csv": "41bb5cad9626df4ac7497ece38dae578df72b01aef1bbc346a525da13d5ce9be",
     "est/immigrants.csv": "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
-    "est/m_age_0.csv": "ce66db45eec85d3d22762ec1549582a29c12d826547182f13b638abaac953021",
-    "est/m_age_20.csv": "a2fb84d498e0d4e4652e74d00be32230bdd2543e4a16a3090c0e524cf786d98c",
-    "est/m_age_40.csv": "755ffa252e9473f6d204db27f60ee5efa1bb6cde9f3ccd8ddf102bf6a8bb5541",
+    "est/m_age_0.csv": "3e9e850a44929af0a9c2f38c58b2b7dc7454eaa78f953ab325f86e01d72bcaf0",
+    "est/m_age_20.csv": "b6a65d9f64ba9ebeb991ebe3fb8c2fd164351a0ac4e1acce69f1ee276579864d",
+    "est/m_age_40.csv": "00cbe652eed69c995fd98bfbe87ccc40cce81c8ec8456e5fb9e0aa4e596e9917",
     "est/m_age_60.csv": "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
     "est/m_age_80.csv": "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",
     "est/m_age_100.csv": "165f241ec7ffd1cdb844a1bece303250ab370cfc94af4eeda7ce0650311744ae",

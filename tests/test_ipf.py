@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from censim.errors import DataError
-from censim.ipf import ipf2, ipf3, residual2, residual3
+from censim.ipf import ipf2, ipf3, residual2
 
 
 def test_residual2_examples():
@@ -95,26 +95,27 @@ def test_ipf2_infeasible_zero_structure_reports_non_convergence():
 
 def test_ipf3_uniform_fixed_point():
     A = np.full((2, 2), 2.0)
-    out = ipf3(A, A, A, np.ones((2, 2, 2)))
+    out = ipf3(A, A, A, np.nonzero(np.ones((2, 2, 2))))
     assert out.iterations == 0
     assert out.residual == 0.0
-    assert np.array_equal(out.values, np.ones((2, 2, 2)))
+    assert np.array_equal(out.values, np.ones(8))
 
 
 def test_ipf3_diagonal_marginal():
     A = np.array([[2.0, 0.0], [0.0, 2.0]])
     ones = np.ones((2, 2))
     out = ipf3(A, ones, ones)
+    M = out.values.reshape(2, 2, 2)
     expect = np.empty((2, 2, 2))
     for i in range(2):
         for j in range(2):
             expect[i, j, :] = A[i, j] / 2.0
-    assert np.allclose(out.values, expect, atol=1e-12)
+    assert np.allclose(M, expect, atol=1e-12)
     assert out.converged
     # all three marginals, recomputed by hand
-    assert np.abs(out.values.sum(axis=2) - A).max() < 1e-10
-    assert np.abs(out.values.sum(axis=0) - ones).max() < 1e-10
-    assert np.abs(out.values.sum(axis=1) - ones).max() < 1e-10
+    assert np.abs(M.sum(axis=2) - A).max() < 1e-10
+    assert np.abs(M.sum(axis=0) - ones).max() < 1e-10
+    assert np.abs(M.sum(axis=1) - ones).max() < 1e-10
 
 
 def test_ipf3_random_marginals_from_hidden_tensor():
@@ -123,7 +124,9 @@ def test_ipf3_random_marginals_from_hidden_tensor():
     A, B, C = hidden.sum(axis=2), hidden.sum(axis=0), hidden.sum(axis=1)
     out = ipf3(A, B, C, tol=1e-4)
     assert out.converged
-    assert residual3(out.values, A, B, C) < 1e-4
+    M = out.values.reshape(hidden.shape)
+    assert (np.abs(M.sum(axis=2) - A).sum() + np.abs(M.sum(axis=0) - B).sum()
+            + np.abs(M.sum(axis=1) - C).sum()) < 1e-4
 
 
 def test_ipf3_large_instance_converges_quickly():
@@ -153,13 +156,16 @@ def test_ipf3_preserves_structural_zeros():
     m0 = np.ones((4, 3, 4))
     for i in range(4):
         m0[i, :, i] = 0.0
-    out = ipf3(A, B, C, m0)
+    cells = np.nonzero(m0)
+    out = ipf3(A, B, C, cells)
     assert out.converged
+    M = np.zeros(m0.shape)
+    M[cells] = out.values
     for i in range(4):
-        assert (out.values[i, :, i] == 0.0).all()
+        assert (M[i, :, i] == 0.0).all()
 
 
-def test_ipf3_leaves_the_start_tensor_alone_and_zero_off_the_support():
+def test_ipf3_is_zero_off_the_support():
     rng = np.random.default_rng(5)
     hidden = rng.uniform(0.5, 1.5, size=(5, 3, 5)) * (rng.random((5, 3, 5)) < 0.5)
     for i in range(5):
@@ -168,31 +174,49 @@ def test_ipf3_leaves_the_start_tensor_alone_and_zero_off_the_support():
     m0 = np.ones((5, 3, 5))
     for i in range(5):
         m0[i, :, i] = 0.0
-    before = m0.copy()
-    out = ipf3(A, B, C, m0, tol=1e-10, max_iter=5000)
-    # the fuse stage hands one start tensor to every block
-    assert np.array_equal(m0, before)
+    cells = np.nonzero(m0)
+    out = ipf3(A, B, C, cells, tol=1e-10, max_iter=5000)
     assert out.iterations > 1
-    # a cell is off the support when the start tensor or a target fiber
-    # through it is zero
-    off = ((m0 == 0) | (A[:, :, None] == 0) | (B[None, :, :] == 0)
-           | (C[:, None, :] == 0))
+    # a start cell is off the support when a target fiber through it is zero
+    off = ((A[:, :, None] == 0) | (B[None, :, :] == 0) | (C[:, None, :] == 0))[cells]
     assert off.any() and (out.values[off] == 0.0).all()
     assert (out.values[~off] > 0).all()
 
 
-_GOOD3 = (np.full((2, 2), 2.0), np.full((2, 2), 2.0), np.full((2, 2), 2.0),
-          np.ones((2, 2, 2)))
+_GOOD3 = (np.full((2, 2), 2.0), np.full((2, 2), 2.0), np.full((2, 2), 2.0))
 _GOOD2 = (np.array([1.0, 1.0]), np.array([1.0, 1.0]), np.ones((2, 2)))
 
 
+@pytest.mark.parametrize("cells", [
+    (np.array([0, 2]), np.array([0, 0]), np.array([0, 0])),
+    (np.array([0, -1]), np.array([0, 0]), np.array([0, 0])),
+    (np.array([0, 0]), np.array([1, 1]), np.array([0, 0])),
+    (np.array([0.0, 1.0]), np.array([0, 0]), np.array([0, 0])),
+    (np.array([0]), np.array([0])),
+], ids=["outside", "negative", "repeated", "float", "two-axes"])
+def test_ipf3_rejects_cells_that_are_not_distinct_tensor_cells(cells):
+    with pytest.raises(DataError, match="^cells must be distinct cells of a "
+                                        "2x2x2 tensor$"):
+        ipf3(*_GOOD3, cells)
+
+
+@pytest.mark.parametrize("missed", [(0, 0, slice(None)), (slice(None), 0, 0),
+                                    (0, slice(None), 0)], ids=["A", "B", "C"])
+def test_ipf3_rejects_cells_that_miss_a_positive_marginal(missed):
+    start = np.ones((2, 2, 2), dtype=bool)
+    start[missed] = False
+    with pytest.raises(DataError, match="^a positive marginal has no positive "
+                                        "initial entries$"):
+        ipf3(*_GOOD3, np.nonzero(start))
+
+
 @pytest.mark.parametrize("bad", [np.inf, np.nan])
-@pytest.mark.parametrize("which", range(4), ids=["A", "B", "C", "m0"])
+@pytest.mark.parametrize("which", range(3), ids=["A", "B", "C"])
 def test_ipf3_rejects_non_finite_input(which, bad):
     args = [x.copy() for x in _GOOD3]
     args[which].flat[0] = bad
-    with pytest.raises(DataError, match="^marginals and the initial tensor "
-                                        "must be finite and non-negative$"):
+    with pytest.raises(DataError, match="^marginals must be finite and "
+                                        "non-negative$"):
         ipf3(*args)
 
 

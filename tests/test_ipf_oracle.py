@@ -1,9 +1,11 @@
 """Differential tests: ipf3 against the dense sweep loop it replaced.
 
 reference_ipf3 below is that loop, kept verbatim: every sweep rescales the
-whole tensor and takes its marginals with numpy's axis sums.  ipf3 runs its
-first sweep the same way and later sweeps only on the cells that sweep left
-positive, summing each fiber with bincount in cell order.
+whole tensor and takes its marginals with numpy's axis sums.  ipf3 holds the
+tensor only on the cells it is given: it drops every cell that a zero target
+passes through and runs every sweep on the rest, summing each fiber with
+bincount in cell order.  The reference starts from the indicator of those
+surviving cells, so both fit the same start.
 
 Sums over origins and over classes run in cell order in both.  Sums over
 destinations do not: numpy adds a contiguous axis pairwise, so a fiber
@@ -16,8 +18,8 @@ Hence two families of random instances:
   reacts to rounding noise, so a different summation order can move it);
 - fibers with at most two cells, where every fiber sum is exact in any
   order: values bit for bit and the same number of sweeps.  The residual is
-  summed over the fibers the support reaches, not over the dense marginals,
-  so it may differ from the reference in its last bits.
+  summed over the fibers the cells reach, not over the dense marginals, so
+  it may differ from the reference in its last bits.
 """
 
 import numpy as np
@@ -73,14 +75,15 @@ def reference_ipf3(A, B, C, m0, tol=1e-4, max_iter=1000) -> IpfResult:
 def _instance(rng, most: int | None, drop: float):
     """A random sparse fusion problem, zero where origin equals destination.
 
-    The marginals are those of a hidden tensor.  With `most` set, each of
-    its (origin, class) fibers holds 0..most cells in random destinations
-    and the start tensor is positive on exactly those cells; otherwise the
-    hidden tensor is a random share of the off-diagonal cells and the start
-    tensor adds more cells and leaves others zero.  A `drop` share of the
-    hidden cells is then zeroed in the start tensor, where each of the
-    cell's three fibers keeps another start cell, which makes the instance
-    infeasible in most draws but keeps every positive marginal reachable.
+    The marginals are those of a hidden tensor; the start is a 0/1 pattern.
+    With `most` set, each of the hidden tensor's (origin, class) fibers
+    holds 0..most cells in random destinations and the start is exactly
+    those cells; otherwise the hidden tensor is a random share of the
+    off-diagonal cells and the start adds more cells and leaves others out.
+    A `drop` share of the hidden cells is then left out of the start, where
+    each of the cell's three fibers keeps another start cell, which makes
+    the instance infeasible in most draws but keeps every positive marginal
+    reachable.
     """
     m = int(rng.integers(9, 21))
     n = int(rng.integers(2, 7))
@@ -100,8 +103,22 @@ def _instance(rng, most: int | None, drop: float):
                 and start[i, :, k].sum() > 1):
             start[i, j, k] = False
     H = np.where(hidden, rng.uniform(0.5, 2.0, off.shape), 0.0)
-    m0 = np.where(start, rng.uniform(0.5, 1.5, off.shape), 0.0)
-    return H.sum(axis=2), H.sum(axis=0), H.sum(axis=1), m0
+    # an unused draw: it keeps the instances the coverage counts below
+    # were set on
+    rng.uniform(0.5, 1.5, off.shape)
+    return H.sum(axis=2), H.sum(axis=0), H.sum(axis=1), start
+
+
+def _fit(A, B, C, start, tol=1e-4, max_iter=1000):
+    """ipf3 on the start's cells and the reference on the indicator of the
+    cells ipf3 keeps, both as dense tensors."""
+    cells = np.nonzero(start)
+    out = ipf3(A, B, C, cells, tol, max_iter)
+    M = np.zeros(start.shape)
+    M[cells] = out.values
+    surviving = start & (A[:, :, None] > 0) & (B[None, :, :] > 0) & (C[:, None, :] > 0)
+    ref = reference_ipf3(A, B, C, surviving.astype(float), tol, max_iter)
+    return IpfResult(M, out.iterations, out.residual, out.converged), ref
 
 
 def _stalled(result: IpfResult, max_iter: int) -> bool:
@@ -109,20 +126,19 @@ def _stalled(result: IpfResult, max_iter: int) -> bool:
 
 
 def _cases(seed: int, most: int | None, count: int):
-    """(A, B, C, m0, tol, max_iter) cycling through feasible and infeasible
+    """(A, B, C, start, tol, max_iter) cycling through feasible and infeasible
     draws, both tolerances and a low sweep cap."""
     rng = np.random.default_rng(seed)
     for t in range(count):
-        A, B, C, m0 = _instance(rng, most, drop=(0.0, 0.3)[t % 2])
-        yield A, B, C, m0, (1e-4, 1e-10)[t % 3 == 0], (1000, 6)[t % 4 == 3]
+        A, B, C, start = _instance(rng, most, drop=(0.0, 0.3)[t % 2])
+        yield A, B, C, start, (1e-4, 1e-10)[t % 3 == 0], (1000, 6)[t % 4 == 3]
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_sparse_instances_match_the_dense_loop(seed):
     seen = {"wide fibers": 0, "plateaus": 0, "capped": 0, "converged": 0}
-    for A, B, C, m0, tol, max_iter in _cases(seed, None, 30):
-        ref = reference_ipf3(A, B, C, m0, tol, max_iter)
-        out = ipf3(A, B, C, m0, tol, max_iter)
+    for A, B, C, start, tol, max_iter in _cases(seed, None, 30):
+        out, ref = _fit(A, B, C, start, tol, max_iter)
         assert np.array_equal(out.values == 0, ref.values == 0)
         assert out.converged == ref.converged
         if not (_stalled(ref, max_iter) or _stalled(out, max_iter)):
@@ -143,10 +159,9 @@ def test_sparse_instances_match_the_dense_loop(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_two_cell_fibers_match_bit_for_bit(seed):
     compared = 0
-    for A, B, C, m0, tol, max_iter in _cases(100 + seed, 2, 30):
-        ref = reference_ipf3(A, B, C, m0, tol, max_iter)
-        out = ipf3(A, B, C, m0, tol, max_iter)
-        assert np.count_nonzero(m0, axis=2).max() <= 2
+    for A, B, C, start, tol, max_iter in _cases(100 + seed, 2, 30):
+        out, ref = _fit(A, B, C, start, tol, max_iter)
+        assert np.count_nonzero(start, axis=2).max() <= 2
         assert np.array_equal(out.values == 0, ref.values == 0)
         assert out.converged == ref.converged
         if _stalled(ref, max_iter) or _stalled(out, max_iter):
@@ -162,42 +177,35 @@ def test_two_cell_fibers_match_bit_for_bit(seed):
 def test_a_zero_sweep_cap_returns_the_start_tensor():
     rng = np.random.default_rng(7)
     A, B, C, _ = _instance(rng, None, 0.0)
-    m0 = np.ones((A.shape[0], A.shape[1], C.shape[1]))
-    out = ipf3(A, B, C, m0, max_iter=0)
-    ref = reference_ipf3(A, B, C, m0, max_iter=0)
+    start = np.ones((A.shape[0], A.shape[1], C.shape[1]), dtype=bool)
+    out, ref = _fit(A, B, C, start, max_iter=0)
     assert (out.iterations, out.residual) == (0, ref.residual)
-    assert np.array_equal(out.values, m0)
+    assert np.array_equal(out.values, ref.values)
+    assert 0 < np.count_nonzero(out.values) < start.size
 
 
-# (hidden tensor, start tensor) pairs from a random search over entries of
-# 1, 1e-160 and 1e-300: the factors get small enough that support cells
-# underflow to zero and a whole fiber of A, B or C (in that order) sums to
-# zero, so it must keep factor 1
+# (hidden tensor, start) pairs from a random search over hidden entries of
+# 1, 1e-160 and 1e-300 and 0/1 starts: the factors get small enough that
+# support cells underflow to zero and a whole fiber of A, B or C (in that
+# order) sums to zero, so it must keep factor 1
 _UNDERFLOWS = [
-    ([[[1e-160, 1.0], [1.0, 0.0]], [[0.0, 1e-160], [1e-300, 0.0]]],
-     [[[1e-300, 1.0], [1e-160, 1.0]], [[1e-300, 1e-300], [1e-300, 1e-300]]]),
-    ([[[0.0, 1e-160, 0.0], [1e-160, 0.0, 1.0]],
-      [[1e-300, 1e-300, 1e-160], [1e-160, 1e-300, 1.0]],
-      [[1e-300, 0.0, 1.0], [0.0, 0.0, 1.0]]],
-     [[[1.0, 1e-160, 1.0], [1e-300, 1.0, 1e-160]],
-      [[1e-160, 1e-160, 1e-300], [1.0, 0.0, 1e-160]],
-      [[1e-300, 1e-300, 0.0], [1e-160, 1.0, 1e-300]]]),
-    ([[[1.0, 1e-300, 1e-300], [1.0, 0.0, 1e-300]],
-      [[1.0, 0.0, 1e-160], [0.0, 1e-160, 1e-160]],
-      [[1e-160, 0.0, 1e-160], [1.0, 1e-160, 1e-160]]],
-     [[[1e-300, 1e-160, 1.0], [1.0, 1e-160, 1e-160]],
-      [[1.0, 1.0, 1.0], [1e-300, 0.0, 1.0]],
-      [[1e-300, 1e-300, 1.0], [0.0, 1e-300, 1e-300]]]),
+    ([[[1e-160, 1e-300], [1e-300, 1e-300]], [[0.0, 1e-300], [0.0, 1.0]]],
+     [[[0, 1], [1, 1]], [[1, 1], [1, 1]]]),
+    ([[[0.0, 0.0], [1.0, 1.0]], [[0.0, 1.0], [1e-300, 1e-300]]],
+     [[[1, 1], [0, 1]], [[1, 0], [1, 1]]]),
+    ([[[1e-300, 0.0, 1e-300], [0.0, 1.0, 0.0]],
+      [[0.0, 1e-300, 1.0], [1e-160, 1e-300, 1e-300]],
+      [[0.0, 1.0, 1e-300], [1e-300, 1.0, 0.0]]],
+     [[[1, 1, 1], [1, 1, 1]], [[1, 0, 1], [0, 1, 1]], [[1, 1, 1], [1, 0, 1]]]),
 ]
 
 
-@pytest.mark.parametrize("hidden, m0", _UNDERFLOWS, ids=["A", "B", "C"])
-def test_fibers_that_underflow_keep_factor_one(hidden, m0):
-    H, m0 = np.array(hidden), np.array(m0)
+@pytest.mark.parametrize("hidden, start", _UNDERFLOWS, ids=["A", "B", "C"])
+def test_fibers_that_underflow_keep_factor_one(hidden, start):
+    H, start = np.array(hidden), np.array(start, dtype=bool)
     A, B, C = H.sum(axis=2), H.sum(axis=0), H.sum(axis=1)
-    first = reference_ipf3(A, B, C, m0, tol=1e-300, max_iter=1).values
-    ref = reference_ipf3(A, B, C, m0, tol=1e-300, max_iter=40)
-    out = ipf3(A, B, C, m0, tol=1e-300, max_iter=40)
-    assert ((first > 0) & (ref.values == 0)).any()
+    _, first = _fit(A, B, C, start, tol=1e-300, max_iter=1)
+    out, ref = _fit(A, B, C, start, tol=1e-300, max_iter=40)
+    assert ((first.values > 0) & (ref.values == 0)).any()
     assert np.array_equal(out.values, ref.values)
     assert (out.iterations, out.converged) == (ref.iterations, ref.converged)

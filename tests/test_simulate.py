@@ -176,8 +176,9 @@ def test_runs_are_deterministic_and_seed_indexed():
     second = run(cfg, build())
     assert first == second
     assert first[0].census != first[1].census
-    solo = run(ScenarioConfig(t0=2000, te=2001, runs=1, seed=5 ^ 1), build())
-    assert solo[0] == first[1]
+    # neighbouring seeds share no run
+    other = run(ScenarioConfig(t0=2000, te=2001, runs=2, seed=4), build())
+    assert all(a.census != b.census for a in first for b in other)
 
 
 def balance_residuals(out):

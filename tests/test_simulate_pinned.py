@@ -106,25 +106,25 @@ def digest(outputs, tmp_path):
 
 PINNED = {
     ("busy", "none", 1.0):
-        "4d90a0f71d24516bf3a8235368f00f39a644fba909c8478ef1490c50ec2fbc5d",
+        "5f63f160974b998873296b9c8257024ad88e6485741ab8f88391c4516914e916",
     ("busy", "none", 0.37):
-        "14741eadac8d98aec0cd77696e4f102e3ab0b8eeac2bbe959f25b110d3a6df0a",
+        "34e9343dfd6753e3597f7d42d02a840761043e192c04e9383670c42b342e3e74",
     ("busy", "interregional", 1.0):
-        "9353e2e6305192908eb434304f2617bafdcab3114a44c5e5c545541376ebce61",
+        "738f3335ce28ad8d81faa1a12847124b6e46b52ceccf0adb4c51ca381147c51b",
     ("busy", "interregional", 0.37):
-        "81bfb170bcf25f38489ddf943aa00f3f6a412da82aef040339110e5a14547f80",
+        "5f9f57dd50c2a2cd566ce630ed060b7542075ea111df89c044a79d3ec1c28245",
     ("busy", "biregional", 1.0):
-        "1a8480ecace0a43c5803773a19c19de2913294feb3f601f4e42bb58652934bf0",
+        "1e5995fc8a7f684223f135b3e1e5b2bab4c6bdbffa2e9717cb28484214849eeb",
     ("busy", "biregional", 0.37):
-        "21947e0cb32cd30223541a606e37ae6fb97bb049318577ee193334647ec0d118",
+        "01054355933d82599d8ec2c9700c30049623bd4e88966373e12c96f12d1ac49b",
     ("busy", "full", 1.0):
-        "38bb15eae5dfd7db5ea81e256b87422f3c3693dba424ec68fcfb94515b3fe831",
+        "d9c5562375341d4894373003c576e2dd2f865fb50a1d88f1ef1fa76f770026a3",
     ("busy", "full", 0.37):
-        "2fe82cdcaf97b1b72789f1345759e6a68809e5ad0b99058d65f451c6ac3bb2a8",
+        "e19cab3cfaf683da6a42cfff8cc4b23cbfce0f0883e4a06218d1652f4baa7955",
     ("extinct", "interregional", 1.0):
-        "6066f097096993665eae914332453695f2b5e1fb6c93118df271045ee2a99309",
+        "5b57c45e5991040d06b7d239c551fda750ad3768ca741c3889bbe9df6049f892",
     ("extinct", "interregional", 0.37):
-        "a4f8907c1635d4550b8efc8b5a5de90baa60f0a8bacdfde250c7da643db47a82",
+        "75559691f6a9b98eabed54e468d4dcacf777475958d725a9f54a3785b6fce5ec",
 }
 
 PARAMS = {"busy": busy_params, "extinct": extinct_params}

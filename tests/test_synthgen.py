@@ -169,9 +169,10 @@ def test_spec_validation():
     with pytest.raises(DataError):
         SynthSpec(regions=("10101", "10102"), level="municipalities",
                   years=(2002, 2002))
-    with pytest.raises(DataError):
-        SynthSpec(regions=("10101", "10102"), level="municipalities",
-                  years=(2000, 2002), base=0.0)
+    for base in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DataError, match="base magnitude must be finite and positive"):
+            SynthSpec(regions=("10101", "10102"), level="municipalities",
+                      years=(2000, 2002), base=base)
 
 
 # The per-region loops synthgen ran before its array expressions, on the
