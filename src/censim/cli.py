@@ -10,6 +10,11 @@ every file a stage read or wrote together with a SHA-256 content hash.  A
 stage is skipped on rerun when all of its recorded files still match, so
 an unchanged pipeline is a no-op and editing an intermediate file reruns
 exactly the stages downstream of it.
+
+Each workdir table a stage reads is declared once, in ``_Pipeline.tables``
+(the truth bundle's entries come from ``synthgen.bundle_resolutions``), and
+read through ``_Pipeline.read``; the simulate stage reads its inputs
+through the scenario file instead.
 """
 
 from __future__ import annotations
@@ -38,10 +43,11 @@ from .lifetable import build_life_table, life_expectancy
 from .rates import death_table_alpha, farr_probability_model
 from .regions import RegionManifest
 from .simulate import MALE_SHARE, ScenarioConfig, SimParams, run
-from .synthgen import FLOW_AGE_CLASSES, SynthSpec, generate_truth
+from .synthgen import (FLOW_AGE_CLASSES, SynthSpec, bundle_resolutions,
+                       generate_truth)
 from .table import (FULL_AGES, SEXES, CensusTable, Entries, ResolutionSpec,
-                    _format_age, _format_value, add_tables, aggregate, cells,
-                    degrade, read_csv, write_csv)
+                    _format_age, _format_value, _parse_age_token, add_tables,
+                    aggregate, cells, degrade, read_csv, write_csv)
 from .validate import compare, mc_mean, read_window, write_deviations
 
 log = logging.getLogger("censim")
@@ -221,8 +227,8 @@ def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
             raise DataError(f"{index_path}: expected header age,path")
         for row in reader:
             try:
-                lo = int(row["age"].rstrip("+"))
-            except ValueError:
+                lo, _ = _parse_age_token(row["age"])
+            except DataError:
                 raise DataError(f"{index_path}: bad age token {row['age']!r}") from None
             if lo in out:
                 raise DataError(f"{index_path}: age {row['age']!r} listed twice")
@@ -623,6 +629,34 @@ class _Pipeline:
                                base=cfg.floating("base", 400.0), seed=self.seed)
         ScenarioConfig(t0=self.t0, te=self.te, scale=self.scale, runs=self.runs,
                        im_mode=self.im_mode, seed=self.seed + 1)
+        # (resolution, integer) of every workdir table a stage reads
+        census, span = (self.y0, self.y1), self.span
+        truth = bundle_resolutions(self.level, census)
+        fives = ResolutionSpec(census, "districts", sexes=SEXES, ages=_AGES5,
+                               open_age=100)
+        country = replace(self.full_res(span), level="country")
+        flat = ResolutionSpec(span, "country")
+        flow_cls = ResolutionSpec(span, self.level, sexes=SEXES,
+                                  ages=FLOW_AGE_CLASSES, open_age=100)
+        self.tables = {f"truth/{k}": (res, True) for k, res in truth.items()}
+        self.tables.update({
+            "coarse/P_coarse": (fives, True),
+            "coarse/P_base": (self.full_res((self.t0, self.t0)), True),
+            "coarse/B_flat": (flat, False),
+            "coarse/B_m_country": (replace(country, sexes=("f",)), False),
+            "coarse/D_country": (country, False),
+            "coarse/E_country": (country, False),
+            "coarse/IE_country": (country, False),
+            "coarse/D_flat": (flat, False),
+            "coarse/E_flat": (flat, False),
+            "coarse/I_stats": (replace(fives, years=span), True),
+            "coarse/IE_cls": (flow_cls, False),
+            "coarse/II_cls": (flow_cls, False),
+            "coarse/M": (truth["M"], False),
+            "est/P_hat": (self.full_res(census), True),
+            "est/P_country": (replace(country, years=census), False),
+            "est/q_hat": (country, False),
+            "results/mean": (self.full_res((self.t0, self.te)), False)})
 
     def path(self, rel: str) -> str:
         return os.path.join(self.workdir, rel)
@@ -638,69 +672,44 @@ class _Pipeline:
     def manifest(self) -> RegionManifest:
         return RegionManifest({self.level: self.regions})
 
-    def full_res(self, years: tuple, level: str | None = None,
-                 sexes: tuple = SEXES) -> ResolutionSpec:
-        return ResolutionSpec(years, level or self.level, sexes=sexes,
-                              ages=FULL_AGES, open_age=100)
+    def full_res(self, years: tuple) -> ResolutionSpec:
+        return ResolutionSpec(years, self.level, sexes=SEXES, ages=FULL_AGES,
+                              open_age=100)
+
+    def read(self, rel: str, name: str | None = None) -> CensusTable:
+        """The workdir table `rel` (without .csv) on its declared resolution."""
+        resolution, integer = self.tables[rel]
+        return read_csv(self.path(f"{rel}.csv"), integer=integer,
+                        resolution=resolution, name=name)
 
 
 def _stage_synth(ctx: _Pipeline) -> None:
     _write_bundle(generate_truth(ctx.synth), ctx.path("truth"))
 
 
+# each coarse extract and the truth table it is degraded from, in the order
+# the degrade stage writes them
+_COARSE = {"P_coarse": "P", "P_base": "P", "B_flat": "B", "B_m_country": "B_m",
+           "D_country": "D", "E_country": "E", "IE_country": "IE",
+           "D_flat": "D", "E_flat": "E", "I_stats": "I", "IE_cls": "IE",
+           "II_cls": "II", "M": "M"}
+
+
 def _stage_degrade(ctx: _Pipeline) -> None:
-    tdir, cdir = ctx.path("truth"), ctx.path("coarse")
-    os.makedirs(cdir, exist_ok=True)
-    span = ctx.span
-
-    def load(name, resolution):
-        return read_csv(os.path.join(tdir, f"{name}.csv"), integer=True,
-                        resolution=resolution, name=name)
-
-    def save(table, name):
-        write_csv(table, os.path.join(cdir, f"{name}.csv"))
-
-    full = ctx.full_res(span)
-    P = load("P", ctx.full_res((ctx.y0, ctx.y1)))
-    B = load("B", ResolutionSpec(span, ctx.level, ages=(0,), open_age=None))
-    B_m = load("B_m", replace(full, sexes=("f",)))
-    D, E, I = load("D", full), load("E", full), load("I", full)
-    IE, II = load("IE", full), load("II", full)
-    M = load("M", ResolutionSpec(span, ctx.level, od=True))
-    country_full = ResolutionSpec(span, "country", sexes=SEXES,
-                                  ages=FULL_AGES, open_age=100)
-    save(degrade(P, ResolutionSpec((ctx.y0, ctx.y1), "districts", sexes=SEXES,
-                                   ages=_AGES5, open_age=100)), "P_coarse")
-    save(degrade(P, ResolutionSpec((ctx.t0, ctx.t0), ctx.level, sexes=SEXES,
-                                   ages=FULL_AGES, open_age=100)), "P_base")
-    save(degrade(B, ResolutionSpec(span, "country", sexes=SEXES)), "B_flat")
-    save(degrade(B_m, replace(country_full, sexes=("f",))), "B_m_country")
-    save(degrade(D, country_full), "D_country")
-    save(degrade(E, country_full), "E_country")
-    save(degrade(IE, country_full), "IE_country")
-    save(degrade(D, ResolutionSpec(span, "country", sexes=SEXES)), "D_flat")
-    save(degrade(E, ResolutionSpec(span, "country", sexes=SEXES)), "E_flat")
-    save(degrade(I, ResolutionSpec(span, "districts", sexes=SEXES,
-                                   ages=_AGES5, open_age=100)), "I_stats")
-    flow_cls = ResolutionSpec(span, ctx.level, sexes=SEXES,
-                              ages=FLOW_AGE_CLASSES, open_age=100)
-    save(degrade(IE, flow_cls), "IE_cls")
-    save(degrade(II, flow_cls), "II_cls")
-    save(degrade(M, M.resolution), "M")
+    truth = {k: ctx.read(f"truth/{k}", k) for k in _BUNDLE_TABLES}
+    os.makedirs(ctx.path("coarse"), exist_ok=True)
+    for name, source in _COARSE.items():
+        write_csv(degrade(truth[source], ctx.tables[f"coarse/{name}"][0]),
+                  ctx.path(f"coarse/{name}.csv"))
 
 
 def _stage_disagg(ctx: _Pipeline) -> None:
-    source = read_csv(ctx.path("coarse/P_coarse.csv"), integer=True, name="P",
-                      resolution=ResolutionSpec((ctx.y0, ctx.y1), "districts",
-                                                sexes=SEXES, ages=_AGES5,
-                                                open_age=100))
-    dist = read_csv(ctx.path("coarse/P_base.csv"), integer=True,
-                    resolution=ctx.full_res((ctx.t0, ctx.t0)))
-    target = ctx.full_res((ctx.y0, ctx.y1))
+    source = ctx.read("coarse/P_coarse", "P")
+    dist = ctx.read("coarse/P_base")
     os.makedirs(ctx.path("est"), exist_ok=True)
-    P_hat = disaggregate_table(source, dist, ("region", "age"), target,
-                               "huntington_hill", regions=ctx.manifest(),
-                               uniform_fallback=True)
+    P_hat = disaggregate_table(source, dist, ("region", "age"),
+                               ctx.tables["est/P_hat"][0], "huntington_hill",
+                               regions=ctx.manifest(), uniform_fallback=True)
     write_csv(P_hat, ctx.path("est/P_hat.csv"))
 
 
@@ -716,17 +725,10 @@ def _broadcast(table: CensusTable, regions: tuple, level: str,
 
 
 def _stage_farr(ctx: _Pipeline) -> None:
-    P_hat = read_csv(ctx.path("est/P_hat.csv"), integer=True,
-                     resolution=ctx.full_res((ctx.y0, ctx.y1)))
-    P_c = aggregate(P_hat, coarse_level="country")
+    P_c = aggregate(ctx.read("est/P_hat"), coarse_level="country")
     write_csv(P_c, ctx.path("est/P_country.csv"))
-    country_full = ctx.full_res(ctx.span, level="country")
-    D_c = read_csv(ctx.path("coarse/D_country.csv"), name="D",
-                   resolution=country_full)
-    E_c = read_csv(ctx.path("coarse/E_country.csv"), name="E",
-                   resolution=country_full)
-    IE_c = read_csv(ctx.path("coarse/IE_country.csv"), name="IE",
-                    resolution=country_full)
+    D_c, E_c, IE_c = (ctx.read(f"coarse/{k}_country", k)
+                      for k in ("D", "E", "IE"))
     Q = add_tables([D_c, E_c], name="Q")
     write_csv(farr_probability_model(D_c, P_c, Q), ctx.path("est/q_hat.csv"))
     emig = farr_probability_model(E_c, P_c, Q)
@@ -738,13 +740,9 @@ def _stage_farr(ctx: _Pipeline) -> None:
 
 
 def _stage_fit_births(ctx: _Pipeline) -> None:
-    P_c = read_csv(ctx.path("est/P_country.csv"),
-                   resolution=ctx.full_res((ctx.y0, ctx.y1), level="country"))
-    B_flat = read_csv(ctx.path("coarse/B_flat.csv"),
-                      resolution=ResolutionSpec(ctx.span, "country"))
-    B_m = read_csv(ctx.path("coarse/B_m_country.csv"),
-                   resolution=ctx.full_res(ctx.span, level="country",
-                                           sexes=("f",)))
+    P_c = ctx.read("est/P_country")
+    B_flat = ctx.read("coarse/B_flat")
+    B_m = ctx.read("coarse/B_m_country")
     rows = []
     ages = np.arange(101)
     for y in range(ctx.t0, ctx.te):
@@ -762,12 +760,9 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
 
 
 def _stage_fit_mortality(ctx: _Pipeline) -> None:
-    P_c = read_csv(ctx.path("est/P_country.csv"),
-                   resolution=ctx.full_res((ctx.y0, ctx.y1), level="country"))
-    q_hat = read_csv(ctx.path("est/q_hat.csv"),
-                     resolution=ctx.full_res(ctx.span, level="country"))
-    D_flat = read_csv(ctx.path("coarse/D_flat.csv"),
-                      resolution=ResolutionSpec(ctx.span, "country"))
+    P_c = ctx.read("est/P_country")
+    q_hat = ctx.read("est/q_hat")
+    D_flat = ctx.read("coarse/D_flat")
     alpha = death_table_alpha()
     rows = []
     for y in range(ctx.t0, ctx.te):
@@ -787,38 +782,26 @@ def _stage_fit_mortality(ctx: _Pipeline) -> None:
 
 
 def _stage_residual(ctx: _Pipeline) -> None:
-    P_hat = read_csv(ctx.path("est/P_hat.csv"), integer=True,
-                     resolution=ctx.full_res((ctx.y0, ctx.y1)))
-    P_flat = aggregate(P_hat, drop=("age",), coarse_level="country")
-    flat = ResolutionSpec(ctx.span, "country")
-    B_flat = read_csv(ctx.path("coarse/B_flat.csv"), name="B", resolution=flat)
-    D_flat = read_csv(ctx.path("coarse/D_flat.csv"), name="D", resolution=flat)
-    E_flat = read_csv(ctx.path("coarse/E_flat.csv"), name="E", resolution=flat)
+    P_flat = aggregate(ctx.read("est/P_hat"), drop=("age",),
+                       coarse_level="country")
+    B_flat, D_flat, E_flat = (ctx.read(f"coarse/{k}_flat", k)
+                              for k in ("B", "D", "E"))
     diag: dict = {}
     I_flat = residual_immigrants(P_flat, B_flat, D_flat, E_flat,
                                  diagnostics=diag)
     if diag.get("floored"):
         log.warning("residual immigrants: %d cells floored", diag["floored"])
-    I_stats = read_csv(ctx.path("coarse/I_stats.csv"), integer=True,
-                       resolution=ResolutionSpec(ctx.span, "districts",
-                                                 sexes=SEXES, ages=_AGES5,
-                                                 open_age=100))
-    target = ctx.full_res(ctx.span)
-    I_hat = disaggregate_table(I_flat, I_stats, ("year", "region", "age"),
-                               target, "huntington_hill",
-                               regions=ctx.manifest(), uniform_fallback=True)
+    I_hat = disaggregate_table(I_flat, ctx.read("coarse/I_stats"),
+                               ("year", "region", "age"), ctx.full_res(ctx.span),
+                               "huntington_hill", regions=ctx.manifest(),
+                               uniform_fallback=True)
     write_csv(I_hat, ctx.path("est/immigrants.csv"))
 
 
 def _stage_fuse(ctx: _Pipeline) -> None:
-    flow_cls = ResolutionSpec(ctx.span, ctx.level, sexes=SEXES,
-                              ages=FLOW_AGE_CLASSES, open_age=100)
-    ab = read_csv(ctx.path("coarse/IE_cls.csv"), name="IE",
-                  resolution=flow_cls)
-    bc = read_csv(ctx.path("coarse/II_cls.csv"), name="II",
-                  resolution=flow_cls)
-    ac = read_csv(ctx.path("coarse/M.csv"), name="M",
-                  resolution=ResolutionSpec(ctx.span, ctx.level, od=True))
+    ab = ctx.read("coarse/IE_cls", "IE")
+    bc = ctx.read("coarse/II_cls", "II")
+    ac = ctx.read("coarse/M", "M")
     tables, stats = _fuse_blocks(ab, bc, ac, tol=1e-4, zero_diagonal=True,
                                  years=ctx.sim_years)
     _write_od_bundle(tables, ctx.path("est"), open_age=100)
@@ -847,11 +830,8 @@ def _stage_simulate(ctx: _Pipeline) -> None:
 
 
 def _stage_validate(ctx: _Pipeline) -> None:
-    sim = read_csv(ctx.path("results/mean.csv"),
-                   resolution=ctx.full_res((ctx.t0, ctx.te)))
-    ref = read_csv(ctx.path("truth/P.csv"), integer=True,
-                   resolution=ctx.full_res((ctx.y0, ctx.y1)))
-    rows = compare(sim, ref, groups=("total", "fed", "sex", "age20"),
+    rows = compare(ctx.read("results/mean"), ctx.read("truth/P"),
+                   groups=("total", "fed", "sex", "age20"),
                    window=(ctx.t0, ctx.te))
     write_deviations(rows, ctx.path("results/deviations.csv"))
     total = next(r for r in rows if r.group == "total")
@@ -864,10 +844,7 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
     bundle = [f"truth/{k}.csv" for k in _BUNDLE_TABLES]
     truth = bundle + [f"truth/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
     truth.append("truth/m_index.csv")
-    coarse = [f"coarse/{n}.csv" for n in
-              ("P_coarse", "P_base", "B_flat", "B_m_country", "D_country",
-               "E_country", "IE_country", "D_flat", "E_flat", "I_stats",
-               "IE_cls", "II_cls", "M")]
+    coarse = [f"coarse/{n}.csv" for n in _COARSE]
     est_m = [f"est/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
     est_m.append("est/m_index.csv")
     census = [f"results/census_run{k:02d}.csv" for k in range(ctx.runs)]

@@ -23,7 +23,7 @@ comparable against known truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,6 +142,20 @@ def _immigrants(spec: SynthSpec, mult: np.ndarray) -> np.ndarray:
                     * np.array([[0.52], [0.48]])).astype(np.int64)
 
 
+def bundle_resolutions(level: str, years: tuple) -> dict:
+    """Each truth table's resolution by bundle key, for census years `years`:
+    P holds every census, the event and flow tables each transition year.
+    The per-class flow tables share M's resolution."""
+    span = (years[0], years[1] - 1)
+    events = ResolutionSpec(span, level, sexes=SEXES, ages=FULL_AGES,
+                            open_age=100)
+    return {"P": replace(events, years=years),
+            "B": ResolutionSpec(span, level, ages=(0,), open_age=None),
+            "B_m": replace(events, sexes=("f",)),
+            "D": events, "E": events, "I": events, "IE": events, "II": events,
+            "M": ResolutionSpec(span, level, od=True)}
+
+
 def generate_truth(spec: SynthSpec) -> dict:
     """Build the full truth bundle; same spec, bit-identical bundle."""
     y0, y1 = spec.years
@@ -208,30 +222,18 @@ def generate_truth(spec: SynthSpec) -> dict:
         n = nxt
         pop.append(n)
 
-    def table(res, arrays, name):
-        entries = cells(res.year_list(), regions, res.sex_domain, res.ages,
-                        np.stack(arrays))
-        return CensusTable(res, entries, integer=True, name=name)
-
-    def full_res(years, sexes=SEXES):
-        return ResolutionSpec(years, spec.level, sexes=sexes, ages=FULL_AGES,
-                              open_age=100)
-
-    span = (y0, y1 - 1)
-    od_res = ResolutionSpec(span, spec.level, od=True)
-    bundle = {
-        "P": table(full_res((y0, y1)), pop, "P"),
-        "B": table(ResolutionSpec(span, spec.level, ages=(0,), open_age=None),
-                   births, "B"),
-        "B_m": table(full_res(span, sexes=("f",)), births_by_age, "B_m"),
-        "D": table(full_res(span), deaths, "D"),
-        "E": table(full_res(span), emigrants, "E"),
-        "I": table(full_res(span), immigrants, "I"),
-        "IE": table(full_res(span), internal_out, "IE"),
-        "II": table(full_res(span), internal_in, "II"),
-        "M": CensusTable(od_res, Entries.concat(od_flows), integer=True, name="M"),
-        "m_by_age": {lo: CensusTable(od_res, Entries.concat(flows), integer=True,
-                                     name=f"m{lo}")
-                     for lo, flows in flow_by_class.items()},
-    }
+    res = bundle_resolutions(spec.level, spec.years)
+    counts = {"P": pop, "B": births, "B_m": births_by_age, "D": deaths,
+              "E": emigrants, "I": immigrants, "IE": internal_out,
+              "II": internal_in}
+    bundle = {k: CensusTable(res[k], cells(res[k].year_list(), regions,
+                                           res[k].sex_domain, res[k].ages,
+                                           np.stack(arrays)),
+                             integer=True, name=k)
+              for k, arrays in counts.items()}
+    bundle["M"] = CensusTable(res["M"], Entries.concat(od_flows), integer=True,
+                              name="M")
+    bundle["m_by_age"] = {lo: CensusTable(res["M"], Entries.concat(flows),
+                                          integer=True, name=f"m{lo}")
+                          for lo, flows in flow_by_class.items()}
     return bundle

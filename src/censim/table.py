@@ -37,7 +37,6 @@ import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -573,18 +572,25 @@ def _parse_age_token(tok: str) -> tuple[int, bool]:
     return int(body), open_class
 
 
-def _raise_malformed(name: str, rows, od: bool):
-    """Raise the error of the first row a row-by-row parse would stop at."""
-    for lineno, row in enumerate(rows, start=2):
-        if not row:
-            continue
+def _csv_fields(name: str, text: str) -> tuple[list, list]:
+    """Header and fields of irregular text, row by row; the first bad row raises."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    head = rows.pop(0) if rows else None
+    if head not in (_HEADER, _HEADER_OD):
+        raise DataError(f"{name}: unexpected header {head}")
+    numbered = [(lineno, row) for lineno, row in enumerate(rows, start=2) if row]
+    for lineno, row in numbered:
+        if len(row) != 5:
+            raise DataError(f"{name}:{lineno}: expected 5 columns, got {len(row)}")
+    for lineno, row in numbered:
         for what, tok, parse in (("year", row[0], int), ("value", row[4], float)):
             try:
                 parse(tok)
             except ValueError:
                 raise DataError(f"{name}:{lineno}: malformed {what} {tok!r}") from None
-        if not od:
+        if head == _HEADER:
             _parse_age_token(row[3])
+    return head, [tok for row in rows for tok in row]
 
 
 def read_csv(path: str, integer: bool = False,
@@ -607,14 +613,7 @@ def read_csv(path: str, integer: bool = False,
     fields = (body.rstrip("\n") + "\n").replace("\n", ",\n,").split(",")[:-1]
     if ('"' in text or "\r" in text or head.split(",") not in (_HEADER, _HEADER_OD)
             or len(fields) % 6 or fields[5::6].count("\n") != len(fields) // 6):
-        rows = list(csv.reader(io.StringIO(text, newline="")))
-        head = rows.pop(0) if rows else None
-        if head not in (_HEADER, _HEADER_OD):
-            raise DataError(f"{name}: unexpected header {head}")
-        if set(map(len, rows)) - {0, 5}:
-            lineno, row = next(x for x in enumerate(rows, 2) if len(x[1]) not in (0, 5))
-            raise DataError(f"{name}:{lineno}: expected 5 columns, got {len(row)}")
-        fields = list(chain.from_iterable(rows))
+        head, fields = _csv_fields(name, text)
     else:
         head = head.split(",")
         del fields[5::6]
@@ -627,7 +626,7 @@ def read_csv(path: str, integer: bool = False,
         ages = None if od else [_parse_age_token(tok) for tok in lasts]
         values = np.fromiter(map(float, vtok), float, len(vtok))
     except (ValueError, DataError):
-        _raise_malformed(name, list(csv.reader(io.StringIO(text, newline="")))[1:], od)
+        _csv_fields(name, text)
         raise
 
     if resolution is None:

@@ -1,11 +1,14 @@
 import csv
 import hashlib
 import math
+import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from censim import cli
 from censim.cli import (_Pipeline, _fuse_blocks, _read_od_bundle, _stage_table,
                         main, run_pipeline)
 from censim.configfile import Config
@@ -785,6 +788,36 @@ def test_pipeline_reconstructs_without_truth(tmp_path, im_mode):
             assert not [f for f in inputs if f.startswith("truth/")], name
 
 
+def test_each_stage_reads_only_its_declared_inputs(tmp_path, monkeypatch):
+    # manifest.csv hashes a stage's declared inputs, so a table read beyond
+    # them would not make the stage stale when it changes
+    reads = []
+    read_csv = cli.read_csv
+
+    def recording_read_csv(path, *args, **kwargs):
+        reads.append(os.path.normpath(path))
+        return read_csv(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "read_csv", recording_read_csv)
+    work = tmp_path / "work"
+    (tmp_path / "pipeline.cfg").write_text(PIPELINE_CFG)
+    values = Config.from_file(tmp_path / "pipeline.cfg").values
+    # the interregional run reruns only the simulation, which reads the
+    # coarse od table through the scenario file as ../coarse/M.csv
+    for im_mode, names in (("full", None), ("interregional", ("simulate",))):
+        ctx = _Pipeline(Config(dict(values, im_mode=im_mode)), str(tmp_path))
+        for name, inputs, _, _ in _stage_table(ctx):
+            if names is not None and name not in names:
+                continue
+            reads.clear()
+            cfg = Config(dict(values, im_mode=im_mode, stages=name))
+            assert run_pipeline(cfg, str(tmp_path)) == [(name, "run")]
+            read = {os.path.relpath(p, work) for p in reads}
+            assert read <= set(inputs), (im_mode, name, read - set(inputs))
+            assert bool(read) == (name != "synth"), (im_mode, name)
+    assert "coarse/M.csv" in read
+
+
 def test_pipeline_empty_stage_list(tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("workdir=w\nstages=\n")
@@ -833,6 +866,17 @@ def test_od_index_repeated_age_is_an_error(tmp_path):
     index = tmp_path / "m_index.csv"
     index.write_text("age,path\n0,a.csv\n0,b.csv\n")
     with pytest.raises(DataError, match=r"m_index\.csv: age '0' listed twice"):
+        _read_od_bundle(str(index), (2000, 2001), "federalstates")
+
+
+@pytest.mark.parametrize("token", ["0++", "-0", " 20 ", "+0"])
+def test_od_index_bad_age_token_is_an_error(tmp_path, token):
+    # the census reader's own rule for age tokens, without the int() leniency
+    (tmp_path / "a.csv").write_text("year,origin,sex,destination,value\n")
+    index = tmp_path / "m_index.csv"
+    index.write_text(f"age,path\n{token},a.csv\n")
+    with pytest.raises(DataError, match=r"m_index\.csv: bad age token "
+                                        + re.escape(repr(token))):
         _read_od_bundle(str(index), (2000, 2001), "federalstates")
 
 
