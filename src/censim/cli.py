@@ -34,7 +34,7 @@ from .balance import residual_immigrants
 from .configfile import Config
 from .disagg import disaggregate_table
 from .errors import DataError
-from .fileio import atomic_open
+from .fileio import atomic_open, read_records
 from .fitting import (BirthFitTarget, MortalityFitTarget, average_slice,
                       fit_births, fit_mortality, gaussian_rates,
                       mortality_curves, qref_series)
@@ -221,24 +221,19 @@ def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
     """
     base = os.path.dirname(os.path.abspath(index_path))
     out = {}
-    with open(index_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"age", "path"} - set(reader.fieldnames):
-            raise DataError(f"{index_path}: expected header age,path")
-        for row in reader:
-            try:
-                lo, _ = _parse_age_token(row["age"])
-            except DataError:
-                raise DataError(f"{index_path}: bad age token {row['age']!r}") from None
-            if lo in out:
-                raise DataError(f"{index_path}: age {row['age']!r} listed twice")
-            rel = row["path"]
-            path = rel if os.path.isabs(rel) else os.path.join(base, rel)
-            if not _csv_has_rows(path):
-                res = ResolutionSpec(span, level, od=True)
-                out[lo] = CensusTable(res, {}, integer=True, name=f"m{lo}")
-            else:
-                out[lo] = _retype(read_csv(path, name=f"m{lo}"), span, True)
+    for row in read_records(index_path, ("age", "path")):
+        try:
+            lo, _ = _parse_age_token(row["age"])
+        except DataError:
+            raise DataError(f"{index_path}: bad age token {row['age']!r}") from None
+        if lo in out:
+            raise DataError(f"{index_path}: age {row['age']!r} listed twice")
+        path = os.path.join(base, row["path"])  # an absolute path stays
+        if not _csv_has_rows(path):
+            res = ResolutionSpec(span, level, od=True)
+            out[lo] = CensusTable(res, {}, integer=True, name=f"m{lo}")
+        else:
+            out[lo] = _retype(read_csv(path, name=f"m{lo}"), span, True)
     if not out:
         raise DataError(f"{index_path}: empty flow index")
     return out
@@ -299,17 +294,12 @@ _FIT_REPORT = ("year", "region", "objective", "iterations", "evals",
 def _read_targets(path: str, fields: tuple) -> list[tuple]:
     """Fit target rows as (year, region, float, ...) in `fields` order."""
     rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(fields) - set(reader.fieldnames or ())
-        if missing:
-            raise DataError(f"{path}: missing columns {sorted(missing)}")
-        for row in reader:
-            try:
-                rows.append((int(row["year"]), row["region"])
-                            + tuple(float(row[c]) for c in fields[2:]))
-            except (TypeError, ValueError):
-                raise DataError(f"{path}: bad row {row}") from None
+    for row in read_records(path, fields, "missing columns {missing}"):
+        try:
+            rows.append((int(row["year"]), row["region"])
+                        + tuple(float(row[c]) for c in fields[2:]))
+        except ValueError:
+            raise DataError(f"{path}: bad row {row}") from None
     if not rows:
         raise DataError(f"{path}: no target rows")
     return rows
@@ -458,8 +448,7 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
     base = os.path.dirname(os.path.abspath(cfg_path))
 
     def path_of(key: str) -> str:
-        p = cfg.text(key)
-        return p if os.path.isabs(p) else os.path.join(base, p)
+        return os.path.join(base, cfg.text(key))  # an absolute path stays
 
     config = ScenarioConfig(
         t0=cfg.integer("t0"), te=cfg.integer("te"),
@@ -599,10 +588,8 @@ class _Pipeline:
     """Bound configuration plus path helpers for one pipeline run."""
 
     def __init__(self, cfg: Config, base_dir: str):
-        workdir = cfg.text("workdir")
-        if not os.path.isabs(workdir):
-            workdir = os.path.join(base_dir, workdir)
-        self.workdir = workdir
+        # relative to the config file's directory; an absolute path stays
+        self.workdir = os.path.join(base_dir, cfg.text("workdir"))
         self.level = cfg.text("level", "municipalities")
         self.regions = cfg.tokens("regions", _DEFAULT_REGIONS)
         self.y0 = cfg.integer("y0", 1999)
@@ -769,11 +756,8 @@ def _stage_fit_mortality(ctx: _Pipeline) -> None:
         # the year's own curves, as the mean over that one year
         q_m, q_f = (qref_series(q_hat, (y,), "AT", s) for s in SEXES)
         deaths = sum(D_flat.grid((y,), ("AT",), SEXES, (0,)).ravel().tolist())
-        rows.append((y, "AT", deaths,
-                     life_expectancy(q_m, 0, alpha),
-                     life_expectancy(q_f, 0, alpha),
-                     life_expectancy(q_m, 65, alpha),
-                     life_expectancy(q_f, 65, alpha)))
+        rows.append((y, "AT", deaths) + tuple(
+            life_expectancy(q, a, alpha) for a in (0, 65) for q in (q_m, q_f)))
     qref_years = (ctx.t0 - 3, ctx.t0 - 2, ctx.t0 - 1)
     out = ctx.path("est/death_p.csv")
     country = _fit_rows(P_c, rows, out, _mortality_fit(q_hat, qref_years),
@@ -896,14 +880,9 @@ def _read_manifest(path: str) -> dict:
     if not os.path.exists(path):
         return {}
     out: dict[str, list] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                {"stage", "role", "file", "sha256"} - set(reader.fieldnames):
-            raise DataError(f"{path}: expected header stage,role,file,sha256")
-        for row in reader:
-            out.setdefault(row["stage"], []).append(
-                (row["role"], row["file"], row["sha256"]))
+    for row in read_records(path, ("stage", "role", "file", "sha256")):
+        out.setdefault(row["stage"], []).append(
+            (row["role"], row["file"], row["sha256"]))
     return out
 
 

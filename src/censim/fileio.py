@@ -1,4 +1,4 @@
-"""Atomic file output.
+"""Atomic file output, and the reader of keyed CSVs (read_records).
 
 Every file censim writes goes through atomic_open: the text lands in a
 temporary file next to the target, is flushed to disk, and only a block that
@@ -17,9 +17,12 @@ replaced.
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 import secrets
 import shutil
+
+from .errors import DataError
 
 
 @contextlib.contextmanager
@@ -39,3 +42,21 @@ def atomic_open(path: str, newline: str | None = None):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def read_records(path: str, fields: tuple,
+                 bad_header: str = "expected header {fields}"):
+    """Yield the rows of a CSV as dicts.  A header without one of `fields`
+    raises `bad_header`, formatted with the fields and the missing names; a
+    row that lacks one or leaves it empty raises an error naming its line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        missing = sorted(set(fields) - set(reader.fieldnames or ()))
+        if missing:
+            raise DataError(f"{path}: " + bad_header.format(
+                fields=",".join(fields), missing=missing))
+        for row in reader:
+            for field in fields:
+                if not row[field]:
+                    raise DataError(f"{path}:{reader.line_num}: no value for {field!r}")
+            yield row

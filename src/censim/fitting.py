@@ -10,17 +10,14 @@ differences and the line search is expected to cope with the kinks.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-from .lifetable import build_life_table
+from .lifetable import _columns, _require_open_class, _separation
 from .rates import death_table_alpha
-
-log = logging.getLogger(__name__)
 
 AGE_COUNT = 101
 _AGES = np.arange(AGE_COUNT, dtype=float)
@@ -108,7 +105,12 @@ def activation(a):
 _PHI = np.stack(activation(_AGES))  # 3 x 101, reused by every objective call
 
 
-def mortality_curves(theta, qref_m, qref_f, diagnostics: dict | None = None):
+def _curve(th3, qref) -> np.ndarray:
+    """One sex's death probabilities, clipped to [0,1]."""
+    return np.clip((np.asarray(th3) @ _PHI) * qref, 0.0, 1.0)
+
+
+def mortality_curves(theta, qref_m, qref_f):
     t = _theta_array(theta, 6)
     qref_m = np.asarray(qref_m, dtype=float)
     qref_f = np.asarray(qref_f, dtype=float)
@@ -117,34 +119,37 @@ def mortality_curves(theta, qref_m, qref_f, diagnostics: dict | None = None):
             raise DataError(f"{name} must have {AGE_COUNT} entries")
         if ((q < 0) | (q > 1)).any():
             raise DataError(f"{name} values must lie in [0,1]")
-    q_m = (t[:3] @ _PHI) * qref_m
-    q_f = (t[3:] @ _PHI) * qref_f
-    clipped = int((q_m > 1).sum() + (q_f > 1).sum())
-    if diagnostics is not None:
-        diagnostics["clipped"] = diagnostics.get("clipped", 0) + clipped
-    return np.clip(q_m, 0.0, 1.0), np.clip(q_f, 0.0, 1.0)
+    return _curve(t[:3], qref_m), _curve(t[3:], qref_f)
+
+
+def _e0_e65(q: np.ndarray, a: list) -> tuple:
+    """e(0) and e(65) as build_life_table has them, open-class error too."""
+    _require_open_class(q)
+    l, _, _, T = _columns(q.tolist(), a, 100000.0)
+    return tuple(T[i] / l[i] if l[i] > 0 else 0.0 for i in (0, 65))
+
+
+def _deaths(curves, pop_avg, a: list) -> float:
+    """Expected deaths, male then female; a vanishing 1 - a*q gives a
+    non-finite sum, which minimize treats as infeasible."""
+    total = 0.0
+    for q, pop in zip(curves, pop_avg):
+        total += float(np.asarray(pop, float) @ (q / (1.0 - np.multiply(a, q))))
+    return total
 
 
 def mortality_objective(theta, target: MortalityFitTarget, pop_avg, qref,
-                        alpha=None) -> float:
-    if alpha is None:
-        alpha = death_table_alpha()
-    q_m, q_f = mortality_curves(theta, qref[0], qref[1])
-    a_vec = np.array([alpha(i) for i in range(AGE_COUNT)])
-    f1 = 0.0
-    for q, pop in ((q_m, pop_avg[0]), (q_f, pop_avg[1])):
-        denom = 1.0 - a_vec * q
-        if (denom <= 0).any():
-            return math.inf
-        f1 += float(np.asarray(pop, float) @ (q / denom))
+                        a: list) -> float:
+    """The fit's error at theta; `a` holds the separation factors alpha(age)."""
+    curves = mortality_curves(theta, qref[0], qref[1])
+    f1 = _deaths(curves, pop_avg, a)
     try:
-        e_m = build_life_table(q_m, alpha).e
-        e_f = build_life_table(q_f, alpha).e
+        (e_m0, e_m65), (e_f0, e_f65) = (_e0_e65(q, a) for q in curves)
     except DataError:
         return math.inf
     return (abs(f1 - target.total_deaths) / 2000.0
-            + abs(e_m[0] - target.le_m_0) + abs(e_f[0] - target.le_f_0)
-            + abs(e_m[65] - target.le_m_65) + abs(e_f[65] - target.le_f_65))
+            + abs(e_m0 - target.le_m_0) + abs(e_f0 - target.le_f_0)
+            + abs(e_m65 - target.le_m_65) + abs(e_f65 - target.le_f_65))
 
 
 def fd_gradient(evaluate, x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
@@ -279,8 +284,20 @@ def fit_births(target: BirthFitTarget, diagnostics: dict | None = None):
                     BIRTH_BOUNDS, diagnostics=diagnostics)
 
 
+def _bisect(moves_lo, lo: float, hi: float, steps: int) -> float:
+    """Midpoint of [lo, hi] after `steps` halvings; each keeps the upper half
+    where moves_lo(midpoint) holds and the lower half elsewhere."""
+    for _ in range(steps):
+        mid = (lo + hi) / 2
+        if moves_lo(mid):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
 def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
-                              alpha, lo: float, hi: float) -> np.ndarray:
+                              a: list, lo: float, hi: float) -> np.ndarray:
     """Deterministic warm start that pins the five targets by bisection.
 
     Per sex, the senior multiplier is bisected against LE(65) and a joint
@@ -290,43 +307,16 @@ def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
     trap a quasi-Newton descent started from all ones, so the descent only
     polishes from here.
     """
-    a_vec = np.array([alpha(i) for i in range(AGE_COUNT)])
-
-    def sex_q(th3, qr):
-        return np.clip((np.asarray(th3) @ _PHI) * qr, 0.0, 1.0)
-
-    def le_pair(th3, qr):
-        e = build_life_table(sex_q(th3, qr), alpha).e
-        return e[0], e[65]
-
-    def count(th):
-        total = 0.0
-        for th3, qr, pop in ((th[:3], qref[0], pop_avg[0]),
-                             (th[3:], qref[1], pop_avg[1])):
-            q = sex_q(th3, qr)
-            total += float(np.asarray(pop, float) @ (q / (1.0 - a_vec * q)))
-        return total
-
     def anchor_sex(skew, le0_t, le65_t, qr):
+        def e0_e65(th3):
+            return _e0_e65(_curve(th3, qr), a)
+
         th3 = [1.0, 1.0, 1.0]
         for _ in range(5):
-            a, b = lo, hi
-            for _ in range(30):
-                mid = (a + b) / 2
-                if le_pair([th3[0], th3[1], mid], qr)[1] > le65_t:
-                    a = mid
-                else:
-                    b = mid
-            th3[2] = (a + b) / 2
-            a, b = lo, hi
-            for _ in range(30):
-                mid = (a + b) / 2
-                cand = [min(max(skew * mid, lo), hi), mid, th3[2]]
-                if le_pair(cand, qr)[0] > le0_t:
-                    a = mid
-                else:
-                    b = mid
-            c = (a + b) / 2
+            th3[2] = _bisect(lambda m: e0_e65([th3[0], th3[1], m])[1] > le65_t,
+                             lo, hi, 30)
+            c = _bisect(lambda m: e0_e65([min(max(skew * m, lo), hi), m,
+                                          th3[2]])[0] > le0_t, lo, hi, 30)
             th3 = [min(max(skew * c, lo), hi), c, th3[2]]
         return th3
 
@@ -335,36 +325,35 @@ def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
             anchor_sex(skew, target.le_m_0, target.le_m_65, qref[0])
             + anchor_sex(skew, target.le_f_0, target.le_f_65, qref[1]))
 
+    def excess(skew):
+        curves = mortality_curves(family(skew), *qref)
+        return _deaths(curves, pop_avg, a) - target.total_deaths
+
     s_lo, s_hi = math.log(lo / hi), math.log(hi / lo)
-    c_lo = count(family(math.exp(s_lo))) - target.total_deaths
-    c_hi = count(family(math.exp(s_hi))) - target.total_deaths
+    c_lo = excess(math.exp(s_lo))
+    c_hi = excess(math.exp(s_hi))
     if (c_lo > 0) == (c_hi > 0):
         # count not reachable along the family; keep the closer end
         return family(math.exp(s_lo if abs(c_lo) < abs(c_hi) else s_hi))
-    sign_lo = c_lo > 0
-    for _ in range(35):
-        mid = (s_lo + s_hi) / 2
-        if (count(family(math.exp(mid))) > target.total_deaths) == sign_lo:
-            s_lo = mid
-        else:
-            s_hi = mid
-    return family(math.exp((s_lo + s_hi) / 2))
+    skew = _bisect(lambda m: (excess(math.exp(m)) > 0) == (c_lo > 0),
+                   s_lo, s_hi, 35)
+    return family(math.exp(skew))
 
 
 def fit_mortality(target: MortalityFitTarget, pop_avg, qref, alpha=None,
                   diagnostics: dict | None = None):
     if alpha is None:
         alpha = death_table_alpha()
+    a = _separation(alpha, AGE_COUNT)
     lo = max(b[0] for b in MORTALITY_BOUNDS)
     hi = min(b[1] for b in MORTALITY_BOUNDS)
     try:
-        theta0 = _anchored_mortality_start(target, pop_avg, qref, alpha,
-                                           lo, hi)
+        theta0 = _anchored_mortality_start(target, pop_avg, qref, a, lo, hi)
     except DataError:
         theta0 = np.ones(6)
     theta0 = np.clip(theta0, lo, hi)  # the six bounds are the same
     return minimize(
-        lambda th: mortality_objective(th, target, pop_avg, qref, alpha=alpha),
+        lambda th: mortality_objective(th, target, pop_avg, qref, a),
         theta0, MORTALITY_BOUNDS, diagnostics=diagnostics)
 
 

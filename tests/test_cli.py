@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 from censim import cli
-from censim.cli import (_Pipeline, _fuse_blocks, _read_od_bundle, _stage_table,
-                        main, run_pipeline)
+from censim.cli import (_Pipeline, _fuse_blocks, _read_od_bundle,
+                        _read_targets, _stage_table, main, run_pipeline)
 from censim.configfile import Config
 from censim.errors import DataError
 from censim.fitting import activation, average_slice, gaussian_rates
@@ -878,6 +878,51 @@ def test_od_index_bad_age_token_is_an_error(tmp_path, token):
     with pytest.raises(DataError, match=r"m_index\.csv: bad age token "
                                         + re.escape(repr(token))):
         _read_od_bundle(str(index), (2000, 2001), "federalstates")
+
+
+@pytest.mark.parametrize("row", ["0", "0,"])
+def test_od_index_row_without_a_path_is_an_error(tmp_path, row):
+    index = tmp_path / "m_index.csv"
+    index.write_text(f"age,path\n{row}\n")
+    with pytest.raises(DataError, match=r"m_index\.csv:2: no value for 'path'"):
+        _read_od_bundle(str(index), (2000, 2001), "federalstates")
+
+
+@pytest.mark.parametrize("row, field", [
+    ("2010,AT,500.0", "mac"), ("2010,,500.0,29.0", "region"),
+    ("2010,AT,,29.0", "births")])
+def test_fit_target_row_without_a_value_is_an_error(tmp_path, row, field):
+    targets = tmp_path / "targets.csv"
+    targets.write_text(f"year,region,births,mac\n2010,AT,1.0,30.0\n{row}\n")
+    with pytest.raises(DataError,
+                       match=rf"targets\.csv:3: no value for '{field}'"):
+        _read_targets(str(targets), ("year", "region", "births", "mac"))
+
+
+def test_pipeline_manifest_row_without_a_file_exits_one(tmp_path, caplog):
+    cfg = tmp_path / "pipeline.cfg"
+    cfg.write_text("workdir=w\nstages=synth\n")
+    (tmp_path / "w").mkdir()
+    (tmp_path / "w" / "manifest.csv").write_text(
+        "stage,role,file,sha256\nsynth,out\n")
+    assert main(["pipeline", "--config", str(cfg)]) == 1
+    assert "manifest.csv:2: no value for 'file'" in caplog.text
+
+
+@pytest.mark.parametrize("header, read, message", [
+    ("age,file", lambda p: _read_od_bundle(p, (2000, 2001), "country"),
+     "expected header age,path"),
+    ("year,births", lambda p: _read_targets(p, ("year", "region", "births",
+                                                "mac")),
+     "missing columns ['mac', 'region']"),
+    ("stage,role,file", cli._read_manifest,
+     "expected header stage,role,file,sha256"),
+])
+def test_keyed_csv_header_messages(tmp_path, header, read, message):
+    path = tmp_path / "keyed.csv"
+    path.write_text(f"{header}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: {message}")):
+        read(str(path))
 
 
 def test_pipeline_stage_subset_runs_in_order(tmp_path):

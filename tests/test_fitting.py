@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from censim import fitting
 from censim.errors import DataError
 from censim.fitting import (
     AGE_COUNT,
@@ -21,7 +22,7 @@ from censim.fitting import (
     mortality_objective,
     qref_series,
 )
-from censim.lifetable import build_life_table
+from censim.lifetable import _separation, build_life_table
 from censim.rates import death_table_alpha
 from censim.table import CensusTable, ResolutionSpec
 
@@ -116,14 +117,6 @@ def test_mortality_curves_identity_and_scaling():
     assert not zero_m.any() and not zero_f.any()
 
 
-def test_mortality_curves_clip_counter():
-    qref = np.full(AGE_COUNT, 0.6)
-    diag = {}
-    q_m, _ = mortality_curves((3, 3, 3, 1, 1, 1), qref, qref, diagnostics=diag)
-    assert q_m.max() == 1.0
-    assert diag["clipped"] == AGE_COUNT
-
-
 def _mortality_setup(theta_true):
     qref = _qref_pair()
     pop = (np.full(AGE_COUNT, 60000.0), np.full(AGE_COUNT, 62000.0))
@@ -141,7 +134,8 @@ def _mortality_setup(theta_true):
 def test_mortality_objective_zero_at_truth():
     theta = np.array([1.3, 0.85, 1.1, 0.9, 1.2, 0.95])
     target, pop, qref, alpha = _mortality_setup(theta)
-    assert mortality_objective(theta, target, pop, qref, alpha) == pytest.approx(0.0, abs=1e-12)
+    a = _separation(alpha, AGE_COUNT)
+    assert mortality_objective(theta, target, pop, qref, a) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mortality_objective_sex_separability():
@@ -152,7 +146,8 @@ def test_mortality_objective_sex_separability():
     q_m, q_f = mortality_curves(bumped, *qref)
     _, q_f_base = mortality_curves(theta, *qref)
     assert np.allclose(q_f, q_f_base)
-    assert mortality_objective(bumped, target, pop, qref, alpha) > 0
+    assert mortality_objective(bumped, target, pop, qref,
+                               _separation(alpha, AGE_COUNT)) > 0
 
 
 def test_mortality_objective_recomputation():
@@ -167,7 +162,8 @@ def test_mortality_objective_recomputation():
     expected = (abs(f1 - target.total_deaths) / 2000.0
                 + abs(e_m[0] - target.le_m_0) + abs(e_f[0] - target.le_f_0)
                 + abs(e_m[65] - target.le_m_65) + abs(e_f[65] - target.le_f_65))
-    got = mortality_objective(theta, target, pop, qref, alpha)
+    got = mortality_objective(theta, target, pop, qref,
+                              _separation(alpha, AGE_COUNT))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -263,6 +259,69 @@ def test_mortality_fit_recovers_targets(theta_true):
     assert abs(e_f[0] - target.le_f_0) < 0.05
     assert abs(e_m[65] - target.le_m_65) < 0.05
     assert abs(e_f[65] - target.le_f_65) < 0.05
+
+
+def _warm_start_case(deaths_scale=1.0):
+    """The criterion-07 curves with a smooth population; the deaths target
+    is scaled by deaths_scale."""
+    alpha = death_table_alpha()
+    a = _separation(alpha, AGE_COUNT)
+    qref = (np.minimum(0.9, 1.0e-4 * np.exp(0.088 * AGES)),
+            np.minimum(0.9, 0.7e-4 * np.exp(0.089 * AGES)))
+    q_m, q_f = mortality_curves((1.1, 0.9, 1.3, 0.8, 1.2, 1.0), *qref)
+    pop = (50000.0 - 150.0 * AGES, 52000.0 - 140.0 * AGES)
+    deaths = float(pop[0] @ (q_m / (1.0 - np.multiply(a, q_m)))
+                   + pop[1] @ (q_f / (1.0 - np.multiply(a, q_f))))
+    e_m = build_life_table(q_m, alpha).e
+    e_f = build_life_table(q_f, alpha).e
+    target = MortalityFitTarget(deaths * deaths_scale, e_m[0], e_f[0],
+                                e_m[65], e_f[65])
+    return target, pop, qref, a
+
+
+# the warm starts as float.hex: a change to the life-table arithmetic or to
+# the bisections that moves any bit of a start shows here
+@pytest.mark.parametrize("deaths_scale, skew_bisections, want", [
+    (1.0, 1, ["0x1.ec71785cc22b0p-1", "0x1.cfb663a000000p-1",
+              "0x1.4c9f955ccccccp+0", "0x1.41c7ef59c8603p+0",
+              "0x1.2f01d8f666666p+0", "0x1.0058229cccccep+0"]),
+    # ten times the deaths is out of reach along the family: the start
+    # keeps the closer end of the skew bracket without bisecting it
+    (10.0, 0, ["0x1.4000000000000p+2", "0x1.7b5b25c666667p-1",
+               "0x1.51c2107000002p+0", "0x1.4000000000000p+2",
+               "0x1.0ce000c333334p+0", "0x1.0327d3099999ap+0"]),
+])
+def test_warm_start_is_pinned(monkeypatch, deaths_scale, skew_bisections,
+                              want):
+    target, pop, qref, a = _warm_start_case(deaths_scale)
+    steps = []
+
+    def spy(moves_lo, lo, hi, n):
+        steps.append(n)
+        return bisect(moves_lo, lo, hi, n)
+
+    bisect = fitting._bisect
+    monkeypatch.setattr(fitting, "_bisect", spy)
+    theta0 = fitting._anchored_mortality_start(target, pop, qref, a, 0.2, 5.0)
+    assert [float(t).hex() for t in theta0] == want
+    assert steps.count(35) == skew_bisections
+
+
+def test_warm_start_without_an_open_class_falls_back_to_ones(monkeypatch):
+    target, pop, (qref_m, qref_f), a = _warm_start_case()
+    qref_m = qref_m.copy()
+    qref_m[-1] = 0.0
+    qref = (qref_m, qref_f)
+    with pytest.raises(DataError, match="open age class must be positive"):
+        fitting._anchored_mortality_start(target, pop, qref, a, 0.2, 5.0)
+    # no multiplier revives the open class, so the polish cannot start
+    with pytest.raises(DataError, match="not finite at the initial point"):
+        fit_mortality(target, pop, qref)
+    starts = []
+    monkeypatch.setattr(fitting, "minimize",
+                        lambda f, x0, bounds, diagnostics: starts.append(x0))
+    fit_mortality(target, pop, qref)
+    assert [t.tobytes() for t in starts] == [np.ones(6).tobytes()]
 
 
 def test_slice_helpers():

@@ -167,8 +167,9 @@ def _defaulted(tree: ast.Module):
 
 def _passed(node: ast.AST, owner: str | None = None):
     """(callee name, parameter name or positional index) for every argument
-    a call passes; a *args or **kwargs argument passes every one, and cls
-    inside a class is that class."""
+    a call passes; a **kwargs argument passes every one, and cls inside a
+    class is that class.  A *args argument passes none: how many it fills
+    is unknown, so it and every positional argument after it are skipped."""
     for sub in ast.iter_child_nodes(node):
         if isinstance(sub, ast.Call):
             func = sub.func
@@ -176,7 +177,9 @@ def _passed(node: ast.AST, owner: str | None = None):
             if name == "cls" and owner is not None:
                 name = owner
             for i, arg in enumerate(sub.args):
-                yield name, "*" if isinstance(arg, ast.Starred) else i
+                if isinstance(arg, ast.Starred):
+                    break
+                yield name, i
             for kw in sub.keywords:
                 yield name, kw.arg or "**"
         yield from _passed(sub, sub.name if isinstance(sub, ast.ClassDef) else owner)
@@ -190,7 +193,7 @@ def test_every_parameter_default_is_set_outside_tests():
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for name, param, index in _defaulted(tree):
-            ways = {param, "**"} | ({index, "*"} if index is not None else set())
+            ways = {param, "**"} | ({index} if index is not None else set())
             if not any((name, way) in passed for way in ways):
                 unset.add(f"{name}({param})")
     assert sorted(unset - DEFAULTS_ALLOWED) == []
