@@ -15,20 +15,21 @@ below 2**53, and sqrt and division are correctly rounded and monotone.  The
 loop merges the cells' sorted priority sequences, so its first x picks are
 the x first items of the merged order (Balinski & Young, Fair
 Representation, on divisor methods).  The kernel finds them without the
-loop: a threshold t estimated from the divisor sum(p)/(awards + x) gives
-each cell's count above it from the closed form p/t + 1/2, corrected by the
-float priorities at the boundary, and a Newton step on t follows while too
-many awards stay in doubt.  Those left, a window of a few thousand per
-call (or one per cell at a tie), are ranked in the loop's order by one
-stable sort, and the first ones still needed win; a call whose cells'
-next x awards already fit in that window ranks them all without a
-threshold.
+loop.  Award k's divisor lies within [k, k+1], so the last of N awards
+over n cells of weight sum P has a priority in [P/(N + n), P/(N - 5n/8)]
+(Pukelsheim, Proportional Representation, ch. 4), two thresholds in
+closed form.  Each cell's count of awards above a threshold t comes from
+the closed form p/t + 1/2, corrected by the float priorities at the
+boundary.  The awards above the upper threshold all win; those between
+the two, a few per cell, are ranked in the loop's order by one stable
+sort, and the first ones still needed win.
 
 The kernel splits many fibers in one call.  A fiber is a run of cells with
-its own x, thresholds and counts; the open fibers are probed together, and
-the sort keys the window's awards on fiber, then priority, then weight,
+its own x, thresholds and counts; all fibers are counted together, and the
+sort keys the window's awards on fiber, then priority, then weight,
 leaving the candidate order (lower cell, earlier award) to break the rest.
-huntington_hill is the call with one fiber.
+huntington_hill is the call with one fiber.  Totals are integers in
+0..2**63 - 1, taken exactly.
 
 For integer weights, k*sum(p) awards are handed out as k*p up front and the
 selection starts from that state; in particular x = k*sum(p) returns k*p
@@ -90,12 +91,6 @@ def proportional_disaggregate(x: float, p) -> list[float]:
     return [v * x / total for v in p]
 
 
-# Thresholds are probed until the awards left to order fit in a window of
-# this size (or of one award per cell, which a tie at one priority can fill).
-_WINDOW = 4096
-_MAX_PROBES = 16
-
-
 def _priorities(p: np.ndarray, k: np.ndarray) -> np.ndarray:
     """Priority of award k (0-based) of cells p: p/sqrt(k(k+1)), p at k=0."""
     kf = k.astype(float)
@@ -109,16 +104,16 @@ def _starts(fiber: np.ndarray, n_fibers: int) -> np.ndarray:
 
 def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
                   x: np.ndarray) -> np.ndarray:
-    """How many of each cell's next x awards have a priority above t (t and x
-    given per cell)."""
-    n = len(p)
+    """How many of each cell's next x awards have a priority above t (x
+    given per cell, t per cell or as rows of per-cell thresholds)."""
     # about p/t + 1/2 awards of a cell lie above t > 0; test the estimate and
-    # its two neighbours against the float priorities themselves
-    q = np.divide(p, t, out=np.full(n, np.inf), where=p * 2.0 ** -900 < t)
-    est = np.clip(np.floor(q + 0.5) - w, 0, x).astype(np.int64)
-    idx = est[:, None] + np.arange(-1, 2)
-    hits = _priorities(p[:, None], w[:, None] + idx) > t[:, None]
-    hits = np.where(idx < 0, True, np.where(idx >= x[:, None], False, hits)).sum(1)
+    # its two neighbours, one at a time to keep temporaries small, against
+    # the float priorities themselves (the estimate stops at 2**62, so that
+    # it and its neighbours fit an int64)
+    q = np.divide(p, t, out=np.full(t.shape, np.inf), where=p * 2.0 ** -900 < t)
+    est = np.minimum(np.clip(np.floor(q + 0.5) - w, 0, 2.0 ** 62).astype(np.int64), x)
+    hits = sum(np.where(k < 0, True, (k < x) & (_priorities(p, w + k) > t))
+               for k in (est - 1, est, est + 1))
     a = np.where((t > 0) & (hits > 0), est - 1 + hits, 0)
     b = np.where((t > 0) & (hits < 3), est - 1 + hits, x)
     # bisect where the estimate missed: the answer lies in [a, b]
@@ -126,7 +121,7 @@ def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
         open_ = a < b
         if not open_.any():
             return a
-        mid = (a + b) // 2
+        mid = a + (b - a) // 2
         above = _priorities(p, w + mid) > t
         a = np.where(open_ & above, mid + 1, a)
         b = np.where(open_ & ~above, mid, b)
@@ -134,59 +129,45 @@ def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
 
 def _window(x: np.ndarray, p: np.ndarray, w: np.ndarray, fiber: np.ndarray,
             start: np.ndarray) -> tuple:
-    """Per-cell bounds lo <= awards <= hi, from thresholds on each fiber's
-    priorities.
+    """Per-cell bounds lo <= awards <= hi, from two thresholds per fiber.
 
-    The bounds start at 0 and x, which small calls keep.  Each probe t counts
-    a fiber's awards above t; with s of them, s <= x puts all of them in and
-    leaves at most x - s more per cell, s >= x keeps every award at or below
-    t out and drops at most s - x of those above it.  The fibers still open
-    are probed together, each at its own t.
+    Award k's divisor sqrt(k(k+1)) (1 at k = 0) lies in [k, k+1], and above
+    k + 3/8 from k = 1 on, so a cell of weight p has between p/t - 1 and
+    p/t + 5/8 awards of priority above t.  A fiber of weight P, n cells and
+    N awards, start counts included, thus gives its last award a priority
+    in [P/(N + n), P/(N - 5n/8)] (Pukelsheim, Proportional Representation,
+    ch. 4; Balinski & Young, Fair Representation).  lo counts the awards
+    above the upper end and hi those above the lower end, each end widened
+    by (n + 16) * 2**-52 against the rounding of the sum, the divisors and
+    the priorities.
+
+    Subnormal priorities can break the bound, but the counts still decide:
+    a fiber's awards above t all win if there are at most x of them, and
+    all of its winners lie above t if there are at least x.  So lo drops to
+    0 where it sums past x, and hi counts the awards above 0 where it sums
+    short of x; those still missing have priority 0, and the largest
+    weight, first of equals, wins them.
     """
-    n = len(p)
-    lo = np.zeros(n, dtype=np.int64)
-    hi = x[fiber]
-    size = np.diff(np.append(start, n))
-    # a fiber is open while its window holds more than one award per cell
-    todo = x > 1
-    if (x * size).sum() <= max(_WINDOW, n) or not todo.any():
-        return lo, hi
+    size = np.bincount(fiber, minlength=len(x))
     total = np.bincount(fiber, p, len(x))
-    top = np.maximum.reduceat(p, start)
-    t_lo, t_hi = np.zeros(len(x)), top.copy()
-    t = np.minimum(total / (np.add.reduceat(w, start) + np.maximum(x, 1)), t_hi)
-    for _ in range(_MAX_PROBES):
-        f = np.flatnonzero(todo)
-        at = np.flatnonzero(todo[fiber])
-        rel = np.repeat(np.arange(len(f)), size[f])
-        tf, xf = t[f], x[f]
-        c = _counts_above(tf[rel], p[at], w[at], xf[rel])
-        gap = xf - np.add.reduceat(c, np.cumsum(size[f]) - size[f])
-        under = (tf == 0) & (gap > 0)
-        if under.any():
-            # the rest have priority 0 (underflow): the largest weight, first
-            # of equals, wins every one of them
-            tops = np.flatnonzero(p[at] == top[f][rel])
-            c[tops[np.searchsorted(rel[tops], np.flatnonzero(under))]] += gap[under]
-            gap[under] = 0
-        lo[at] = np.maximum(lo[at], c + np.minimum(gap, 0)[rel])
-        hi[at] = np.minimum(hi[at], c + np.maximum(gap, 0)[rel])
-        t_hi[f] = b = np.where(gap >= 0, tf, t_hi[f])
-        t_lo[f] = a = np.where(gap <= 0, tf, t_lo[f])
-        # Newton step on s(t) ~ total/t, else bisect the bracket; a bracket
-        # with nothing left inside closes the fiber, unless t = 0 is untried
-        den = 1.0 + gap * (tf / total[f])
-        t_next = np.divide(tf, den, out=np.full(len(f), -1.0), where=den > 0)
-        inside = (a < t_next) & (t_next < b)
-        t_next = np.where(inside, t_next,
-                          np.where(a > 0, np.sqrt(a) * np.sqrt(b), b / 2))
-        inside = (a < t_next) & (t_next < b)
-        todo[f] = inside | ((a == 0) & (tf != 0))
-        t[f] = np.where(inside, t_next, 0.0)
-        width = np.add.reduceat(hi - lo, start)
-        todo &= width > size
-        if width.sum() <= max(_WINDOW, n) or not todo.any():
-            break
+    awards = np.bincount(fiber, w, len(x)) + x
+    eps = (size + 16) * 2.0 ** -52
+    # the upper end reads inf where N <= 5n/8 or where it overflows
+    with np.errstate(over="ignore", divide="ignore"):
+        upper = total * (1 + eps) / np.maximum(awards - 0.625 * size, 0)
+    lower = total * (1 - eps) / (awards + size)
+    lo, hi = _counts_above(np.stack([upper, lower])[:, fiber], p, w, x[fiber])
+    # x minus a sum wraps back into range where the sum alone passes 2**63
+    lo[(x - np.add.reduceat(lo, start) < 0)[fiber]] = 0
+    short = np.flatnonzero((x - np.add.reduceat(hi, start) > 0)[fiber])
+    if short.size:
+        hi[short] = _counts_above(np.zeros(len(short)), p[short], w[short],
+                                  x[fiber[short]])
+        gap = np.maximum(x - np.add.reduceat(hi, start), 0)
+        tops = np.flatnonzero(p == np.maximum.reduceat(p, start)[fiber])
+        hi[tops[np.searchsorted(fiber[tops], np.arange(len(x)))]] += gap
+        # a gap left means every award above 0 wins, so hi is the split
+        lo = np.where((gap > 0)[fiber], hi, lo)
     return lo, hi
 
 
@@ -241,11 +222,10 @@ def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
 
 def huntington_hill(x: int, p) -> list[int]:
     """Integer split of x along p: the x top Huntington-Hill priorities."""
-    xf = float(x)
-    if not xf.is_integer() or xf < 0:
-        raise DataError(f"cannot split {x!r} into integer parts")
+    if not (0 <= x < 2 ** 63 and float(x).is_integer()):
+        raise DataError(f"cannot split {x!r}: a total is an integer in 0..2**63 - 1")
     p = _check_weights(p)
-    return _apportion(np.array([int(xf)], dtype=np.int64), p,
+    return _apportion(np.array([int(x)], dtype=np.int64), p,
                       np.zeros(len(p), dtype=np.int64)).tolist()
 
 
@@ -257,8 +237,8 @@ def huntington_hill_splits(xs, p) -> np.ndarray:
     count of it over the distinct totals.
     """
     xs = np.asarray(xs)
-    if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0):
-        raise DataError("splits need non-negative integer totals")
+    if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0 or xs.max() >= 2 ** 63):
+        raise DataError("splits need integer totals in 0..2**63 - 1")
     totals, row = np.unique(xs.astype(np.int64).ravel(), return_inverse=True)
     p = _check_weights(p)
     n = len(p)
@@ -378,7 +358,7 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
             total[i] = math.inf
 
     # the first failing source cell in key order names its first failure
-    bad = (hh & (x != np.floor(x)), size == 0,
+    bad = (hh & (x != np.floor(x)), hh & (x >= 2.0 ** 63), size == 0,
            ~positive & (not uniform_fallback), total == math.inf)
     failing = np.flatnonzero(np.logical_or.reduce(bad))
     if failing.size:
@@ -387,15 +367,15 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
         if bad[0][i]:
             raise DataError(f"{source.name}: non-integer value {x[i].item()} at {key}")
         if bad[1][i]:
-            raise DataError(f"{source.name}: no target keys under cell {key}")
+            raise DataError(f"{source.name}: value {x[i].item()} at {key} is outside int64")
         if bad[2][i]:
+            raise DataError(f"{source.name}: no target keys under cell {key}")
+        if bad[3][i]:
             raise DataError(f"{source.name}: all-zero distribution under cell {key}")
         raise DataError("weights sum overflows a float")
 
     if hh:
-        # int64 counts: a value past 2**63 raises OverflowError
-        share = _apportion(np.fromiter(map(int, x.tolist()), np.int64, len(x)),
-                           weight, fib).astype(float)
+        share = _apportion(x.astype(np.int64), weight, fib).astype(float)
     else:
         # a share past the float range reads inf, which the table rejects
         with np.errstate(over="ignore"):

@@ -49,11 +49,6 @@ NO_SEX = "-"
 FULL_AGES = tuple(range(101))  # single ages, 100 the open class
 
 
-def single_ages(lo: int, hi: int) -> tuple[int, ...]:
-    """Lower bounds for single-year age classes lo..hi inclusive."""
-    return tuple(range(lo, hi + 1))
-
-
 @dataclass(frozen=True)
 class ResolutionSpec:
     """Declares a table's year range, regional level, sex and age domains."""

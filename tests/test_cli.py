@@ -97,6 +97,18 @@ def test_disaggregate_hh_conserves(tmp_path):
     assert out[(2000, "AT-2", "m", 0)] == 3
 
 
+def test_disaggregate_hh_total_outside_int64_exits_one(tmp_path, caplog):
+    source = CensusTable(res((2000, 2000), level="country"),
+                         {(2000, "AT", "m", 0): 1e19}, integer=True)
+    dist = CensusTable(res((2000, 2000), sexes=()), {(2000, "AT-1", "-", 0): 1.0})
+    code = main(["disaggregate", "--source", save(tmp_path, "s.csv", source),
+                 "--distribution", save(tmp_path, "d.csv", dist),
+                 "--key", "region", "--method", "hh",
+                 "--out", str(tmp_path / "out.csv")])
+    assert code == 1
+    assert "value 1e+19 at (2000, 'AT', 'm', 0) is outside int64" in caplog.text
+
+
 def test_disaggregate_bad_method_exits_one(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["disaggregate", "--source", "s", "--distribution", "d",

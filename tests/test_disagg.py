@@ -1,12 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from censim.disagg import disaggregate_table, huntington_hill, proportional_disaggregate
+from censim.disagg import (disaggregate_table, huntington_hill, huntington_hill_splits,
+                           proportional_disaggregate)
 from censim.errors import DataError
 from censim.regions import RegionManifest
-from censim.table import CensusTable, ResolutionSpec, aggregate, single_ages
+from censim.table import CensusTable, ResolutionSpec, aggregate
 
 
 def test_proportional_forced_shares():
@@ -55,6 +57,40 @@ def test_huntington_hill_rejects_bad_input():
         huntington_hill(-1, (1, 2))
     with pytest.raises(DataError):
         huntington_hill(3, (0.0, 0.0))
+
+
+def test_huntington_hill_takes_int64_totals_exactly():
+    # 2**53 + 1 is not a float: its last award goes to the first of equals
+    assert huntington_hill(2**53 + 1, [1.0, 1.0]) == [2**52 + 1, 2**52]
+    x = 2**63 - 1
+    split = huntington_hill(x, [0.5, 1.5])
+    assert sum(split) == x
+    assert split[0] == pytest.approx(x / 4, rel=1e-15)
+    assert huntington_hill(x, [0.5]) == [x]
+    assert huntington_hill(np.uint64(x), [1.0, 2.0]) == [x // 3, 2 * (x // 3) + 1]
+
+
+def test_totals_outside_int64_are_data_errors():
+    with pytest.raises(DataError, match="integer in 0..2"):
+        huntington_hill(2**63, [1.0, 2.0])
+    with pytest.raises(DataError, match="integer totals in 0..2"):
+        huntington_hill_splits(np.array([2**63], np.uint64), [1.0, 2.0])
+
+
+def test_disaggregate_table_names_a_cell_outside_int64():
+    big = CensusTable(FS_TOTAL, {(2020, "AT-1", "-", 0): 1e19}, integer=True, name="P")
+    with pytest.raises(DataError, match=r"P: value 1e\+19 at \(2020, 'AT-1', '-', 0\) "
+                                        "is outside int64"):
+        disaggregate_table(big, _mun_dist(), ("year",), MUN_TOTAL, "huntington_hill")
+    # the first failing cell in key order names its first failure: AT-2 has
+    # no target keys either
+    for cells, named in (({"AT-1": 1e19, "AT-2": 3}, "AT-1"),
+                         ({"AT-1": 3, "AT-2": 1e19}, "AT-2")):
+        source = CensusTable(FS_TOTAL, {(2020, r, "-", 0): v for r, v in cells.items()},
+                             integer=True, name="P")
+        with pytest.raises(DataError, match=f"'{named}', '-', 0\\) is outside int64"):
+            disaggregate_table(source, _mun_dist(), ("year",), MUN_TOTAL,
+                               "huntington_hill")
 
 
 def test_weight_sum_overflow_is_a_data_error():
@@ -145,7 +181,7 @@ def test_disaggregate_table_huntington_hill_example():
 
 def test_disaggregate_table_reaggregation_recovers_source():
     rng = random.Random(5)
-    fine_res = ResolutionSpec((2020, 2021), "municipalities", ages=single_ages(0, 3),
+    fine_res = ResolutionSpec((2020, 2021), "municipalities", ages=tuple(range(4)),
                               open_age=3)
     entries = {}
     for y in (2020, 2021):
@@ -179,7 +215,7 @@ def test_disaggregate_table_projection_rule():
     })
     # target: federalstates, sexed, single ages 0..2
     target = ResolutionSpec((2020, 2020), "federalstates",
-                            ages=single_ages(0, 2), open_age=None)
+                            ages=tuple(range(3)), open_age=None)
     out = disaggregate_table(source, dist, ("region", "sex", "age"), target,
                              "proportional")
     # weights project single ages 0,1 onto band [0,2) and age 2 onto [2,3):

@@ -5,9 +5,7 @@ fiber-by-fiber loop it replaced.
 The loop below is the reference: each award goes to the largest priority
 p/sqrt(w(w+1)) (p itself before a cell's first award), ties to the larger
 weight, then the lower index.  The kernel must return the same split bit for
-bit, one fiber per call or many fibers in one call, at the default window
-and with the window forced to zero, which makes the threshold search probe
-until at most one award per cell is in doubt.
+bit, one fiber per call or many fibers in one call.
 
 reference_disaggregate_table is the table path as it was before the fibers
 became index arrays, kept verbatim and run on the reference splits above.
@@ -20,15 +18,12 @@ import random
 import numpy as np
 import pytest
 
-from censim import disagg
-from censim.disagg import (_apportion, disaggregate_table, huntington_hill,
-                           huntington_hill_splits)
+from censim.disagg import (_apportion, _starts, _window, disaggregate_table,
+                           huntington_hill, huntington_hill_splits)
 from censim.errors import DataError
 from censim.regions import RegionManifest, coarser_or_equal, parent_region
 from censim.synthgen import SynthSpec, _kernel
 from censim.table import SEXES, CensusTable, ResolutionSpec
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _draw_loop(x: int, p: np.ndarray, w: np.ndarray) -> None:
@@ -72,12 +67,9 @@ def reference_huntington_hill(x: int, p) -> list[int]:
     return [int(v) for v in w]
 
 
-def _check(monkeypatch, cases):
+def _check(cases):
     expected = [reference_huntington_hill(x, p) for x, p in cases]
     assert [huntington_hill(x, p) for x, p in cases] == expected
-    with monkeypatch.context() as m:
-        m.setattr(disagg, "_WINDOW", 0)
-        assert [huntington_hill(x, p) for x, p in cases] == expected
 
 
 def _house(rng, top=400):
@@ -92,7 +84,7 @@ def _nonzero(p):
 
 
 @pytest.mark.parametrize("kind", ["integer", "3-decimal", "float"])
-def test_random_weights_match_the_award_loop(monkeypatch, kind):
+def test_random_weights_match_the_award_loop(kind):
     rng = random.Random(f"hh-{kind}")
     draw = {"integer": lambda: rng.randint(0, 60),
             "3-decimal": lambda: round(rng.uniform(0, 10), 3),
@@ -101,7 +93,7 @@ def test_random_weights_match_the_award_loop(monkeypatch, kind):
     for _ in range(7000):
         p = _nonzero([draw() for _ in range(rng.randint(1, 40))])
         cases.append((_house(rng), p))
-    _check(monkeypatch, cases)
+    _check(cases)
 
 
 # weights equal to the float priority of another weight's award k, so
@@ -110,7 +102,7 @@ ECHOES = [p / math.sqrt(k * (k + 1.0)) if k else p for p in (1.0, 2.0, 3.0)
           for k in range(5)]
 
 
-def test_heavy_ties_match_the_award_loop(monkeypatch):
+def test_heavy_ties_match_the_award_loop():
     rng = random.Random(1234)
     cases = [(_house(rng), [rng.choice((1, 2, 3, 4)) * rng.choice((1, 1, 0.5))
                             for _ in range(rng.randint(1, 40))])
@@ -118,18 +110,18 @@ def test_heavy_ties_match_the_award_loop(monkeypatch):
     cases += [(x, [1.0] * n) for n in (1, 7, 40) for x in (0, 1, n - 1, n, 3 * n + 1, 400)]
     cases += [(_house(rng), [rng.choice(ECHOES) for _ in range(rng.randint(1, 40))])
               for _ in range(1000)]
-    _check(monkeypatch, cases)
+    _check(cases)
 
 
-def test_zero_weights_match_the_award_loop(monkeypatch):
+def test_zero_weights_match_the_award_loop():
     rng = random.Random(77)
     cases = [(_house(rng), _nonzero([rng.choice((0, 0, 0, 1.5, rng.uniform(0, 3)))
                                      for _ in range(rng.randint(1, 40))]))
              for _ in range(2000)]
-    _check(monkeypatch, cases)
+    _check(cases)
 
 
-def test_prefill_remainders_match_the_award_loop(monkeypatch):
+def test_prefill_remainders_match_the_award_loop():
     # integer weights with x = k*sum(p) + r, 0 < r < sum(p): the loop runs
     # on from the k*p start state
     rng = random.Random(5)
@@ -139,10 +131,10 @@ def test_prefill_remainders_match_the_award_loop(monkeypatch):
         total = sum(p)
         if total > 1:
             cases.append((rng.randint(0, 6) * total + rng.randint(1, total - 1), p))
-    _check(monkeypatch, cases)
+    _check(cases)
 
 
-def test_extreme_magnitudes_match_the_award_loop(monkeypatch):
+def test_extreme_magnitudes_match_the_award_loop():
     # subnormal weights whose priorities underflow to 0 after an award or
     # two, next to 1e300 weights; once priorities tie at 0 the larger weight
     # keeps winning
@@ -153,19 +145,19 @@ def test_extreme_magnitudes_match_the_award_loop(monkeypatch):
              for _ in range(1500)]
     cases += [(400, [5e-324] * 40), (400, [1e-321, 2e-321, 0.0] * 13),
               (250, [1e300, 5e-324, 0.0, 1e300])]
-    _check(monkeypatch, cases)
+    _check(cases)
     assert huntington_hill(5, [0.0, 5e-324, 0.0]) == [0, 5, 0]
     # both cells' priorities round to one ulp after an award; the larger
     # weight wins every tie there, then every tie at 0
     assert huntington_hill(4, [5e-324, 1e-323]) == [0, 4]
 
 
-def test_large_houses_match_the_award_loop(monkeypatch):
+def test_large_houses_match_the_award_loop():
     rng = random.Random(11)
     cases = [(rng.randint(401, 3000), _nonzero([rng.choice((rng.randint(0, 9), rng.uniform(0, 9)))
                                                 for _ in range(rng.randint(1, 40))]))
              for _ in range(40)]
-    _check(monkeypatch, cases)
+    _check(cases)
 
 
 def _fiber(rng):
@@ -179,7 +171,7 @@ def _fiber(rng):
     return x, _nonzero([draw() for _ in range(n)])
 
 
-def test_many_fibers_in_one_call_match_the_award_loop(monkeypatch):
+def test_many_fibers_in_one_call_match_the_award_loop():
     # integer and fractional fibers side by side, with x = 0, single cells,
     # zero weights, ties and priorities that underflow to 0: each fiber's
     # split equals its own loop
@@ -191,20 +183,43 @@ def test_many_fibers_in_one_call_match_the_award_loop(monkeypatch):
                       np.concatenate([np.asarray(p, float) for _, p in fibers]),
                       np.repeat(np.arange(len(fibers)), [len(p) for _, p in fibers]),
                       [v for x, p in fibers for v in reference_huntington_hill(x, p)]))
-    for window in (disagg._WINDOW, 0):
-        with monkeypatch.context() as m:
-            m.setattr(disagg, "_WINDOW", window)
-            for x, p, fiber, expected in calls:
-                assert _apportion(x, p, fiber).tolist() == expected
+    for x, p, fiber, expected in calls:
+        assert _apportion(x, p, fiber).tolist() == expected
 
 
-def test_splits_are_prefix_counts_of_one_award_sequence(monkeypatch):
-    # houses up to 3000 make the window probe; with the window at zero every
-    # split probes
+def test_window_brackets_each_split_in_three_candidates_per_cell():
+    # normal weights, several fibers per call, integer fibers run on from
+    # their k*p start: lo..hi holds each fiber's split, and the bracket
+    # leaves at most 3n candidates to rank in a fiber of n cells
+    rng = random.Random(43)
+    for _ in range(400):
+        fibers = []
+        for _ in range(rng.randint(1, 8)):
+            n = rng.randint(1, 40)
+            if rng.random() < 0.5:
+                p = _nonzero([rng.randint(0, 8) for _ in range(n)])
+                x = rng.randint(0, 6) * sum(p) + rng.randint(0, sum(p))
+            else:
+                p = _nonzero([rng.choice((0.0, 2.5, rng.uniform(0, 100))) for _ in range(n)])
+                x = _house(rng, 3000)
+            fibers.append((x, p))
+        p = np.concatenate([np.asarray(p, float) for _, p in fibers])
+        fiber = np.repeat(np.arange(len(fibers)), [len(p) for _, p in fibers])
+        split = np.array([v for x, p in fibers for v in reference_huntington_hill(x, p)])
+        # the start counts and the awards after them, as _apportion passes them
+        k = np.array([x // sum(p) if all(float(v).is_integer() for v in p) else 0
+                      for x, p in fibers])
+        w = (k[fiber] * p).astype(np.int64)
+        x = np.array([x for x, _ in fibers]) - np.bincount(fiber, w).astype(np.int64)
+        start = _starts(fiber, len(fibers))
+        lo, hi = _window(x, p, w, fiber, start)
+        assert (lo <= split - w).all() and (split - w <= hi).all()
+        assert (np.add.reduceat(hi - lo, start) <= 3 * np.diff(np.append(start, len(p)))).all()
+
+
+def test_splits_are_prefix_counts_of_one_award_sequence():
     rng = random.Random(21)
-    windows = (disagg._WINDOW, 0)
     for trial in range(600):
-        monkeypatch.setattr(disagg, "_WINDOW", windows[trial % 2])
         n = rng.randint(1, 40)
         if trial % 3 == 0:
             p = _nonzero([rng.randint(0, 5) for _ in range(n)])   # prefill path
@@ -219,7 +234,6 @@ def test_splits_are_prefix_counts_of_one_award_sequence(monkeypatch):
     # 2-D totals, as synthgen passes them (sex x age): the running counts
     # are indexed back into the totals' shape
     for trial in range(40):
-        monkeypatch.setattr(disagg, "_WINDOW", windows[trial % 2])
         n = rng.randint(1, 40)
         p = _nonzero([rng.choice((0.0, rng.randint(0, 5), rng.uniform(0, 4)))
                       for _ in range(n)])

@@ -27,8 +27,6 @@ SOURCES = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"
 ALLOWED = {
     # criterion 04 asserts the scalar Farr round trip
     "farr_probability", "invert_farr",
-    # the tests build single-age classes with it
-    "single_ages",
 }
 
 UNUSED_IMPORTS_ALLOWED = {

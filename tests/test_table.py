@@ -11,11 +11,10 @@ from censim.table import (
     aggregate,
     infer_level,
     read_csv,
-    single_ages,
     write_csv,
 )
 
-DISTRICTS = ResolutionSpec((2020, 2020), "districts", ages=single_ages(0, 4), open_age=4)
+DISTRICTS = ResolutionSpec((2020, 2020), "districts", ages=tuple(range(5)), open_age=4)
 
 
 def test_aggregate_region_to_federalstates():
@@ -76,7 +75,7 @@ def test_grand_total_invariant_bit_exact():
             for a in range(6):
                 entries[(2020, r, s, a)] = value
                 value = (value * 7) % 1000003
-    res = ResolutionSpec((2020, 2020), "municipalities", ages=single_ages(0, 5),
+    res = ResolutionSpec((2020, 2020), "municipalities", ages=tuple(range(6)),
                          open_age=5)
     t = CensusTable(res, entries, integer=True)
     total = t.total()
