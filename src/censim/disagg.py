@@ -31,13 +31,13 @@ leaving the candidate order (lower cell, earlier award) to break the rest.
 huntington_hill is the call with one fiber.  Totals are integers in
 0..2**63 - 1, taken exactly.
 
-For integer weights, k*sum(p) awards are handed out as k*p up front and the
-selection starts from that state; in particular x = k*sum(p) returns k*p
-exactly.  That state is the award loop's own after k*sum(p) awards: award
-m of weight p has priority above 1/k for m < k*p and below it from k*p on.
-So the split of x is a prefix of the split of x + 1 for every weight vector:
-huntington_hill_splits ranks one award sequence, up to the largest x, with
-the same sort and reads each split as a running count of it.
+For int64 weights whose exact sum fits k >= 1 times into x, k*p awards are
+handed out up front and the selection starts from that state; x = k*sum(p)
+returns k*p exactly.  That state is the award loop's own after k*sum(p)
+awards: award m of weight p has priority above 1/k for m < k*p and below it
+from k*p on.  So the split of x is the first x awards of one sequence for
+every weight vector: huntington_hill_splits ranks it once, up to the largest
+x, and returns each split as rows (total, cell), one per award.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -203,15 +203,20 @@ def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
     """Huntington-Hill split of x[f] over the cells of each fiber f.
 
     Cells come fiber by fiber, and the callers have checked each fiber's
-    weights.  A fiber of integer weights whose sum fits k >= 1 times into x
-    gets k*p first.
+    weights.  A fiber of int64 weights whose exact sum fits k >= 1 times
+    into x gets k*p first.
     """
     start = _starts(fiber, len(x))
     w = np.zeros(len(p), dtype=np.int64)
-    whole = np.logical_and.reduceat(p == np.floor(p), start)
-    due = whole & (np.bincount(fiber, p, len(x)) <= x)
+    whole = np.logical_and.reduceat((p == np.floor(p)) & (p < 2.0 ** 63), start)
+    total = np.bincount(fiber, p, len(x))
+    due = whole & (total <= x)
+    # a float sum of integers is exact below 2**53 and off by at most
+    # total * 2**-53 * len(p) above; the exact sum decides near x
+    near = (total >= 2.0 ** 53) & (abs(total - x) <= total * 2.0 ** -50 * len(p))
+    for f in np.flatnonzero(whole & near).tolist():
+        due[f] = sum(map(int, p[fiber == f].tolist())) <= int(x[f])
     if due.any():
-        # an integer weight here is at most x, so it fits an int64
         units = np.where(due[fiber], p, 0.0).astype(np.int64)
         total = np.add.reduceat(units, start)
         k = np.where(due, x // np.maximum(total, 1), 0)
@@ -229,27 +234,25 @@ def huntington_hill(x: int, p) -> list[int]:
                       np.zeros(len(p), dtype=np.int64)).tolist()
 
 
-def huntington_hill_splits(xs, p) -> np.ndarray:
-    """huntington_hill(x, p) for every x in the integer array xs, stacked.
+def huntington_hill_splits(xs, p) -> tuple[np.ndarray, np.ndarray]:
+    """huntington_hill(x, p) for every x in the integer array xs, as award
+    rows (index into xs.ravel(), cell), one row per award.
 
     The split of x is the first x awards of one award sequence, so that
-    sequence is ranked once, up to max(xs), and each split is a running
-    count of it over the distinct totals.
+    sequence is ranked once, up to max(xs), and total j takes its first
+    xs[j] awards.
     """
     xs = np.asarray(xs)
     if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0 or xs.max() >= 2 ** 63):
         raise DataError("splits need integer totals in 0..2**63 - 1")
-    totals, row = np.unique(xs.astype(np.int64).ravel(), return_inverse=True)
+    xs = xs.astype(np.int64).ravel()
     p = _check_weights(p)
-    n = len(p)
-    top = int(totals[-1]) if totals.size else 0
-    zeros = np.zeros(n, dtype=np.int64)
+    zeros = np.zeros(len(p), dtype=np.int64)
+    top = int(xs.max()) if xs.size else 0
     _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])
-    seq = _ranked(p, zeros, zeros, zeros, hi)[:top]
-    # award i first counts toward the smallest total above i
-    at = np.repeat(np.arange(len(totals)), np.diff(totals, prepend=0))
-    counts = np.bincount(at * n + seq, minlength=len(totals) * n)
-    return counts.reshape(-1, n).cumsum(axis=0)[row].reshape(xs.shape + (n,))
+    seq = _ranked(p, zeros, zeros, zeros, hi)
+    total = np.repeat(np.arange(len(xs)), xs)
+    return total, seq[np.arange(len(total)) - (np.cumsum(xs) - xs)[total]]
 
 
 def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,

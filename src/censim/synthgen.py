@@ -14,7 +14,8 @@ origin-destination attractiveness kernel, are drawn once per bundle from the
 counter RNG, keyed by region index: the same (seed, region) always gets the
 same draw, however many regions the spec lists.  Each year's events are
 array expressions over (region, sex, age); only the Huntington-Hill split of
-each origin's internal movers over its destinations runs region by region.
+each origin's internal movers runs region by region, as one row per mover
+that the in-movers and flow tables count, so no array is origin x destination.
 
 The coarse inputs a harmonization pipeline starts from are these tables
 summed onto coarser resolutions with censim.table.degrade, so estimates stay
@@ -36,7 +37,7 @@ from .simulate import MALE_SHARE
 # tests/test_acceptance.py import it from this module, and the benchmark
 # traces it as censim.synthgen:degrade
 from .table import (FULL_AGES, SEXES, CensusTable, Entries, ResolutionSpec,
-                    cells, degrade)
+                    add_tables, cells, degrade)
 from .regions import validate_code
 
 FLOW_AGE_CLASSES = (0, 20, 40, 60, 80, 100)
@@ -74,6 +75,14 @@ class SynthSpec:
             raise DataError(f"need at least two census years, got {self.years}")
         if not 0 < self.base < np.inf:
             raise DataError(f"base magnitude must be finite and positive, got {self.base!r}")
+        for key in ("fertility0", "fertility_drift", "mortality_mult0", "mortality_drift"):
+            v = np.asarray(getattr(self, key))
+            if v.shape != (3,) or v.dtype.kind not in "iuf" or not np.isfinite(v).all():
+                raise DataError(f"{key} must hold three finite numbers, got {v.tolist()}")
+        for key in ("emig_level", "ie_level", "im_level"):
+            v = getattr(self, key)
+            if not 0 <= v < np.inf:
+                raise DataError(f"{key} must be finite and non-negative, got {v!r}")
         object.__setattr__(self, "regions", tuple(self.regions))
         object.__setattr__(self, "years", (int(y0), int(y1)))
 
@@ -165,15 +174,11 @@ def generate_truth(spec: SynthSpec) -> dict:
     q_emig = emigration_probability(spec)
     q_ie = internal_probability(spec)
 
-    # per-year (region, sex, age) arrays; flows stay sparse across years
-    pop, births, births_by_age = [], [], []
-    deaths, emigrants, immigrants, internal_out, internal_in = [], [], [], [], []
-    od_flows = []
-    flow_by_class = {lo: [] for lo in FLOW_AGE_CLASSES}
-
+    # per-year (region, sex, age) arrays; one flow key per internal mover
+    flow_shape = (len(FLOW_AGE_CLASSES), y1 - y0, n_r, 2, n_r)
     mult = _region_mult(spec)
     n = _initial_population(spec, mult)
-    pop.append(n)
+    pop, events, flows = [n], [], []
     for y, imm in zip(range(y0, y1), _immigrants(spec, mult)):
         q_death = np.stack([mortality_probability(spec, y, s) for s in SEXES])
         q_birth = fertility_probability(spec, y)
@@ -181,59 +186,51 @@ def generate_truth(spec: SynthSpec) -> dict:
         d = np.round(q_death * n).astype(np.int64)
         e = np.round(q_emig * n).astype(np.int64)
         ie = np.round(q_ie * n).astype(np.int64)
-        ii = np.zeros_like(n)
         # keep every cell's removals within its head count
         over = d + e + ie - n
         ie -= np.clip(over, 0, ie)
         over = d + e - n
         e -= np.clip(over, 0, e)
 
-        # (age class, origin, sex, destination) movers
-        flows = np.zeros((len(FLOW_AGE_CLASSES), n_r, 2, n_r), dtype=np.int64)
-        for i in range(n_r):
-            targets = [j for j in range(n_r) if j != i]
-            splits = huntington_hill_splits(ie[i], kernel[i, targets].tolist())
-            ii[targets] += splits.transpose(2, 0, 1)
-            flows[:, i][..., targets] = np.add.reduceat(
-                splits, FLOW_AGE_CLASSES, axis=1).transpose(1, 0, 2)
-        od_flows.append(cells((y,), regions, SEXES, regions,
-                              flows.sum(axis=0)[None]))
-        for c, lo in enumerate(FLOW_AGE_CLASSES):
-            flow_by_class[lo].append(cells((y,), regions, SEXES, regions,
-                                           flows[c][None]))
+        # rows (sex * 101 + age, destination); kernel[i, i] = 0 never wins
+        splits = [huntington_hill_splits(ie[i], kernel[i].tolist()) for i in range(n_r)]
+        cell, dest = (np.concatenate(c) for c in zip(*splits))
+        origin = np.repeat(np.arange(n_r), ie.sum(axis=(1, 2)))
+        ii = np.bincount(dest * n[0].size + cell, minlength=n.size).reshape(n.shape)
+        sex, age = np.divmod(cell, n.shape[2])
+        flows.append(np.ravel_multi_index((np.digitize(age, FLOW_AGE_CLASSES) - 1, y - y0,
+                                           origin, sex, dest), flow_shape))
 
         b_by_age = np.round(q_birth * n[:, 1, :]).astype(np.int64)
         total = b_by_age.sum(axis=1)
         male = np.round(MALE_SHARE * total).astype(np.int64)
-        births.append(np.stack([male, total - male], axis=1)[:, :, None])
-        births_by_age.append(b_by_age[:, None, :])
-        deaths.append(d)
-        emigrants.append(e)
-        immigrants.append(imm)
-        internal_out.append(ie)
-        internal_in.append(ii)
+        b = np.stack([male, total - male], axis=1)[:, :, None]
+        events.append((b, b_by_age[:, None, :], d, e, imm, ie, ii))
 
         survivors = n - d - e - ie + ii
         nxt = np.zeros_like(n)
         nxt[:, :, 1:100] = survivors[:, :, 0:99]
         nxt[:, :, 100] = survivors[:, :, 99] + survivors[:, :, 100]
-        nxt[:, :, 0] = births[-1][:, :, 0]
+        nxt[:, :, 0] = b[:, :, 0]
         nxt += imm
         n = nxt
         pop.append(n)
 
     res = bundle_resolutions(spec.level, spec.years)
-    counts = {"P": pop, "B": births, "B_m": births_by_age, "D": deaths,
-              "E": emigrants, "I": immigrants, "IE": internal_out,
-              "II": internal_in}
+    counts = {"P": pop, **dict(zip(("B", "B_m", "D", "E", "I", "IE", "II"),
+                                   zip(*events)))}
     bundle = {k: CensusTable(res[k], cells(res[k].year_list(), regions,
                                            res[k].sex_domain, res[k].ages,
                                            np.stack(arrays)),
                              integer=True, name=k)
               for k, arrays in counts.items()}
-    bundle["M"] = CensusTable(res["M"], Entries.concat(od_flows), integer=True,
-                              name="M")
-    bundle["m_by_age"] = {lo: CensusTable(res["M"], Entries.concat(flows),
-                                          integer=True, name=f"m{lo}")
-                          for lo, flows in flow_by_class.items()}
+    keys, movers = np.unique(np.concatenate(flows), return_counts=True)
+    c, *key = np.unravel_index(keys, flow_shape)
+    axes = (res["M"].year_list(), regions, SEXES, regions)
+    m_by_age = {lo: CensusTable(res["M"], Entries(axes, [ix[c == k] for ix in key],
+                                                  movers[c == k]),
+                                integer=True, name=f"m{lo}")
+                for k, lo in enumerate(FLOW_AGE_CLASSES)}
+    bundle["M"] = add_tables(m_by_age.values(), name="M")
+    bundle["m_by_age"] = m_by_age
     return bundle

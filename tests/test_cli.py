@@ -546,6 +546,16 @@ def test_synth_cli_misspelt_key_exits_one(tmp_path, caplog):
     assert "unknown keys ['im_levl']" in caplog.text
 
 
+def test_synth_cli_short_parameter_exits_one(tmp_path, caplog):
+    spec = tmp_path / "spec.cfg"
+    spec.write_text("regions=AT-1,AT-2\nlevel=federalstates\n"
+                    "y0=2000\ny1=2003\nmortality_mult0=1.0,1.0\n")
+    code = main(["synth", "--spec", str(spec), "--out-dir", str(tmp_path / "d")])
+    assert code == 1
+    assert "mortality_mult0 must hold three finite numbers" in caplog.text
+    assert "Traceback" not in caplog.text
+
+
 PIPELINE_CFG = """
 workdir = work
 level = municipalities

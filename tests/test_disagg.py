@@ -1,11 +1,12 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from censim.disagg import (disaggregate_table, huntington_hill, huntington_hill_splits,
-                           proportional_disaggregate)
+from censim.disagg import (_award, disaggregate_table, huntington_hill,
+                           huntington_hill_splits, proportional_disaggregate)
 from censim.errors import DataError
 from censim.regions import RegionManifest
 from censim.table import CensusTable, ResolutionSpec, aggregate
@@ -75,6 +76,19 @@ def test_totals_outside_int64_are_data_errors():
         huntington_hill(2**63, [1.0, 2.0])
     with pytest.raises(DataError, match="integer totals in 0..2"):
         huntington_hill_splits(np.array([2**63], np.uint64), [1.0, 2.0])
+
+
+def test_prefill_needs_int64_weights_whose_exact_sum_fits():
+    # both weight sums round to 2**63 in float, which reads as at most x; a
+    # weight of 2**63 does not fit an int64, and 2**62 + 2**62 exceeds x
+    x = 2**63 - 1
+    for p in ([2.0**63, 2.0], [2.0**62, 2.0**62]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            split = huntington_hill(x, p)
+        zeros = np.zeros(len(p), np.int64)
+        assert min(split) >= 0 and sum(split) == x
+        assert split == _award(np.array([x]), np.array(p), zeros, zeros).tolist()
 
 
 def test_disaggregate_table_names_a_cell_outside_int64():

@@ -217,6 +217,25 @@ def test_window_brackets_each_split_in_three_candidates_per_cell():
         assert (np.add.reduceat(hi - lo, start) <= 3 * np.diff(np.append(start, len(p)))).all()
 
 
+def _split_counts(rows, n_totals, n):
+    """The award rows (total, cell) counted per total and cell."""
+    total, cell = rows
+    return np.bincount(total * n + cell, minlength=n_totals * n).reshape(n_totals, n)
+
+
+def _check_rows(xs, p, rows):
+    """One row per award, grouped by total in xs.ravel() order, and each
+    total's cells the first x of the largest total's award sequence."""
+    xs = np.asarray(xs).ravel()
+    total, cell = rows
+    assert total.tolist() == np.repeat(np.arange(len(xs)), xs).tolist()
+    seq = cell[total == np.argmax(xs)] if xs.size else cell
+    for j, x in enumerate(xs.tolist()):
+        assert cell[total == j].tolist() == seq[:x].tolist()
+    got = _split_counts(rows, len(xs), len(p))
+    assert got.tolist() == [huntington_hill(int(x), p) for x in xs]
+
+
 def test_splits_are_prefix_counts_of_one_award_sequence():
     rng = random.Random(21)
     for trial in range(600):
@@ -229,10 +248,10 @@ def test_splits_are_prefix_counts_of_one_award_sequence():
             p = [rng.choice(ECHOES) for _ in range(n)] + [0.5]
         top = 3000 if trial % 10 < 2 else 90
         xs = np.array([rng.randint(0, top) for _ in range(rng.randint(1, 12))])
-        got = huntington_hill_splits(xs.reshape(-1, 1) if trial % 2 else xs, p)
-        assert got.reshape(len(xs), len(p)).tolist() == [huntington_hill(int(x), p) for x in xs]
-    # 2-D totals, as synthgen passes them (sex x age): the running counts
-    # are indexed back into the totals' shape
+        xs = xs.reshape(-1, 1) if trial % 2 else xs
+        _check_rows(xs, p, huntington_hill_splits(xs, p))
+    # 2-D totals, as synthgen passes them (sex x age): a row's total
+    # indexes the totals' ravel
     for trial in range(40):
         n = rng.randint(1, 40)
         p = _nonzero([rng.choice((0.0, rng.randint(0, 5), rng.uniform(0, 4)))
@@ -240,25 +259,52 @@ def test_splits_are_prefix_counts_of_one_award_sequence():
         top = 3000 if trial % 4 < 2 else 90
         shape = rng.choice(((2, 101), (3, 4), (1, 7)))
         xs = np.array([rng.randint(0, top) for _ in range(shape[0] * shape[1])])
-        got = huntington_hill_splits(xs.reshape(shape), p)
-        assert got.shape == shape + (n,)
-        assert got.reshape(-1, n).tolist() == [huntington_hill(int(x), p) for x in xs]
-    assert huntington_hill_splits([0, 0], [0.5, 1.5]).tolist() == [[0, 0], [0, 0]]
+        _check_rows(xs.reshape(shape), p, huntington_hill_splits(xs.reshape(shape), p))
+    total, cell = huntington_hill_splits([0, 0], [0.5, 1.5])
+    assert total.tolist() == cell.tolist() == []
     with pytest.raises(DataError):
         huntington_hill_splits([2.5], [0.5, 1.5])
 
 
 def test_synthgen_splits_equal_per_cell_calls():
+    # synthgen splits origin i's movers over its whole kernel row, whose
+    # zero at i never wins an award
     spec = SynthSpec(regions=tuple(f"101{m:02d}" for m in range(1, 9)),
                      level="municipalities", years=(2000, 2001), seed=4)
     kernel = _kernel(spec)
     movers = np.random.default_rng(4).integers(0, 40, (2, 101))
     for i in range(len(spec.regions)):
         weights = [kernel[i, j] for j in range(len(spec.regions)) if j != i]
-        splits = huntington_hill_splits(movers, weights)
+        splits = _split_counts(huntington_hill_splits(movers, kernel[i]),
+                               movers.size, len(spec.regions)).reshape(2, 101, -1)
+        assert not splits[..., i].any()
         for si in range(2):
             for a in range(101):
-                assert splits[si, a].tolist() == huntington_hill(int(movers[si, a]), weights)
+                assert np.delete(splits[si, a], i).tolist() == \
+                    huntington_hill(int(movers[si, a]), weights)
+
+
+def test_zero_weights_change_no_split():
+    # zero weights inserted anywhere get nothing and leave the other cells'
+    # awards as they were, for fractional weights and for integer weights,
+    # which take the k*p prefill in huntington_hill
+    rng = random.Random(61)
+    for trial in range(400):
+        n = rng.randint(1, 30)
+        p = ([float(rng.randint(1, 6)) for _ in range(n)] if trial % 2
+             else [rng.uniform(0.1, 5) for _ in range(n)])
+        padded = list(p)
+        for _ in range(rng.randint(1, 10)):
+            padded.insert(rng.randint(0, len(padded)), 0.0)
+        kept = np.flatnonzero(padded)
+        x = _house(rng, 3000) if trial % 3 else rng.randint(0, 4) * int(sum(p))
+        split = huntington_hill(x, padded)
+        assert [split[j] for j in kept] == huntington_hill(x, p)
+        assert sum(split) == x
+        xs = np.array([x, rng.randint(0, x + 1), 0])
+        rows = huntington_hill_splits(xs, padded)
+        assert kept[huntington_hill_splits(xs, p)[1]].tolist() == rows[1].tolist()
+        assert np.isin(rows[1], kept).all()
 
 
 def reference_proportional(x: float, p) -> list[float]:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from test_rng import stream, uniform
 
+from censim.disagg import huntington_hill
 from censim.errors import DataError
-from censim.synthgen import (SynthSpec, _immigrants, _initial_population,
-                             _kernel, _region_mult, degrade,
+from censim.synthgen import (FLOW_AGE_CLASSES, SynthSpec, _immigrants,
+                             _initial_population, _kernel, _region_mult, degrade,
                              emigration_probability, generate_truth,
                              internal_probability, mortality_probability)
 from censim.table import SEXES, CensusTable, ResolutionSpec
@@ -173,6 +174,19 @@ def test_spec_validation():
         with pytest.raises(DataError, match="base magnitude must be finite and positive"):
             SynthSpec(regions=("10101", "10102"), level="municipalities",
                       years=(2000, 2002), base=base)
+    # each rate parameter holds three finite numbers, each level is finite
+    # and non-negative; the message names the field
+    for key, bad in (("fertility0", (0.05, 28.0)), ("fertility_drift", (0.1,)),
+                     ("mortality_mult0", (1.0, 1.0)), ("mortality_drift", 0.004),
+                     ("mortality_mult0", (1.0, np.nan, 1.0)),
+                     ("fertility0", (0.05, np.inf, 5.0)), ("mortality_drift", ("a", "b", "c")),
+                     ("emig_level", -0.2), ("ie_level", -0.2), ("ie_level", np.nan),
+                     ("im_level", np.inf)):
+        with pytest.raises(DataError, match=f"^{key} must"):
+            SynthSpec(regions=("10101", "10102"), level="municipalities",
+                      years=(2000, 2002), **{key: bad})
+    SynthSpec(regions=("10101", "10102"), level="municipalities", years=(2000, 2002),
+              emig_level=0.0, ie_level=0, im_level=0.0, mortality_drift=[0, 0, 0])
 
 
 # The per-region loops synthgen ran before its array expressions, on the
@@ -278,3 +292,37 @@ def test_removals_match_the_per_cell_rounding(spec):
         want = ref_removals(spec, y, grid("P", y))
         got = tuple(grid(name, y) for name in ("D", "E", "IE"))
         assert all(np.array_equal(g, w) for g, w in zip(got, want)), y
+
+
+@pytest.mark.parametrize("spec", DIFF_SPECS, ids=DIFF_IDS)
+def test_flows_match_the_per_cell_splits(spec):
+    # each (origin, sex, age) cell's movers split over the other regions,
+    # one huntington_hill call per cell (memoized: the split depends only on
+    # the origin and the count), summed into II, M and the age-class tables
+    y0, y1 = spec.years
+    truth = generate_truth(spec)
+    kernel = ref_kernel(spec)
+    regions, ages = spec.regions, range(101)
+    split = {}
+    ii = np.zeros((y1 - y0, len(regions), 2, 101), dtype=np.int64)
+    od = {lo: {} for lo in FLOW_AGE_CLASSES}
+    for y in range(y0, y1):
+        ie = truth["IE"].grid([y], regions, SEXES, ages)[0].astype(np.int64)
+        for i, si, a in zip(*np.nonzero(ie)):
+            targets = [j for j in range(len(regions)) if j != i]
+            x = int(ie[i, si, a])
+            if (i, x) not in split:
+                split[i, x] = huntington_hill(x, kernel[i, targets].tolist())
+            lo = max(c for c in FLOW_AGE_CLASSES if c <= a)
+            for j, v in zip(targets, split[i, x]):
+                if v:
+                    ii[y - y0, j, si, a] += v
+                    key = (y, regions[i], SEXES[si], regions[j])
+                    od[lo][key] = od[lo].get(key, 0) + v
+    assert np.array_equal(truth["II"].grid(range(y0, y1), regions, SEXES, ages), ii)
+    merged = {}
+    for lo, flows in od.items():
+        assert dict(truth["m_by_age"][lo].items()) == flows, lo
+        for key, v in flows.items():
+            merged[key] = merged.get(key, 0) + v
+    assert dict(truth["M"].items()) == merged
