@@ -12,9 +12,11 @@ an unchanged pipeline is a no-op and editing an intermediate file reruns
 exactly the stages downstream of it.
 
 Each workdir table a stage reads is declared once, in ``_Pipeline.tables``
-(the truth bundle's entries come from ``synthgen.bundle_resolutions``), and
-read through ``_Pipeline.read``; the simulate stage reads its inputs
-through the scenario file instead.
+(the truth bundle's entries come from ``synthgen.bundle_resolutions``),
+written through ``_Pipeline.write`` and read through ``_Pipeline.read``; the
+simulate stage reads its inputs through the scenario file instead.  Within
+one run a table is handed from writer to reader in memory while its file
+keeps the digest it was written with; each subcommand parses its files.
 """
 
 from __future__ import annotations
@@ -498,7 +500,9 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
     return config, params
 
 
-def _run_scenario(cfg_path: str, out_dir: str) -> list[str]:
+def _run_scenario(cfg_path: str, out_dir: str, write=None) -> list[str]:
+    """Simulate a scenario into out_dir; `write(table)`, if given, writes the
+    Monte Carlo mean in place of write_csv."""
     config, params = _load_scenario(cfg_path)
     outputs = run(config, params)
     os.makedirs(out_dir, exist_ok=True)
@@ -507,8 +511,11 @@ def _run_scenario(cfg_path: str, out_dir: str) -> list[str]:
         fn = f"census_run{k:02d}.csv"
         write_csv(output.census, os.path.join(out_dir, fn))
         written.append(fn)
-    write_csv(mc_mean([o.census for o in outputs]),
-              os.path.join(out_dir, "mean.csv"))
+    mean = mc_mean([o.census for o in outputs])
+    if write is None:
+        write_csv(mean, os.path.join(out_dir, "mean.csv"))
+    else:
+        write(mean)
     written.append("mean.csv")
     log.info("simulated %d runs over %d..%d", config.runs, config.t0, config.te)
     return written
@@ -538,12 +545,17 @@ def cmd_validate(args) -> int:
 _BUNDLE_TABLES = ("P", "B", "B_m", "D", "E", "I", "IE", "II", "M")
 
 
-def _write_bundle(bundle: dict, out_dir: str) -> list[str]:
+def _write_bundle(bundle: dict, out_dir: str, write=None) -> list[str]:
+    """Write the truth bundle into out_dir; `write(key, table)`, if given,
+    writes each table of _BUNDLE_TABLES in place of write_csv."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for key in _BUNDLE_TABLES:
         fn = f"{key}.csv"
-        write_csv(bundle[key], os.path.join(out_dir, fn))
+        if write is None:
+            write_csv(bundle[key], os.path.join(out_dir, fn))
+        else:
+            write(key, bundle[key])
         written.append(fn)
     m_by_age = bundle["m_by_age"]
     open_age = max(m_by_age)
@@ -644,6 +656,8 @@ class _Pipeline:
             "est/P_country": (replace(country, years=census), False),
             "est/q_hat": (country, False),
             "results/mean": (self.full_res((self.t0, self.te)), False)})
+        # rel -> (SHA-256 of the file, table) of the tables `write` wrote
+        self.held: dict = {}
 
     def path(self, rel: str) -> str:
         return os.path.join(self.workdir, rel)
@@ -663,15 +677,30 @@ class _Pipeline:
         return ResolutionSpec(years, self.level, sexes=SEXES, ages=FULL_AGES,
                               open_age=100)
 
+    def write(self, rel: str, table: CensusTable) -> None:
+        """Write the declared table `rel` (without .csv) and hold it, with
+        the digest of the file written, for the stages after this one."""
+        path = self.path(f"{rel}.csv")
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_csv(table, path)
+        self.held[rel] = (_sha256(path), table)
+
     def read(self, rel: str, name: str | None = None) -> CensusTable:
-        """The workdir table `rel` (without .csv) on its declared resolution."""
+        """The workdir table `rel` (without .csv) on its declared resolution,
+        from memory while its file keeps the digest `write` saw: the CSV
+        holds exact values and the constructor runs read_csv's checks."""
         resolution, integer = self.tables[rel]
-        return read_csv(self.path(f"{rel}.csv"), integer=integer,
-                        resolution=resolution, name=name)
+        path = self.path(f"{rel}.csv")
+        digest, table = self.held.get(rel, (None, None))
+        if table is not None and _sha256(path) == digest:
+            return CensusTable(resolution, table, integer=integer,
+                               name=name or path)
+        return read_csv(path, integer=integer, resolution=resolution, name=name)
 
 
 def _stage_synth(ctx: _Pipeline) -> None:
-    _write_bundle(generate_truth(ctx.synth), ctx.path("truth"))
+    _write_bundle(generate_truth(ctx.synth), ctx.path("truth"),
+                  lambda key, table: ctx.write(f"truth/{key}", table))
 
 
 # each coarse extract and the truth table it is degraded from, in the order
@@ -684,20 +713,18 @@ _COARSE = {"P_coarse": "P", "P_base": "P", "B_flat": "B", "B_m_country": "B_m",
 
 def _stage_degrade(ctx: _Pipeline) -> None:
     truth = {k: ctx.read(f"truth/{k}", k) for k in _BUNDLE_TABLES}
-    os.makedirs(ctx.path("coarse"), exist_ok=True)
     for name, source in _COARSE.items():
-        write_csv(degrade(truth[source], ctx.tables[f"coarse/{name}"][0]),
-                  ctx.path(f"coarse/{name}.csv"))
+        ctx.write(f"coarse/{name}",
+                  degrade(truth[source], ctx.tables[f"coarse/{name}"][0]))
 
 
 def _stage_disagg(ctx: _Pipeline) -> None:
     source = ctx.read("coarse/P_coarse", "P")
     dist = ctx.read("coarse/P_base")
-    os.makedirs(ctx.path("est"), exist_ok=True)
-    P_hat = disaggregate_table(source, dist, ("region", "age"),
-                               ctx.tables["est/P_hat"][0], "huntington_hill",
-                               regions=ctx.manifest(), uniform_fallback=True)
-    write_csv(P_hat, ctx.path("est/P_hat.csv"))
+    ctx.write("est/P_hat",
+              disaggregate_table(source, dist, ("region", "age"),
+                                 ctx.tables["est/P_hat"][0], "huntington_hill",
+                                 regions=ctx.manifest(), uniform_fallback=True))
 
 
 def _broadcast(table: CensusTable, regions: tuple, level: str,
@@ -713,11 +740,11 @@ def _broadcast(table: CensusTable, regions: tuple, level: str,
 
 def _stage_farr(ctx: _Pipeline) -> None:
     P_c = aggregate(ctx.read("est/P_hat"), coarse_level="country")
-    write_csv(P_c, ctx.path("est/P_country.csv"))
+    ctx.write("est/P_country", P_c)
     D_c, E_c, IE_c = (ctx.read(f"coarse/{k}_country", k)
                       for k in ("D", "E", "IE"))
     Q = add_tables([D_c, E_c], name="Q")
-    write_csv(farr_probability_model(D_c, P_c, Q), ctx.path("est/q_hat.csv"))
+    ctx.write("est/q_hat", farr_probability_model(D_c, P_c, Q))
     emig = farr_probability_model(E_c, P_c, Q)
     ie = farr_probability_model(IE_c, P_c, Q)
     write_csv(_broadcast(emig, ctx.regions, ctx.level, ctx.sim_years),
@@ -810,7 +837,8 @@ def _stage_simulate(ctx: _Pipeline) -> None:
     cfg_path = ctx.path("est/scenario.cfg")
     with atomic_open(cfg_path) as fh:
         fh.write("\n".join(lines) + "\n")
-    _run_scenario(cfg_path, ctx.path("results"))
+    _run_scenario(cfg_path, ctx.path("results"),
+                  lambda mean: ctx.write("results/mean", mean))
 
 
 def _stage_validate(ctx: _Pipeline) -> None:
@@ -927,25 +955,29 @@ def run_pipeline(cfg: Config, base_dir: str = ".") -> list[tuple]:
         f"{k}={v}" for k, v in sorted(cfg.values.items())).encode()).hexdigest()
     actions = []
     try:
-        for name, inputs, outputs, runner in stages:
+        for i, (name, inputs, outputs, runner) in enumerate(stages):
             rows = manifest.get(name)
             if rows is not None and _rows_fresh(rows, ctx.workdir, cfg_sha):
                 log.info("stage %s: skipped (up to date)", name)
                 actions.append((name, "skipped"))
-                continue
-            for rel in inputs:
-                if not os.path.exists(ctx.path(rel)):
-                    raise DataError(f"stage {name}: missing input {rel}")
-            log.info("stage %s: running", name)
-            runner(ctx)
-            rows = [("cfg", "-", cfg_sha)]
-            rows += [("in", rel, _sha256(ctx.path(rel))) for rel in inputs]
-            for rel in outputs:
-                if not os.path.exists(ctx.path(rel)):
-                    raise DataError(f"stage {name} produced no {rel}")
-                rows.append(("out", rel, _sha256(ctx.path(rel))))
-            manifest[name] = rows
-            actions.append((name, "run"))
+            else:
+                for rel in inputs:
+                    if not os.path.exists(ctx.path(rel)):
+                        raise DataError(f"stage {name}: missing input {rel}")
+                log.info("stage %s: running", name)
+                runner(ctx)
+                rows = [("cfg", "-", cfg_sha)]
+                rows += [("in", rel, _sha256(ctx.path(rel))) for rel in inputs]
+                for rel in outputs:
+                    if not os.path.exists(ctx.path(rel)):
+                        raise DataError(f"stage {name} produced no {rel}")
+                    rows.append(("out", rel, _sha256(ctx.path(rel))))
+                manifest[name] = rows
+                actions.append((name, "run"))
+            # hold only the tables a later stage of this run reads
+            later = {rel for stage in stages[i + 1:] for rel in stage[1]}
+            ctx.held = {rel: held for rel, held in ctx.held.items()
+                        if f"{rel}.csv" in later}
     finally:
         _write_manifest(manifest_path, manifest, names)
     return actions

@@ -840,6 +840,124 @@ def test_each_stage_reads_only_its_declared_inputs(tmp_path, monkeypatch):
     assert "coarse/M.csv" in read
 
 
+def _spied_run(root, cfg_text):
+    """Run the pipeline in one process; record each `_Pipeline.read` (stage,
+    table, name, whether it came from memory, result) and the tables held
+    when each stage starts and when it returns."""
+    (root / "pipeline.cfg").write_text(cfg_text)
+    rec = {"reads": [], "start": {}, "ran": {}, "disk": []}
+    stage_table, read, parse = cli._stage_table, _Pipeline.read, cli.read_csv
+
+    def spied_table(ctx):
+        rec["ctx"] = ctx
+
+        def spied(name, runner):
+            def run(ctx):
+                rec["start"][name] = set(ctx.held)
+                rec["stage"] = name
+                runner(ctx)
+                rec["ran"][name] = set(ctx.held)
+            return run
+        return [(n, i, o, spied(n, r)) for n, i, o, r in stage_table(ctx)]
+
+    def spied_read(ctx, rel, name=None):
+        parsed = len(rec["disk"])
+        table = read(ctx, rel, name)
+        rec["reads"].append((rec["stage"], rel, name,
+                             len(rec["disk"]) == parsed, table))
+        return table
+
+    def spied_read_csv(path, *args, **kwargs):
+        rec["disk"].append(path)
+        return parse(path, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_stage_table", spied_table)
+        mp.setattr(_Pipeline, "read", spied_read)
+        mp.setattr(cli, "read_csv", spied_read_csv)
+        run_pipeline(Config.from_file(root / "pipeline.cfg"), str(root))
+    return rec
+
+
+@pytest.fixture(scope="module")
+def handoff_run(tmp_path_factory):
+    return _spied_run(tmp_path_factory.mktemp("handoff"), PIPELINE_CFG)
+
+
+def test_tables_handed_over_in_memory_equal_the_parsed_files(handoff_run):
+    ctx = handoff_run["ctx"]
+    from_memory = set()
+    for stage, rel, name, memory, got in handoff_run["reads"]:
+        resolution, integer = ctx.tables[rel]
+        want = read_csv(ctx.path(f"{rel}.csv"), integer=integer,
+                        resolution=resolution, name=name)
+        assert got == want, (stage, rel)
+        assert (got.name, got.integer) == (want.name, want.integer), rel
+        if memory:
+            from_memory.add(rel)
+    # every table comes from memory: od, integer, non-integral and
+    # header-only tables among them
+    assert from_memory == {rel for _, rel, _, _, _ in handoff_run["reads"]}
+    assert {"coarse/M", "truth/P", "est/q_hat", "truth/I",
+            "coarse/I_stats"} <= from_memory
+    tables = {rel: got for _, rel, _, _, got in handoff_run["reads"]}
+    assert len(tables["truth/I"]) == len(tables["coarse/I_stats"]) == 0
+    q = tables["est/q_hat"].values
+    assert (q != np.floor(q)).any()
+
+
+def test_every_pipeline_read_is_a_declared_input(handoff_run):
+    # manifest freshness and the release of held tables both go by the
+    # declared inputs, so a stage must read nothing beyond them
+    inputs = {name: set(i) for name, i, _, _ in _stage_table(handoff_run["ctx"])}
+    for stage, rel, _, _, _ in handoff_run["reads"]:
+        assert f"{rel}.csv" in inputs[stage], (stage, rel)
+    assert {stage for stage, *_ in handoff_run["reads"]} == \
+        set(inputs) - {"synth", "simulate"}
+
+
+def test_held_tables_are_released_after_their_last_reader(handoff_run):
+    stages = _stage_table(handoff_run["ctx"])
+    written = set()
+    for k, (name, _, _, _) in enumerate(stages):
+        later = {rel for stage in stages[k:] for rel in stage[1]}
+        assert handoff_run["start"][name] == {
+            rel for rel in written if f"{rel}.csv" in later}, name
+        written |= handoff_run["ran"][name]
+    start = handoff_run["start"]
+    assert "coarse/M" in start["fuse"] and "coarse/M" not in start["simulate"]
+    assert "est/q_hat" in start["fit-mortality"]
+    assert "est/q_hat" not in start["residual"]
+    assert "truth/P" in start["validate"]
+    assert handoff_run["ctx"].held == {}
+
+
+def test_a_synth_run_holds_nothing_afterwards(tmp_path):
+    rec = _spied_run(tmp_path, PIPELINE_CFG + "stages = synth\n")
+    assert rec["ran"]["synth"] == {f"truth/{k}" for k in cli._BUNDLE_TABLES}
+    assert rec["ctx"].held == {}
+
+
+def test_a_file_rewritten_after_write_is_read_from_disk(tmp_path, monkeypatch):
+    parsed = []
+    parse = cli.read_csv
+    monkeypatch.setattr(cli, "read_csv",
+                        lambda path, **kw: parsed.append(path) or parse(path, **kw))
+    ctx = _Pipeline(Config({"workdir": "w"}), str(tmp_path))
+    resolution, _ = ctx.tables["coarse/D_country"]
+    key = (2002, "AT", "m", 30)
+    ctx.write("coarse/D_country", CensusTable(resolution, {key: 5.5}))
+    assert ctx.read("coarse/D_country")[key] == 5.5
+    assert parsed == []
+    # the same bytes again keep the handover; other bytes are parsed
+    write_csv(CensusTable(resolution, {key: 5.5}), ctx.path("coarse/D_country.csv"))
+    assert ctx.read("coarse/D_country")[key] == 5.5
+    assert parsed == []
+    write_csv(CensusTable(resolution, {key: 6.5}), ctx.path("coarse/D_country.csv"))
+    assert ctx.read("coarse/D_country", "D")[key] == 6.5
+    assert parsed == [ctx.path("coarse/D_country.csv")]
+
+
 def test_pipeline_empty_stage_list(tmp_path):
     cfg = tmp_path / "pipeline.cfg"
     cfg.write_text("workdir=w\nstages=\n")
