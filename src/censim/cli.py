@@ -656,8 +656,8 @@ class _Pipeline:
             "est/P_country": (replace(country, years=census), False),
             "est/q_hat": (country, False),
             "results/mean": (self.full_res((self.t0, self.te)), False)})
-        # rel -> (SHA-256 of the file, table) of the tables `write` wrote
-        self.held: dict = {}
+        # rel -> (pinned file SHA-256 or None, table); file -> read guard's SHA-256
+        self.held, self.digests = {}, {}
 
     def path(self, rel: str) -> str:
         return os.path.join(self.workdir, rel)
@@ -678,23 +678,25 @@ class _Pipeline:
                               open_age=100)
 
     def write(self, rel: str, table: CensusTable) -> None:
-        """Write the declared table `rel` (without .csv) and hold it, with
-        the digest of the file written, for the stages after this one."""
+        """Write the declared table `rel` (without .csv) and hold it for later
+        stages, pinned to its out row's digest: the stage must not rewrite it."""
         path = self.path(f"{rel}.csv")
         os.makedirs(os.path.dirname(path), exist_ok=True)
         write_csv(table, path)
-        self.held[rel] = (_sha256(path), table)
+        self.held[rel] = (None, table)
 
     def read(self, rel: str, name: str | None = None) -> CensusTable:
-        """The workdir table `rel` (without .csv) on its declared resolution,
-        from memory while its file keeps the digest `write` saw: the CSV
-        holds exact values and the constructor runs read_csv's checks."""
+        """The declared table `rel` (without .csv) on its resolution, from memory
+        while its file keeps the digest the table is pinned to (else parsed): the
+        CSV holds exact values, and the constructor runs read_csv's checks."""
         resolution, integer = self.tables[rel]
         path = self.path(f"{rel}.csv")
         digest, table = self.held.get(rel, (None, None))
-        if table is not None and _sha256(path) == digest:
-            return CensusTable(resolution, table, integer=integer,
-                               name=name or path)
+        if digest is not None:
+            found = self.digests[f"{rel}.csv"] = _sha256(path)
+            if digest == found:
+                return CensusTable(resolution, table, integer=integer,
+                                   name=name or path)
         return read_csv(path, integer=integer, resolution=resolution, name=name)
 
 
@@ -965,18 +967,22 @@ def run_pipeline(cfg: Config, base_dir: str = ".") -> list[tuple]:
                     if not os.path.exists(ctx.path(rel)):
                         raise DataError(f"stage {name}: missing input {rel}")
                 log.info("stage %s: running", name)
+                ctx.digests = {}
                 runner(ctx)
                 rows = [("cfg", "-", cfg_sha)]
-                rows += [("in", rel, _sha256(ctx.path(rel))) for rel in inputs]
+                rows += [("in", rel, ctx.digests.get(rel) or _sha256(ctx.path(rel)))
+                         for rel in inputs]
                 for rel in outputs:
                     if not os.path.exists(ctx.path(rel)):
                         raise DataError(f"stage {name} produced no {rel}")
                     rows.append(("out", rel, _sha256(ctx.path(rel))))
                 manifest[name] = rows
                 actions.append((name, "run"))
-            # hold only the tables a later stage of this run reads
+            # hold only the tables a later stage reads, new ones pinned to out rows
+            out = {rel: sha for role, rel, sha in rows if role == "out"}
             later = {rel for stage in stages[i + 1:] for rel in stage[1]}
-            ctx.held = {rel: held for rel, held in ctx.held.items()
+            ctx.held = {rel: (digest or out.get(f"{rel}.csv"), table)
+                        for rel, (digest, table) in ctx.held.items()
                         if f"{rel}.csv" in later}
     finally:
         _write_manifest(manifest_path, manifest, names)

@@ -31,13 +31,14 @@ leaving the candidate order (lower cell, earlier award) to break the rest.
 huntington_hill is the call with one fiber.  Totals are integers in
 0..2**63 - 1, taken exactly.
 
-For int64 weights whose exact sum fits k >= 1 times into x, k*p awards are
-handed out up front and the selection starts from that state; x = k*sum(p)
-returns k*p exactly.  That state is the award loop's own after k*sum(p)
-awards: award m of weight p has priority above 1/k for m < k*p and below it
-from k*p on.  So the split of x is the first x awards of one sequence for
-every weight vector: huntington_hill_splits ranks it once, up to the largest
-x, and returns each split as rows (total, cell), one per award.
+For int64 weights whose exact sum fits k >= 1 times into x, with k*max(p)
+below 2**48, the selection starts from k*p awards; x = k*sum(p) returns k*p
+exactly.  That is the award loop's state after k*sum(p) awards: with q = k*p,
+award m has priority p >= 1/k at m = 0, above (1 + 1/(2q))/k for 0 < m < q
+and below (1 - 1/(8q))/k from q on, and floats lie within 3 * 2**-53 of these
+(at 2**52 awards they tie at 1.0).  So the split of x is the first x awards of
+one sequence for every weight vector: huntington_hill_splits ranks it once,
+up to the largest x, and returns each split as rows (total, cell), one per award.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -204,7 +205,7 @@ def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
 
     Cells come fiber by fiber, and the callers have checked each fiber's
     weights.  A fiber of int64 weights whose exact sum fits k >= 1 times
-    into x gets k*p first.
+    into x gets k*p first, while k*max(p) < 2**48.
     """
     start = _starts(fiber, len(x))
     w = np.zeros(len(p), dtype=np.int64)
@@ -220,6 +221,7 @@ def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
         units = np.where(due[fiber], p, 0.0).astype(np.int64)
         total = np.add.reduceat(units, start)
         k = np.where(due, x // np.maximum(total, 1), 0)
+        k[k * np.maximum.reduceat(units, start).astype(float) >= 2.0 ** 48] = 0
         x = x - k * total
         w = k[fiber] * units
     return w + _award(x, p, w, fiber)

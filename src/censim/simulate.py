@@ -28,6 +28,7 @@ no random numbers; steps only read a state's arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class RunOutput:
     internal_out: CensusTable
     internal_in: CensusTable
     od: CensusTable
+
+    def __getattribute__(self, attr: str):
+        # a table given as a partial (run's event tables) is built when first read
+        value = object.__getattribute__(self, attr)
+        if isinstance(value, partial):
+            object.__setattr__(self, attr, value := value())
+        return value
 
 
 def _require(cond: bool, message: str):
@@ -492,12 +500,12 @@ def run(config: ScenarioConfig, params: SimParams) -> list:
         od_res = ResolutionSpec(span, level, od=True)
         outputs.append(RunOutput(
             census=CensusTable(census_res, census, integer=True, name="P"),
-            births=CensusTable(birth_res, acc["B"], integer=True, name="B"),
-            deaths=CensusTable(aged_res, acc["D"], integer=True, name="D"),
-            emigrants=CensusTable(aged_res, acc["E"], integer=True, name="E"),
-            immigrants=CensusTable(aged_res, acc["I"], integer=True, name="I"),
-            internal_out=CensusTable(aged_res, acc["IE"], integer=True, name="IE"),
-            internal_in=CensusTable(aged_res, acc["II"], integer=True, name="II"),
-            od=CensusTable(od_res, acc["OD"], integer=True, name="M"),
+            births=partial(CensusTable, birth_res, acc["B"], integer=True, name="B"),
+            deaths=partial(CensusTable, aged_res, acc["D"], integer=True, name="D"),
+            emigrants=partial(CensusTable, aged_res, acc["E"], integer=True, name="E"),
+            immigrants=partial(CensusTable, aged_res, acc["I"], integer=True, name="I"),
+            internal_out=partial(CensusTable, aged_res, acc["IE"], integer=True, name="IE"),
+            internal_in=partial(CensusTable, aged_res, acc["II"], integer=True, name="II"),
+            od=partial(CensusTable, od_res, acc["OD"], integer=True, name="M"),
         ))
     return outputs

@@ -21,13 +21,14 @@ one checked constructor.  grid() reads a table onto a dense array, cells()
 turns an array's nonzero cells back into Entries, and degrade() sums a table
 onto a coarser or equal resolution with one bincount.
 
-The CSV form is canonical: UTF-8, LF endings, header
-``year,region,sex,age,value`` (``year,region,sex,region2,value`` for
-origin-destination tables), rows sorted by key.  sex is ``m``, ``f`` or ``-``
-for tables without a sex axis; age is the decimal lower bound of the class or
-``<a>+`` for the open class; values are written as integers when integral,
-otherwise with full float round-trip precision.  Unknown columns are
-rejected.
+The CSV form is canonical: UTF-8 with LF endings, rows in key order under
+the header ``year,region,sex,age,value`` (``year,region,sex,region2,value``
+for od tables).  sex is ``m``, ``f``, or ``-`` without a sex axis; age is the
+class's lower bound, ``<a>+`` for the open class; values are integers when
+integral, else round-trip floats.  Unknown columns are rejected.  read_csv
+factors such text column by column on its bytes; quotes, CRs, non-ASCII
+bytes, fields over 56 bytes, interior blank lines or a bad field count go
+through csv.reader.
 """
 
 from __future__ import annotations
@@ -488,6 +489,7 @@ def add_tables(tables, name: str | None = None) -> CensusTable:
 
 _HEADER = ["year", "region", "sex", "age", "value"]
 _HEADER_OD = ["year", "region", "sex", "region2", "value"]
+_MASKS = np.array([(1 << 8 * n) - 1 for n in range(8)], np.uint64)  # the first n bytes
 
 # coarser readings are preferred when codes alone cannot tell levels apart
 _INFER_ORDER = (
@@ -588,6 +590,29 @@ def _csv_fields(name: str, text: str) -> tuple[list, list]:
     return head, [tok for row in rows for tok in row]
 
 
+def _factor_bytes(text: str, words, start, end) -> tuple[list, np.ndarray]:
+    """_factor of the tokens text[start:end] of ASCII text, one per row: each
+    is keyed on its bytes, seven to a uint64 of words (one at every offset)
+    with a 1 bit above them; only the first row of a run of equal rows sorts."""
+    length = end - start
+    most = int(length.max(initial=0))
+    keys = [words[np.minimum(start + j, len(words) - 1)]
+            & (m := _MASKS[np.clip(length - j, 0, 7)]) | m + 1
+            for j in range(0, max(most, 1), 7)]
+    head = np.flatnonzero(np.any([np.diff(k, prepend=~k[:1]) for k in keys], axis=0))
+    keys = [k[head] for k in keys]
+    order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
+    keys = [k[order] for k in keys]
+    new = np.flatnonzero(np.any([np.diff(k, prepend=~k[:1]) for k in keys], axis=0))
+    first = np.minimum.reduceat(head[order], new)
+    seen = np.argsort(first)  # the distinct tokens, first seen first
+    at = np.empty(len(head), np.intp)
+    at[order] = np.repeat(np.argsort(seen), np.diff(new, append=len(order)))
+    rows = first[seen]
+    return ([text[a:b] for a, b in zip(start[rows].tolist(), end[rows].tolist())],
+            np.repeat(at, np.diff(head, append=len(start))))
+
+
 def read_csv(path: str, integer: bool = False,
              resolution: ResolutionSpec | None = None,
              name: str | None = None) -> CensusTable:
@@ -597,55 +622,54 @@ def read_csv(path: str, integer: bool = False,
     observed range, age classes are the observed lower bounds, and the
     regional level is the coarsest level all codes are valid at (districts
     and municipalities win over the Viennese splits when codes are
-    ambiguous).  Each distinct token is parsed once.
+    ambiguous).  Each distinct token is parsed once.  Regular text is
+    factored on its bytes, column by column; _csv_fields reads the rest.
     """
     name = name or path
-    with open(path, newline="", encoding="utf-8") as fh:
-        text = fh.read()
-    # plain text (no quotes or CRs, five fields a line) is split on commas in
-    # one pass, which takes a third of the time csv.reader does
-    head, _, body = text.partition("\n")
-    fields = (body.rstrip("\n") + "\n").replace("\n", ",\n,").split(",")[:-1]
-    if ('"' in text or "\r" in text or head.split(",") not in (_HEADER, _HEADER_OD)
-            or len(fields) % 6 or fields[5::6].count("\n") != len(fields) // 6):
-        head, fields = _csv_fields(name, text)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    text = data.decode()  # invalid UTF-8 raises as a text-mode read does
+    head = text.partition("\n")[0].split(",")
+    # regular text: ASCII, no quotes or CRs, blank lines only at the end, and
+    # lines of five fields of at most 56 bytes (eight keys a row; longer ones
+    # factor faster as str); 8 spare bytes end the last word
+    buf = np.frombuffer(b"".join((data.rstrip(b"\n"), b"\n", bytes(8))), np.uint8)
+    sep = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))  # each field's end
+    if (np.array_equal(np.flatnonzero(buf[sep] == ord("\n")), np.arange(4, len(sep), 5))
+            and np.diff(sep[4:]).max(initial=0) <= 57 and data.isascii()
+            and head in (_HEADER, _HEADER_OD) and b'"' not in data and b"\r" not in data):
+        words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
+        columns = [_factor_bytes(text, words, sep[4 + k:-1:5] + 1, sep[5 + k::5])
+                   for k in range(5)]
     else:
-        head = head.split(",")
-        del fields[5::6]
+        head, fields = _csv_fields(name, text)
+        columns = [_factor(fields[k::5]) for k in range(5)]
     od = head == _HEADER_OD
-    ytok, rtok, stok, tail, vtok = (fields[k::5] for k in range(5))
-    (years, yi), (codes, ri), (sexes, si), (lasts, li) = map(
-        _factor, (ytok, rtok, stok, tail))
+    (years, yi), (codes, ri), (sexes, si), (lasts, li), (vtok, vi) = columns
     try:
         years = [int(tok) for tok in years]
         ages = None if od else [_parse_age_token(tok) for tok in lasts]
-        values = np.fromiter(map(float, vtok), float, len(vtok))
+        values = np.fromiter(map(float, vtok), float, len(vtok))[vi]
     except (ValueError, DataError):
         _csv_fields(name, text)
         raise
 
     if resolution is None:
-        if not len(vtok):
+        if not len(vi):
             raise DataError(f"{name}: empty table needs an explicit resolution")
         lvl = infer_level(set(codes) | set(lasts if od else ()))
-        sexes_seen = set(sexes)
-        if NO_SEX in sexes_seen and sexes_seen != {NO_SEX}:
+        if NO_SEX in sexes and sexes != [NO_SEX]:
             raise DataError(f"{name}: mixes '-' with sexed rows")
-        sex_domain = () if sexes_seen == {NO_SEX} else tuple(sorted(sexes_seen & set(SEXES)))
-        if od:
-            resolution = ResolutionSpec((min(years), max(years)), lvl,
-                                        sexes=sex_domain, od=True)
-        else:
-            opens = sorted({a for a, o in ages if o})
-            singles = sorted({a for a, o in ages if not o})
-            if len(opens) > 1:
-                raise DataError(f"{name}: multiple open age classes {opens}")
-            if opens and singles and opens[0] <= singles[-1]:
-                raise DataError(
-                    f"{name}: open class {opens[0]}+ overlaps age {singles[-1]}")
-            resolution = ResolutionSpec((min(years), max(years)), lvl,
-                                        sexes=sex_domain, ages=tuple(singles + opens),
-                                        open_age=opens[0] if opens else None)
+        sex_domain = () if sexes == [NO_SEX] else tuple(sorted(set(sexes) & set(SEXES)))
+        opens = sorted({a for a, o in ages or () if o})
+        singles = sorted({a for a, o in ages or () if not o})
+        if len(opens) > 1:
+            raise DataError(f"{name}: multiple open age classes {opens}")
+        if opens and singles and opens[0] <= singles[-1]:
+            raise DataError(f"{name}: open class {opens[0]}+ overlaps age {singles[-1]}")
+        resolution = ResolutionSpec((min(years), max(years)), lvl, sexes=sex_domain,
+                                    ages=tuple(singles + opens), od=od,
+                                    open_age=opens[0] if opens else None)
 
     lasts = lasts if od else [a for a, _ in ages]
     return CensusTable(resolution, Entries((years, codes, sexes, lasts),

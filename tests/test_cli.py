@@ -18,6 +18,7 @@ from censim.lifetable import life_expectancy
 from censim.rates import death_table_alpha
 from censim.table import (SEXES, CensusTable, ResolutionSpec, aggregate,
                           read_csv, write_csv)
+from test_csv_oracle import ref_read_csv
 
 FULL = tuple(range(101))
 
@@ -842,11 +843,12 @@ def test_each_stage_reads_only_its_declared_inputs(tmp_path, monkeypatch):
 
 def _spied_run(root, cfg_text):
     """Run the pipeline in one process; record each `_Pipeline.read` (stage,
-    table, name, whether it came from memory, result) and the tables held
-    when each stage starts and when it returns."""
+    table, name, whether it came from memory, result), the tables held
+    when each stage starts and when it returns, and the hashes per file."""
     (root / "pipeline.cfg").write_text(cfg_text)
-    rec = {"reads": [], "start": {}, "ran": {}, "disk": []}
+    rec = {"reads": [], "start": {}, "ran": {}, "disk": [], "hashes": {}}
     stage_table, read, parse = cli._stage_table, _Pipeline.read, cli.read_csv
+    sha256 = cli._sha256
 
     def spied_table(ctx):
         rec["ctx"] = ctx
@@ -871,8 +873,14 @@ def _spied_run(root, cfg_text):
         rec["disk"].append(path)
         return parse(path, *args, **kwargs)
 
+    def spied_sha256(path):
+        rel = os.path.relpath(path, rec["ctx"].workdir)
+        rec["hashes"][rel] = rec["hashes"].get(rel, 0) + 1
+        return sha256(path)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_stage_table", spied_table)
+        mp.setattr(cli, "_sha256", spied_sha256)
         mp.setattr(_Pipeline, "read", spied_read)
         mp.setattr(cli, "read_csv", spied_read_csv)
         run_pipeline(Config.from_file(root / "pipeline.cfg"), str(root))
@@ -932,10 +940,53 @@ def test_held_tables_are_released_after_their_last_reader(handoff_run):
     assert handoff_run["ctx"].held == {}
 
 
+def test_each_file_is_hashed_once_per_manifest_row(handoff_run):
+    # the writing stage's out row hashes a file; a reading stage hashes it
+    # in its read guard, and its in row reuses that digest, so a table
+    # handed over to one later stage is hashed twice
+    stages = _stage_table(handoff_run["ctx"])
+    rows = {}
+    for _, inputs, outputs, _ in stages:
+        for rel in inputs + outputs:
+            rows[rel] = rows.get(rel, 0) + 1
+    assert handoff_run["hashes"] == rows
+    handed = {f"{rel}.csv" for _, rel, _, memory, _ in handoff_run["reads"] if memory}
+    assert {"coarse/M.csv", "est/q_hat.csv", "coarse/I_stats.csv"} <= {
+        rel for rel in handed if handoff_run["hashes"][rel] == 2}
+
+
+def test_read_csv_matches_the_reference_on_every_pipeline_table(pipeline_dir):
+    def both(path, **kwargs):
+        out = []
+        for read in (read_csv, ref_read_csv):
+            try:
+                t = read(path, **kwargs)
+            except DataError as exc:
+                out.append(str(exc))
+            else:
+                out.append((t, t.name, t.integer))
+        return out
+
+    tables = [p for p in sorted((pipeline_dir / "work").rglob("*.csv"))
+              if p.read_text().split("\n")[0] in ("year,region,sex,age,value",
+                                                  "year,region,sex,region2,value")]
+    assert len(tables) > 40
+    for path in tables:
+        floats, integers = both(str(path)), both(str(path), integer=True)
+        assert floats[0] == floats[1] and integers[0] == integers[1], path
+        # only a header-only table, which needs a resolution, fails as floats
+        assert isinstance(floats[0], tuple) != (len(path.read_bytes().splitlines()) == 1)
+
+
 def test_a_synth_run_holds_nothing_afterwards(tmp_path):
     rec = _spied_run(tmp_path, PIPELINE_CFG + "stages = synth\n")
     assert rec["ran"]["synth"] == {f"truth/{k}" for k in cli._BUNDLE_TABLES}
     assert rec["ctx"].held == {}
+
+
+def _pin(ctx, rel):
+    # as run_pipeline pins a written table to its stage's out-row digest
+    ctx.held[rel] = (cli._sha256(ctx.path(f"{rel}.csv")), ctx.held[rel][1])
 
 
 def test_a_file_rewritten_after_write_is_read_from_disk(tmp_path, monkeypatch):
@@ -947,6 +998,7 @@ def test_a_file_rewritten_after_write_is_read_from_disk(tmp_path, monkeypatch):
     resolution, _ = ctx.tables["coarse/D_country"]
     key = (2002, "AT", "m", 30)
     ctx.write("coarse/D_country", CensusTable(resolution, {key: 5.5}))
+    _pin(ctx, "coarse/D_country")
     assert ctx.read("coarse/D_country")[key] == 5.5
     assert parsed == []
     # the same bytes again keep the handover; other bytes are parsed
@@ -956,6 +1008,26 @@ def test_a_file_rewritten_after_write_is_read_from_disk(tmp_path, monkeypatch):
     write_csv(CensusTable(resolution, {key: 6.5}), ctx.path("coarse/D_country.csv"))
     assert ctx.read("coarse/D_country", "D")[key] == 6.5
     assert parsed == [ctx.path("coarse/D_country.csv")]
+
+
+def test_an_unpinned_table_is_read_from_disk(tmp_path, monkeypatch):
+    # a table is served from memory only once pinned to a digest: a file
+    # rewritten between write and its first read is parsed, as is an
+    # unchanged one
+    parsed = []
+    parse = cli.read_csv
+    monkeypatch.setattr(cli, "read_csv",
+                        lambda path, **kw: parsed.append(path) or parse(path, **kw))
+    ctx = _Pipeline(Config({"workdir": "w"}), str(tmp_path))
+    resolution, _ = ctx.tables["coarse/D_country"]
+    key = (2002, "AT", "m", 30)
+    ctx.write("coarse/D_country", CensusTable(resolution, {key: 5.5}))
+    write_csv(CensusTable(resolution, {key: 6.5}), ctx.path("coarse/D_country.csv"))
+    assert ctx.read("coarse/D_country")[key] == 6.5
+    ctx.write("coarse/E_country", CensusTable(resolution, {key: 7.5}))
+    assert ctx.read("coarse/E_country")[key] == 7.5
+    assert parsed == [ctx.path("coarse/D_country.csv"), ctx.path("coarse/E_country.csv")]
+    assert ctx.held["coarse/D_country"][0] is None
 
 
 def test_pipeline_empty_stage_list(tmp_path):

@@ -449,3 +449,168 @@ def test_a_table_larger_than_one_chunk(tmp_path, monkeypatch):
     assert len(rows) > 2 and sum(rows) == len(t)
     assert all(_CHUNK_ROWS <= r < _CHUNK_ROWS + len(ages) for r in rows[:-1])
     assert rows[-1] < _CHUNK_ROWS + len(ages)
+
+
+# the byte tokenizer: every case must match the reference, and regular text
+# (ASCII, no quotes or CRs, five fields of at most 56 bytes a line) must take
+# the byte path
+
+BYTE_CASES = {
+    "registration district codes": (
+        H + "2000,9010101,m,0,1\n2000,9010102,m,0,2\n2000,10101,f,0,3\n"
+        "2001,9010101,m,0,4\n", {}, True),
+    "key tokens over eight bytes": (
+        H + "0000002000,9010101,m,000000005,1\n2000,9010101,m,0000000000,2\n"
+        "2001,9020101,f,5,3\n", {}, True),
+    "values sharing 7, 8, 14 or 16 bytes": (
+        H + "".join(f"2000,10{i:d}01,m,0,{v}\n" for i, v in enumerate(
+            ("0.1234567", "0.1234568", "0.12345678", "0.12345679",
+             "0.123456789012345", "0.123456789012346",
+             "0.12345678901234567", "0.12345678901234568",
+             "1234567890123456.5", "1234567890123456.25"), start=1)),
+        {}, True),
+    "tokens of 56 bytes": (
+        H + f"2000,101,m,0,1{'0' * 55}\n2000,101,f,0,{'0' * 55}7\n"
+        f"2001,101,m,0,1{'0' * 55}\n2001,101,f,0,1{'0' * 54}1\n", {}, True),
+    "tokens over 56 bytes": (
+        H + f"2000,101,m,0,1{'0' * 80}\n2000,101,f,0,{'0' * 70}7\n"
+        f"2001,101,m,0,1{'0' * 80}\n", {}, False),
+    "a code over 56 bytes": (H + f"2000,{'1' * 60},m,0,1\n", {}, False),
+    "a 57-byte year": (H + f"{'0' * 53}2000,101,m,0,1\n", {}, False),
+    "a NUL byte in a sex token": (
+        H + "2000,101,m,0,1\n2000,101,m\0,0,2\n", {}, True),
+    "NUL bytes ending a code": (
+        H + "2000,10101,m,0,1\n2000,10101\0\0,m,0,2\n", {}, True),
+    "a NUL byte in a value": (
+        H + "2000,101,m,0,1\n2000,101,f,0,1\0\n", {}, True),
+    "NUL-padded codes at a given level": (
+        H + "2000,101,m,0,1\n2000,101\0\0\0\0,m,0,2\n", {"resolution": RES}, True),
+    "bad codes, the first seen named": (
+        H + "2000,1x1,m,0,1\n2000,1y1,m,0,1\n" + "".join(
+            f"2000,{('1x1', '101')[i % 2]},m,{i % 3 * 5 % 10},1\n" for i in range(4000)),
+        {"resolution": RES}, True),
+    "spellings int and float accept": (
+        H + "2000,101,m,0,7\n+2000,101,f,0, 7\n 2001,101,m,0,+7\n"
+        "2_001,101,f,0,1_000\n2001,102,m,0,7.0\n2000,102,f,05,7e0\n", {}, True),
+    "spellings of one key": (
+        H + "2000,101,m,5,1\n+2000,101,m,05,2\n", {}, True),
+    "non-ASCII digits": (
+        H + "2000,101,m,0,７\n٢٠٠٠,101,f,٥,7\n",
+        {}, False),
+    "a non-ASCII code": (
+        H + "2000,1ä01,m,0,1\n", {}, False),
+    "no final newline": (H + "2000,101,m,0,1\n2000,101,f,0,2", {}, True),
+    "trailing blank lines": (H + "2000,101,m,0,1\n\n\n\n", {}, True),
+    "header only": (H, {"resolution": RES}, True),
+    "header only, no newline": (H[:-1], {"resolution": RES}, True),
+    "header only, blank lines": (H + "\n\n", {"resolution": RES}, True),
+    "header only, inferred": (H, {}, True),
+    "od header only": (H_OD, {"resolution": RES_OD}, True),
+    "od rows": (H_OD + "2000,101,m,102,3\n2001,102,f,101,0.5\n", {}, True),
+    "empty tokens": (H + ",,,,\n", {}, True),
+    "an empty value": (H + "2000,101,m,0,\n", {}, True),
+    "interior blank line": (H + "2000,101,m,0,1\n\n2000,101,f,0,2\n", {}, False),
+    "a header with a space": (H.replace(",sex", ", sex") + "2000,101,m,0,1\n", {},
+                              False),
+}
+
+
+def _byte_path_used(monkeypatch):
+    import censim.table as table_mod
+
+    calls = []
+    factor = table_mod._factor_bytes
+    monkeypatch.setattr(table_mod, "_factor_bytes",
+                        lambda *a: calls.append(1) or factor(*a))
+    return calls
+
+
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_byte_tokens_read_as_the_reference_does(tmp_path, monkeypatch, case):
+    text, kwargs, byte_path = BYTE_CASES[case]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    kwargs = dict(kwargs, name="t")
+    calls = _byte_path_used(monkeypatch)
+    ours = _outcome(lambda: read_csv(str(path), **kwargs))
+    assert ours == _outcome(lambda: ref_read_csv(str(path), **kwargs))
+    assert bool(calls) == byte_path
+
+
+def test_byte_tokens_keep_nul_bytes_apart(tmp_path):
+    # "m" and "m\0" are two sexes, "10101" and "10101\0\0" two codes
+    path = tmp_path / "t.csv"
+    path.write_bytes((H + "2000,101,m,0,1\n2000,101,m\0,0,2\n").encode())
+    with pytest.raises(DataError, match=r"sex 'm\\x00' not in domain"):
+        read_csv(str(path), name="t")
+    res = ResolutionSpec((2000, 2000), "municipalities", sexes=("m",), ages=(0,))
+    path.write_bytes((H + "2000,10101,m,0,1\n2000,10101\0\0,m,0,2\n").encode())
+    with pytest.raises(DataError, match=r"region '10101\\x00\\x00' invalid"):
+        read_csv(str(path), resolution=res, name="t")
+
+
+@pytest.mark.parametrize("bad", [b"\xff", b"\xc3", b"\xe4\xb8", b"\xed\xa0\x80"])
+@pytest.mark.parametrize("where", ["header", "code", "last byte"])
+def test_invalid_utf8_raises_as_the_reference_does(tmp_path, bad, where):
+    text = (H + "2000,101,m,0,1\n").encode()
+    text = {"header": bad + text, "code": text.replace(b",101,", b",1" + bad + b"01,"),
+            "last byte": text + bad}[where]
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.raises(UnicodeDecodeError):
+        ref_read_csv(str(path), name="t")
+    with pytest.raises(UnicodeDecodeError) as ours:
+        read_csv(str(path), name="t")
+    # the message is a whole-file text read's (the reference decodes in
+    # chunks, so it counts positions from the last chunk)
+    with pytest.raises(UnicodeDecodeError) as whole:
+        path.read_text(encoding="utf-8")
+    assert str(ours.value) == str(whole.value)
+
+
+# equivalent spellings: a year, an age or a value may be written any way int
+# and float accept; each row picks one at random
+SPELLINGS = (lambda v: v, lambda v: f"+{v}", lambda v: f" {v}", lambda v: f"{v} ",
+             lambda v: f"0{v}", lambda v: f"00000000{v}")
+
+
+def _value_spellings(v: float) -> list:
+    token = _format_value(v)
+    out = [token, repr(v), f"{v:.17e}", f"0{token}", f" {token}", f"+{token}"]
+    if "e" not in token:
+        out.append(f"{token}e0")
+    if v.is_integer() and abs(v) < 1e15:
+        out += [f"{int(v)}.0", f"{int(v)}.000000000000000000", f"{int(v):_}"]
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("seed", range(5))
+def test_equivalent_spellings_read_as_the_reference_does(tmp_path, monkeypatch,
+                                                         seed, kind):
+    rng = np.random.default_rng(900 + 10 * seed + KINDS.index(kind))
+    t = _random_table(rng, kind)
+    res = t.resolution
+    # a few values over many rows, so that each is spelt several ways
+    pool = [float(rng.integers(1, 1000)) if t.integer else
+            float(ODD_VALUES[i]) for i in rng.integers(len(ODD_VALUES), size=3)]
+    t = CensusTable(res, {key: pool[rng.integers(3)] for key in t.keys()},
+                    integer=t.integer, name="t")
+    lines = [",".join(_HEADER_OD if res.od else _HEADER)]
+    for (y, r, s, last), v in t.items():
+        spell = SPELLINGS[rng.integers(len(SPELLINGS))]
+        # an age token is digits, perhaps with leading zeros
+        tail = last if res.od else "0" * int(rng.integers(10)) + _format_age(
+            last, res.open_age)
+        values = _value_spellings(v)
+        lines.append(f"{spell(str(y))},{r},{s},{tail},{values[rng.integers(len(values))]}")
+    path = tmp_path / "t.csv"
+    path.write_text("\n".join(lines) + "\n")
+    given = {"integer": t.integer, "name": "t"}
+    calls = _byte_path_used(monkeypatch)
+    for kwargs in (given, dict(given, resolution=res)):
+        ours = _outcome(lambda: read_csv(str(path), **kwargs))
+        assert ours == _outcome(lambda: ref_read_csv(str(path), **kwargs))
+    assert calls
+    if len(t):
+        assert read_csv(str(path), resolution=res, integer=t.integer, name="t") == t

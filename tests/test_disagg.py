@@ -68,7 +68,12 @@ def test_huntington_hill_takes_int64_totals_exactly():
     assert sum(split) == x
     assert split[0] == pytest.approx(x / 4, rel=1e-15)
     assert huntington_hill(x, [0.5]) == [x]
-    assert huntington_hill(np.uint64(x), [1.0, 2.0]) == [x // 3, 2 * (x // 3) + 1]
+    # near 2**62 awards floats lie 512 apart, so the award loop's priorities
+    # tie in blocks and its split leaves the exact 1:2 one, [x // 3,
+    # 2 * (x // 3) + 1]: the second cell's count ends on a multiple of 512
+    split = huntington_hill(np.uint64(x), [1.0, 2.0])
+    assert split == [x - 0x5555555555555600, 0x5555555555555600]
+    assert split == huntington_hill(x, [1.0, 2.0])
 
 
 def test_totals_outside_int64_are_data_errors():
@@ -89,6 +94,45 @@ def test_prefill_needs_int64_weights_whose_exact_sum_fits():
         zeros = np.zeros(len(p), np.int64)
         assert min(split) >= 0 and sum(split) == x
         assert split == _award(np.array([x]), np.array(p), zeros, zeros).tolist()
+
+
+def test_prefill_stops_where_float_priorities_tie_near_2_52_awards():
+    """The k*p start state is the award loop's own only while k*max(p) is
+    below 2**48; at about 2**52 awards a float priority ties the other
+    cells' first awards, and the larger weight takes the tie.
+
+    x = 2**52 + 1, p = [2**52, 1]: cell 0's award m < 2**52 has priority
+    2**52 / sqrt(m(m+1)) > 1; at m = 2**52 - 1 the product 2**104 - 2**52 is
+    exact, its root rounds to 2**52 - 0.5 and the quotient to 1 + 2**-52.
+    At m = 2**52 the product 2**104 + 2**52 is exact, its root 2**52 + 0.5 -
+    (a little) rounds to 2**52, so the priority is exactly 1.0, the priority
+    of cell 1's first award.  Ties go to the larger weight: cell 0 takes
+    all 2**52 + 1 awards, [2**52 + 1, 0], where k = 1 start counts would
+    give [2**52, 1].
+
+    x = 2**53 + 2, p = [2**53, 1, 1]: cell 0's award 2**53 - 1 has the
+    exact product 2**106 - 2**53, root 2**53 - 1 and priority 1 + 2**-52.
+    Awards 2**53 and 2**53 + 1 both read m as the float 2**53 (2**53 + 1
+    rounds to even), and 2**53 + 1.0 rounds to 2**53 too, so both have
+    priority exactly 1.0 and beat the first awards of cells 1 and 2 as the
+    larger weight: [2**53 + 2, 0, 0], not the k = 1 start counts
+    [2**53, 1, 1].
+    """
+    assert huntington_hill(2**52 + 1, [2.0**52, 1.0]) == [2**52 + 1, 0]
+    assert huntington_hill(2**53 + 2, [2.0**53, 1.0, 1.0]) == [2**53 + 2, 0, 0]
+
+
+def test_prefill_bound_is_on_k_times_the_largest_weight(monkeypatch):
+    import censim.disagg as disagg
+
+    starts = []
+    award = disagg._award
+    monkeypatch.setattr(disagg, "_award", lambda x, p, w, fiber:
+                        starts.append(w.tolist()) or award(x, p, w, fiber))
+    k = (2**48 - 1) // 2
+    huntington_hill(3 * k, [1.0, 2.0])
+    huntington_hill(3 * (k + 1), [1.0, 2.0])
+    assert starts == [[k, 2 * k], [0, 0]]
 
 
 def test_disaggregate_table_names_a_cell_outside_int64():

@@ -61,6 +61,8 @@ def reference_huntington_hill(x: int, p) -> list[int]:
     if all(v.is_integer() for v in p.tolist()):
         total = int(p.sum())
         k, x = divmod(x, total)
+        if k * max(p) >= 2**48:  # no start counts there: floats tie near 2**52
+            k, x = 0, x + k * total
         if k:
             w += k * p.astype(np.int64)
     _draw_loop(x, p, w)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -105,6 +107,26 @@ def test_certain_death_empties_cohort():
     assert out.census[(2001, "AT-1", "m", 31)] == 0
     assert out.census[(2001, "AT-1", "f", 41)] == 30
     assert dict(out.deaths.items()) == {(2000, "AT-1", "m", 30): 50}
+
+
+def test_event_tables_are_built_when_first_read(monkeypatch):
+    import censim.simulate as simulate
+
+    built = []
+    monkeypatch.setattr(simulate, "CensusTable", lambda *a, **kw:
+                        built.append(kw["name"]) or CensusTable(*a, **kw))
+    pop = pop_tab(2000, {(2000, "AT-1", "m", 30): 50})
+    p = make_params(pop, 2000, 2000, death={(2000, "AT-1", "m", 30): 1.0})
+    outs = run(ScenarioConfig(t0=2000, te=2001, runs=2), p)
+    assert built == ["P", "P"]
+    assert dict(outs[1].deaths.items()) == {(2000, "AT-1", "m", 30): 50}
+    assert outs[1].deaths is outs[1].deaths
+    assert built == ["P", "P", "D"]
+    assert [f.name for f in dataclasses.fields(outs[0])] == [
+        "census", "births", "deaths", "emigrants", "immigrants", "internal_out",
+        "internal_in", "od"]
+    assert outs[0].od.name == "M" and len(outs[0].od) == 0
+    assert built == ["P", "P", "D", "M"]
 
 
 def test_open_age_class_uses_terminal_probabilities():
