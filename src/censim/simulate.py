@@ -13,13 +13,14 @@ Events within a person-year: death, emigration, birth (females only) and
 internal migration each get an occurrence draw, and an event that occurs
 gets a uniform time in the year from a slot of its own.  Only the draws a
 person-year reads are made: the birth occurrence for females, each event
-time for the persons whose occurrence draw fired; an event that did not
-occur has time inf.  As every draw is keyed by its slot, skipping the
-unread ones changes none of the numbers that are read.  The earliest
-terminal event (death or emigration, death winning exact ties) ends the
-year; a birth or internal move happens only if it falls strictly before
-that.  Deaths and emigrations are attributed to the region the person
-occupies at the event time.
+time for the persons whose occurrence draw fired.  As every draw is keyed
+by its slot, skipping the unread ones changes none of the numbers that are
+read.  Each occurrence draw yields an index set, and times are compared
+only inside those sets.  The earliest terminal event (death or emigration,
+death winning exact ties) ends the year; it is kept in one full-length
+array, inf for whoever faces neither.  A birth or internal move happens
+only if it falls strictly before that.  Deaths and emigrations are
+attributed to the region the person occupies at the event time.
 
 All runs of a scenario start from one materialized population, which draws
 no random numbers; steps only read a state's arrays.
@@ -345,48 +346,46 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
     return dest
 
 
-def _event_times(h: np.ndarray, fired: np.ndarray, slot: int) -> np.ndarray:
-    """Each person's event time from the slot's uniform where the
-    occurrence draw fired, inf elsewhere; only the fired persons draw."""
-    t = np.full(len(fired), np.inf)
-    at = np.flatnonzero(fired)
-    t[at] = uniform_array(h[at], slot)
-    return t
-
-
 def _year_events(h: np.ndarray, state: SimulationState, la: np.ndarray,
                  p: dict) -> tuple:
     """Who dies, emigrates, moves and gives birth in the year.
 
-    Returns the masks of the persons whose year ends in death and in
-    emigration, the indices of the movers and of the mothers, and for each
-    mother whether her move came first.  The event times are freed on
-    return, before the step builds the next state.
+    Returns the indices of the persons whose year ends in death and in
+    emigration, of the movers and of the mothers, and for each mother
+    whether her move came first.  Event times are drawn and compared only
+    within the index sets the occurrence draws fired for.
     """
-    n = len(h)
-    cell = (state.region.astype(np.intp) * 2 + state.sex) * 101 + la
-    dies = uniform_array(h, S_DEATH_U) < p["death"][cell]
-    emigrates = uniform_array(h, S_EMIG_U) < p["emig"][cell]
-    births_drawn = np.zeros(n, dtype=bool)
+    cell = np.multiply(state.region, 2, dtype=np.intp)
+    cell += state.sex
+    cell *= 101
+    cell += la
+    dies = np.flatnonzero(uniform_array(h, S_DEATH_U) < p["death"][cell])
+    emigrates = np.flatnonzero(uniform_array(h, S_EMIG_U) < p["emig"][cell])
+    moves_drawn = (np.flatnonzero(uniform_array(h, S_IE_U) < p["ie"][cell])
+                   if "ie" in p else np.zeros(0, np.intp))
     females = np.flatnonzero(state.sex == 1)
-    births_drawn[females] = (uniform_array(h[females], S_BIRTH_U)
-                             < p["birth"][cell[females]])
-    if "ie" in p:
-        moves_drawn = uniform_array(h, S_IE_U) < p["ie"][cell]
-    else:
-        moves_drawn = np.zeros(n, dtype=bool)
+    births_drawn = females[uniform_array(h[females], S_BIRTH_U)
+                           < p["birth"][cell[females]]]
 
-    td = _event_times(h, dies, S_DEATH_T)
-    te = _event_times(h, emigrates, S_EMIG_T)
-    t_birth = _event_times(h, births_drawn, S_BIRTH_T)
-    t_ie = _event_times(h, moves_drawn, S_IE_T)
-    terminal = np.minimum(td, te)
-    # an undrawn birth or move has time inf, never before the terminal event
-    moves = t_ie < terminal
-    mothers = np.flatnonzero(t_birth < terminal)
-    moved_first = moves[mothers] & (t_ie[mothers] < t_birth[mothers])
-    return (dies & (td <= te), emigrates & (te < td), np.flatnonzero(moves),
-            mothers, moved_first)
+    # the earliest of death and emigration, inf for whoever faces neither
+    terminal = np.full(len(h), np.inf)
+    terminal[dies] = td = uniform_array(h[dies], S_DEATH_T)
+    te = uniform_array(h[emigrates], S_EMIG_T)
+    prior = terminal[emigrates]
+    is_emig = emigrates[te < prior]  # death wins an exact tie
+    terminal[emigrates] = np.minimum(prior, te)
+    is_death = dies[td <= terminal[dies]]
+    # a move or birth happens only strictly before the terminal event
+    t_ie = uniform_array(h[moves_drawn], S_IE_T)
+    moves = t_ie < terminal[moves_drawn]
+    movers, t_ie = moves_drawn[moves], t_ie[moves]
+    t_birth = uniform_array(h[births_drawn], S_BIRTH_T)
+    births = t_birth < terminal[births_drawn]
+    mothers, t_birth = births_drawn[births], t_birth[births]
+    # each mover's terminal time becomes the move time; a mother who did
+    # not move keeps a terminal time that falls after the birth
+    terminal[movers] = t_ie
+    return is_death, is_emig, movers, mothers, terminal[mothers] < t_birth
 
 
 def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
@@ -448,7 +447,8 @@ def step_year(state: SimulationState, params: SimParams, config: ScenarioConfig,
                          y - im_birth_year.astype(np.int64))
 
     # pids stay ascending: survivors, then newborns, then immigrants
-    keep = ~(is_death | is_emig)
+    keep = np.ones(len(h), dtype=bool)
+    keep[is_death] = keep[is_emig] = False
     new_state = SimulationState(
         year=y + 1, regions=regions,
         pid=np.concatenate([state.pid[keep], nb_pid, im_pid]),

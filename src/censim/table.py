@@ -360,19 +360,57 @@ class CensusTable:
         """The values on a (year, region, sex, age or region2) grid as a dense
         float array shaped by the axis lengths; absent keys read 0.
 
-        Each grid cell is one binary search among the flat keys."""
+        Each axis value is looked up once.  The entries of the years the
+        grid reads, within the span of codes it reads, are scattered into
+        one zeroed array at their first place on every axis; an axis that
+        repeats a value then copies that place to the repeats."""
         res = self.resolution
         pos = dict(zip(self.codes, range(len(self.codes))))
         on_axes = (dict(zip(res.year_list(), range(len(res.year_list())))), pos,
                    _SEX_INDEX, pos if res.od else dict(zip(res.ages, res.ages)))
-        at = [np.array([index.get(v, -1) for v in axis], np.int64).reshape(
-            (-1,) + (1,) * (3 - k)) for k, (index, axis) in
-            enumerate(zip(on_axes, (years, regions, sexes, lasts)))]
-        flat = _flat(*at, self._radices())
-        row = np.searchsorted(self._key, flat)
-        hit = (at[0] >= 0) & (at[1] >= 0) & (at[2] >= 0) & (at[3] >= 0) \
-            & (np.append(self._key, -1)[row] == flat)
-        return np.where(hit, np.append(self.values, 0.0)[row], 0.0)
+        c, n = self._radices()
+        places = [_places(index, axis, size) for index, axis, size in
+                  zip(on_axes, (years, regions, sexes, lasts),
+                      (len(res.year_list()), c, 3, n))]
+        out = np.zeros(tuple(len(source) for _, source in places))
+        if min(max(first) for first, _ in places) < 0:
+            return out
+        # each key component's offset into out, and -out.size where the grid
+        # lacks it, so that the offsets of a key off the grid sum below 0
+        strides = np.cumprod((1,) + out.shape[:0:-1])[::-1].tolist()
+        year, region, sex, last = (
+            np.array([p * stride if p >= 0 else -out.size for p in first])
+            for (first, _), stride in zip(places, strides))
+        ys, rs = np.flatnonzero(year >= 0), np.flatnonzero(region >= 0)
+        # the keys of each year read, from its first code read to its last
+        lo, hi = np.searchsorted(self._key, _flat(ys, [[rs[0]], [rs[-1] + 1]], 0, 0,
+                                                  (c, n)))
+        if (lo[1:] == hi[:-1]).all():
+            rows = slice(lo[0], hi[-1])
+        else:
+            size = hi - lo
+            rows = np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
+        y, r, s, a = _split(self._key[rows], (c, n))
+        at = year[y] + region[r] + sex[s] + last[a]
+        hit = at >= 0
+        out.reshape(-1)[at[hit]] = self.values[rows][hit]
+        for k, (_, source) in enumerate(places):
+            if source != list(range(len(source))):
+                out = out.take(source, axis=k)
+        return out
+
+
+def _places(index: dict, axis, size: int) -> tuple[list, list]:
+    """For a grid axis: each of the size key components' first place on it
+    (-1 where absent), and for each place the first place holding the same
+    component (itself where absent)."""
+    first, source = [-1] * size, []
+    for j, v in enumerate(axis):
+        i = index.get(v, -1)
+        if i >= 0 and first[i] < 0:
+            first[i] = j
+        source.append(first[i] if i >= 0 else j)
+    return first, source
 
 
 def cells(years, regions, sexes, lasts, array) -> Entries:

@@ -69,11 +69,12 @@ def mc_mean(tables) -> CensusTable:
     codes = sorted(set().union(*(t.codes for t in tables)))
     axes = (res.year_list(), codes, res.sex_domain, codes if res.od else res.ages)
     runs = np.stack([t.grid(*axes) for t in tables])
-    # one fsum per key any run holds
-    at = np.nonzero(runs.any(axis=0))
-    mean = np.zeros(runs.shape[1:])
-    mean[at] = [math.fsum(v) / len(tables) for v in runs[(slice(None),) + at].T.tolist()]
-    return CensusTable(res, cells(*axes, mean), name=first.name)
+    total = runs.sum(axis=0)
+    # integer sums below 2**53 are exact in any order, so they equal fsum's
+    if not (all(t.integer for t in tables) and (total < 2.0 ** 53).all()):
+        at = np.nonzero(runs.any(axis=0))  # one fsum per key any run holds
+        total[at] = [math.fsum(v) for v in runs[(slice(None),) + at].T.tolist()]
+    return CensusTable(res, cells(*axes, total / len(tables)), name=first.name)
 
 
 def age_band_label(lo: int) -> str:

@@ -106,3 +106,52 @@ def test_uniform_distribution_sanity():
     xs = np.concatenate([uniform_array(h, slot) for slot in range(4096)])
     assert abs(xs.mean() - 0.5) < 0.02
     assert xs.min() >= 0.0 and xs.max() < 1.0
+
+
+# the in-place kernels against the scalar reference, on the shapes and
+# handles the simulator and synthgen pass them
+
+@given(st.integers(0, MASK), st.integers(0, MASK), st.integers(0, MASK),
+       st.integers(0, 20))
+def test_zero_dimensional_inputs(z, seed, pid, slot):
+    assert int(mix64_array(np.array(z, dtype=np.uint64))) == mix64(z)
+    h = stream_array(seed, np.uint64(pid), 0)
+    assert h.shape == () and int(h) == stream(seed, pid, 0)
+    assert int(draw_array(h, slot)) == draw(int(h), slot)
+    u = uniform_array(h, slot)
+    assert u.shape == () and u.dtype == np.float64
+    assert float(u) == uniform(int(h), slot)
+
+
+@given(st.integers(1, 24), st.integers(0, MASK), st.integers(0, 20))
+def test_stream_broadcasts_a_column_of_pids_against_a_row(n, seed, slot):
+    # synthgen's kernel noise: an (n, 1) column against an (n,) row
+    idx = np.arange(n)
+    h = stream_array(seed, idx[:, None], idx)
+    assert h.shape == (n, n)
+    assert h.tolist() == [[stream(seed, i, j) for j in range(n)] for i in range(n)]
+    assert uniform_array(h, slot).tolist() == [
+        [uniform(stream(seed, i, j), slot) for j in range(n)] for i in range(n)]
+
+
+@given(st.lists(st.integers(0, MASK), min_size=1, max_size=64),
+       st.integers(0, 20))
+def test_read_only_handles_are_left_unchanged(handles, slot):
+    h = np.array(handles, dtype=np.uint64)
+    h.flags.writeable = False
+    pids = h.copy()
+    pids.flags.writeable = False
+    assert draw_array(h, slot).tolist() == [draw(x, slot) for x in handles]
+    assert uniform_array(h, slot).tolist() == [uniform(x, slot) for x in handles]
+    assert stream_array(5, pids, 2000).tolist() == [stream(5, x, 2000) for x in handles]
+    assert h.tolist() == pids.tolist() == handles
+
+
+@given(st.lists(st.integers(0, MASK), min_size=1, max_size=64),
+       st.integers(0, 20))
+def test_uniform_is_the_draw_shifted_and_scaled(handles, slot):
+    h = np.array(handles, dtype=np.uint64)
+    u = uniform_array(h, slot)
+    assert u.dtype == np.float64 and u.shape == h.shape
+    assert u.tobytes() == ((draw_array(h, slot) >> np.uint64(11))
+                           * 2.0 ** -53).tobytes()

@@ -4,7 +4,9 @@ CensusTable.grid must equal one lookup per grid cell, and cells must invert
 it: a table rebuilt from the cells of its own grid is the table, restricted
 to the grid.  Both run on random plain, origin-destination and integer
 tables, over grids with off-grid keys, codes the table never uses and
-empty axes.
+empty axes.  grid scatters the table's entries into the array; the
+reference below is the per-cell binary search it replaced (`_ref_grid`,
+kept verbatim), compared byte for byte, on axes that also repeat values.
 
 The constructor checks each distinct year, region code, sex and age class
 (or second region code) once.  The reference below is the per-key check it
@@ -23,7 +25,8 @@ import pytest
 
 from censim.errors import DataError
 from censim.regions import is_valid_code
-from censim.table import SEXES, CensusTable, ResolutionSpec, cells
+from censim.table import (_SEX_INDEX, SEXES, CensusTable, ResolutionSpec,
+                          _flat, cells)
 
 CODES = {
     "municipalities": ("10101", "10102", "10201", "20101", "30101", "90001"),
@@ -150,6 +153,71 @@ def test_grid_equals_cell_lookups_and_cells_inverts_it(seed):
     on_grid = {k: v for k, v in t.items()
                if all(c in axis for c, axis in zip(k, axes))}
     assert cells(*axes, g) == on_grid
+
+
+# grid as it stood before the scatter: one binary search per grid cell
+
+def _ref_grid(t, years, regions, sexes, lasts):
+    res = t.resolution
+    pos = dict(zip(t.codes, range(len(t.codes))))
+    on_axes = (dict(zip(res.year_list(), range(len(res.year_list())))), pos,
+               _SEX_INDEX, pos if res.od else dict(zip(res.ages, res.ages)))
+    at = [np.array([index.get(v, -1) for v in axis], np.int64).reshape(
+        (-1,) + (1,) * (3 - k)) for k, (index, axis) in
+        enumerate(zip(on_axes, (years, regions, sexes, lasts)))]
+    flat = _flat(*at, t._radices())
+    row = np.searchsorted(t._key, flat)
+    hit = (at[0] >= 0) & (at[1] >= 0) & (at[2] >= 0) & (at[3] >= 0) \
+        & (np.append(t._key, -1)[row] == flat)
+    return np.where(hit, np.append(t.values, 0.0)[row], 0.0)
+
+
+def _axis_with_repeats(rng, values, extra):
+    """Values and unused extras drawn with replacement, in random order."""
+    pool = list(values) + list(extra)
+    size = rng.integers(0, 2 * len(pool) + 1)
+    return [pool[i] for i in rng.integers(len(pool), size=size)]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_grid_scatter_equals_the_per_cell_search(seed):
+    rng = np.random.default_rng(1000 + seed)
+    od = seed % 3 == 0
+    integer = seed % 2 == 0
+    res = _random_res(rng, od)
+    t = CensusTable(res, _random_entries(rng, res, integer, int(rng.integers(0, 200))),
+                    integer=integer, name="t")
+    unused = ("20102",) if res.level == "municipalities" else ("302",)
+    draw = _axis_with_repeats if seed % 4 < 2 else _random_axis
+    axes = (draw(rng, (1999,) + tuple(res.year_list()), (2005,)),
+            draw(rng, CODES[res.level], unused),
+            draw(rng, res.sex_domain, ("-", "m", "f")),
+            draw(rng, _lasts(res), unused if od else (1, 31, 99)))
+    g = t.grid(*axes)
+    want = _ref_grid(t, *axes)
+    assert g.shape == want.shape and g.dtype == want.dtype
+    assert g.tobytes() == want.tobytes()
+
+
+def test_grid_fills_every_repeat_of_an_axis_value():
+    res = ResolutionSpec(YEARS, "districts", ages=(0, 5), open_age=5)
+    t = CensusTable(res, {(2000, "101", "m", 0): 3, (2001, "201", "f", 5): 2,
+                          (2001, "101", "m", 5): 7})
+    axes = ((2001, 2000, 2001), ("101", "900", "101", "201"), ("m", "f", "m"),
+            (5, 0, 5, 1))
+    g = t.grid(*axes)
+    assert g.tobytes() == _ref_grid(t, *axes).tobytes()
+    assert g[0, 0, 0, 0] == g[2, 2, 2, 2] == g[0, 2, 0, 2] == 7.0
+    assert g[1, 0, 0, 1] == g[1, 2, 2, 1] == 3.0
+    assert g[2, 3, 1, 0] == 2.0 and g.sum() == 16 * 7 + 4 * 3 + 4 * 2
+
+
+@pytest.mark.parametrize("od", [False, True])
+def test_grid_of_an_empty_table_is_zero(od):
+    res = ResolutionSpec(YEARS, "districts", od=od)
+    t = CensusTable(res, {})
+    axes = ((2000, 2001), ("101", "201"), SEXES, ("101",) if od else (0,))
+    assert t.grid(*axes).tobytes() == _ref_grid(t, *axes).tobytes()
 
 
 def test_cells_rejects_an_array_off_the_grid():

@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from censim.errors import DataError
 from censim.simulate import RunOutput
-from censim.table import CensusTable, ResolutionSpec
+from censim.table import CensusTable, ResolutionSpec, cells
 from censim.validate import (
     DeviationRow,
     age_band_label,
@@ -83,6 +84,70 @@ def test_mc_mean_averages_cells_and_ignores_order():
     assert dict(mean.items()) == dict(swapped.items())
     same = mc_mean([a, a])
     assert dict(same.items()) == dict(a.items())
+
+
+# mc_mean as it stood before the integer fast path: one fsum per cell
+
+def _ref_mc_mean(tables):
+    first = tables[0]
+    res = first.resolution
+    codes = sorted(set().union(*(t.codes for t in tables)))
+    axes = (res.year_list(), codes, res.sex_domain, codes if res.od else res.ages)
+    runs = np.stack([t.grid(*axes) for t in tables])
+    at = np.nonzero(runs.any(axis=0))
+    mean = np.zeros(runs.shape[1:])
+    mean[at] = [math.fsum(v) / len(tables) for v in runs[(slice(None),) + at].T.tolist()]
+    return CensusTable(res, cells(*axes, mean), name=first.name)
+
+
+def _same(a, b):
+    return a == b and a.values.tobytes() == b.values.tobytes()
+
+
+def _random_runs(rng, k, integer, scale=50):
+    codes = ("AT-1", "AT-2", "AT-3", "AT-9")
+    keys = [(y, r, s, a) for y in (2000, 2001) for r in codes
+            for s in ("m", "f") for a in range(0, 101, 7)]
+    runs = []
+    for _ in range(k):
+        picked = rng.random(len(keys)) < 0.6
+        values = (rng.integers(0, scale, len(keys)) if integer
+                  else rng.random(len(keys)) * scale)
+        runs.append(_census({key: v.item() for key, v, p in
+                             zip(keys, values, picked) if p},
+                            years=(2000, 2001), integer=integer))
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_mc_mean_equals_the_fsum_reference(seed):
+    rng = np.random.default_rng(seed)
+    runs = _random_runs(rng, 2 + seed % 4, integer=seed % 3 != 0,
+                        scale=(50, 10 ** 6, 2 ** 50)[seed % 3])
+    assert _same(mc_mean(runs), _ref_mc_mean(runs))
+
+
+def test_mc_mean_of_fractions_keeps_fsum():
+    runs = [_census({(2000, "AT-1", "m", 10): v}) for v in (0.1, 0.2, 0.3)]
+    mean = mc_mean(runs)
+    assert _same(mean, _ref_mc_mean(runs))
+    # a float sum in run order would round differently
+    assert mean[(2000, "AT-1", "m", 10)] == math.fsum((0.1, 0.2, 0.3)) / 3
+    assert mean[(2000, "AT-1", "m", 10)] != (0.1 + 0.2 + 0.3) / 3
+
+
+def test_mc_mean_of_integers_near_2_53_keeps_fsum():
+    key = (2000, "AT-1", "m", 10)
+    runs = [_census({key: v, (2000, "AT-2", "f", 0): 1}, integer=True)
+            for v in (2.0 ** 53, 1, 1)]
+    mean = mc_mean(runs)
+    assert _same(mean, _ref_mc_mean(runs))
+    assert mean[key] == (2.0 ** 53 + 2) / 3
+    assert mean[key] != (2.0 ** 53 + 1 + 1) / 3  # the float sum drops both ones
+    # just below 2**53 every sum is exact, whichever path takes it
+    below = [_census({key: v}, integer=True) for v in (2.0 ** 53 - 3, 1, 1)]
+    assert _same(mc_mean(below), _ref_mc_mean(below))
+    assert mc_mean(below)[key] == (2.0 ** 53 - 1) / 3
 
 
 def test_mc_mean_rejects_mismatched_resolutions():
