@@ -10,12 +10,12 @@ deterministically from the weights).  A positive weight whose priorities
 underflow to 0 still beats a zero weight there, so zero weights never win.
 
 That is exactly the classic draw loop (each award to the current top
-priority), because a cell's priorities never increase: w(w+1.0) is exact
-below 2**53, and sqrt and division are correctly rounded and monotone.  The
-loop merges the cells' sorted priority sequences, so its first x picks are
-the x first items of the merged order (Balinski & Young, Fair
-Representation, on divisor methods).  The kernel finds them without the
-loop.  Award k's divisor lies within [k, k+1], so the last of N awards
+priority), because a cell's priorities never increase: k and k + 1.0 are
+exact, and the product, sqrt and division are correctly rounded and
+monotone.  The loop merges the cells' sorted priority sequences, so its
+first x picks are the x first items of the merged order (Balinski & Young,
+Fair Representation, on divisor methods).  The kernel finds them without
+the loop.  Award k's divisor lies within [k, k+1], so the last of N awards
 over n cells of weight sum P has a priority in [P/(N + n), P/(N - 5n/8)]
 (Pukelsheim, Proportional Representation, ch. 4), two thresholds in
 closed form.  Each cell's count of awards above a threshold t comes from
@@ -28,17 +28,19 @@ The kernel splits many fibers in one call.  A fiber is a run of cells with
 its own x, thresholds and counts; all fibers are counted together, and the
 sort keys the window's awards on fiber, then priority, then weight,
 leaving the candidate order (lower cell, earlier award) to break the rest.
-huntington_hill is the call with one fiber.  Totals are integers in
-0..2**63 - 1, taken exactly.
+huntington_hill is the call with one fiber.  Totals and each fiber's weight
+sum lie in 0..HH_LIMIT - 1 = 2**48 - 1, a bound far above any census
+count; each entry point rejects the others.
 
-For int64 weights whose exact sum fits k >= 1 times into x, with k*max(p)
-below 2**48, the selection starts from k*p awards; x = k*sum(p) returns k*p
-exactly.  That is the award loop's state after k*sum(p) awards: with q = k*p,
-award m has priority p >= 1/k at m = 0, above (1 + 1/(2q))/k for 0 < m < q
-and below (1 - 1/(8q))/k from q on, and floats lie within 3 * 2**-53 of these
-(at 2**52 awards they tie at 1.0).  So the split of x is the first x awards of
-one sequence for every weight vector: huntington_hill_splits ranks it once,
-up to the largest x, and returns each split as rows (total, cell), one per award.
+For integer weights whose sum fits k >= 1 times into x, the selection
+starts from k*p awards; x = k*sum(p) returns k*p exactly.  That is the
+award loop's state after k*sum(p) awards: with q = k*p, award m has
+priority p >= 1/k at m = 0, above (1 + 1/(2q))/k for 0 < m < q and below
+(1 - 1/(8q))/k from q on, and floats lie within 3 * 2**-53 of these, so
+q < 2**48 keeps them apart.  So the split of x is the first x awards of
+one sequence for every weight vector: huntington_hill_splits ranks it
+once, up to the largest x, and returns each split as rows (total, cell),
+one per award.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -64,9 +66,11 @@ from .regions import RegionManifest, coarser_or_equal, parent_region
 from .table import NO_SEX, CensusTable, Entries, ResolutionSpec
 
 _METHODS = ("proportional", "huntington_hill")
+HH_LIMIT = 2 ** 48
+_DOMAIN = f"0..2**{HH_LIMIT.bit_length() - 1} - 1"
 
 
-def _check_weights(p) -> np.ndarray:
+def _check_weights(p, limit=math.inf) -> np.ndarray:
     p = np.fromiter(map(float, p), float)
     if not p.size:
         raise DataError("empty weight vector")
@@ -79,6 +83,8 @@ def _check_weights(p) -> np.ndarray:
         raise DataError("weights sum overflows a float") from None
     if total <= 0:
         raise DataError("weights sum to zero")
+    if total >= limit:
+        raise DataError(f"weights sum to {total}, outside {_DOMAIN}")
     return p
 
 
@@ -109,10 +115,9 @@ def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
     given per cell, t per cell or as rows of per-cell thresholds)."""
     # about p/t + 1/2 awards of a cell lie above t > 0; test the estimate and
     # its two neighbours, one at a time to keep temporaries small, against
-    # the float priorities themselves (the estimate stops at 2**62, so that
-    # it and its neighbours fit an int64)
+    # the float priorities themselves
     q = np.divide(p, t, out=np.full(t.shape, np.inf), where=p * 2.0 ** -900 < t)
-    est = np.minimum(np.clip(np.floor(q + 0.5) - w, 0, 2.0 ** 62).astype(np.int64), x)
+    est = np.clip(np.floor(q + 0.5) - w, 0, x).astype(np.int64)
     hits = sum(np.where(k < 0, True, (k < x) & (_priorities(p, w + k) > t))
                for k in (est - 1, est, est + 1))
     a = np.where((t > 0) & (hits > 0), est - 1 + hits, 0)
@@ -153,14 +158,13 @@ def _window(x: np.ndarray, p: np.ndarray, w: np.ndarray, fiber: np.ndarray,
     total = np.bincount(fiber, p, len(x))
     awards = np.bincount(fiber, w, len(x)) + x
     eps = (size + 16) * 2.0 ** -52
-    # the upper end reads inf where N <= 5n/8 or where it overflows
-    with np.errstate(over="ignore", divide="ignore"):
+    # the upper end reads inf where N <= 5n/8
+    with np.errstate(divide="ignore"):
         upper = total * (1 + eps) / np.maximum(awards - 0.625 * size, 0)
     lower = total * (1 - eps) / (awards + size)
     lo, hi = _counts_above(np.stack([upper, lower])[:, fiber], p, w, x[fiber])
-    # x minus a sum wraps back into range where the sum alone passes 2**63
-    lo[(x - np.add.reduceat(lo, start) < 0)[fiber]] = 0
-    short = np.flatnonzero((x - np.add.reduceat(hi, start) > 0)[fiber])
+    lo[(np.add.reduceat(lo, start) > x)[fiber]] = 0
+    short = np.flatnonzero((np.add.reduceat(hi, start) < x)[fiber])
     if short.size:
         hi[short] = _counts_above(np.zeros(len(short)), p[short], w[short],
                                   x[fiber[short]])
@@ -204,34 +208,22 @@ def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
     """Huntington-Hill split of x[f] over the cells of each fiber f.
 
     Cells come fiber by fiber, and the callers have checked each fiber's
-    weights.  A fiber of int64 weights whose exact sum fits k >= 1 times
-    into x gets k*p first, while k*max(p) < 2**48.
+    weights and x against the domain.  A fiber of integer weights, whose
+    float sum is then exact, gets k*p first where that sum fits k >= 1
+    times into x.
     """
-    start = _starts(fiber, len(x))
-    w = np.zeros(len(p), dtype=np.int64)
-    whole = np.logical_and.reduceat((p == np.floor(p)) & (p < 2.0 ** 63), start)
     total = np.bincount(fiber, p, len(x))
-    due = whole & (total <= x)
-    # a float sum of integers is exact below 2**53 and off by at most
-    # total * 2**-53 * len(p) above; the exact sum decides near x
-    near = (total >= 2.0 ** 53) & (abs(total - x) <= total * 2.0 ** -50 * len(p))
-    for f in np.flatnonzero(whole & near).tolist():
-        due[f] = sum(map(int, p[fiber == f].tolist())) <= int(x[f])
-    if due.any():
-        units = np.where(due[fiber], p, 0.0).astype(np.int64)
-        total = np.add.reduceat(units, start)
-        k = np.where(due, x // np.maximum(total, 1), 0)
-        k[k * np.maximum.reduceat(units, start).astype(float) >= 2.0 ** 48] = 0
-        x = x - k * total
-        w = k[fiber] * units
-    return w + _award(x, p, w, fiber)
+    whole = np.logical_and.reduceat(p == np.floor(p), _starts(fiber, len(x)))
+    k = (x // np.where(whole & (total <= x), total, np.inf)).astype(np.int64)
+    w = k[fiber] * p.astype(np.int64)
+    return w + _award(x - k * total.astype(np.int64), p, w, fiber)
 
 
 def huntington_hill(x: int, p) -> list[int]:
     """Integer split of x along p: the x top Huntington-Hill priorities."""
-    if not (0 <= x < 2 ** 63 and float(x).is_integer()):
-        raise DataError(f"cannot split {x!r}: a total is an integer in 0..2**63 - 1")
-    p = _check_weights(p)
+    if not (0 <= x < HH_LIMIT and float(x).is_integer()):
+        raise DataError(f"cannot split {x!r}: a total is an integer in {_DOMAIN}")
+    p = _check_weights(p, HH_LIMIT)
     return _apportion(np.array([int(x)], dtype=np.int64), p,
                       np.zeros(len(p), dtype=np.int64)).tolist()
 
@@ -245,10 +237,10 @@ def huntington_hill_splits(xs, p) -> tuple[np.ndarray, np.ndarray]:
     xs[j] awards.
     """
     xs = np.asarray(xs)
-    if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0 or xs.max() >= 2 ** 63):
-        raise DataError("splits need integer totals in 0..2**63 - 1")
+    if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0 or xs.max() >= HH_LIMIT):
+        raise DataError(f"splits need integer totals in {_DOMAIN}")
     xs = xs.astype(np.int64).ravel()
-    p = _check_weights(p)
+    p = _check_weights(p, HH_LIMIT)
     zeros = np.zeros(len(p), dtype=np.int64)
     top = int(xs.max()) if xs.size else 0
     _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])
@@ -350,21 +342,22 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
     if uniform_fallback:
         weight[~positive[fib]] = 1.0
 
-    # each fiber's weight sum as math.fsum gives it, inf where that
-    # overflows: all of them for the proportional shares, else those whose
-    # float sum leaves too little headroom to rule an overflow out
+    # each fiber's weight sum; for the proportional shares as math.fsum
+    # gives it, inf where that overflows
     hh = method == "huntington_hill"
     total = np.bincount(fib, weight, len(x))
-    bounds = np.cumsum(size).tolist()
-    for i in (np.flatnonzero(total >= 1e307) if hh else range(len(x))):
-        try:
-            total[i] = math.fsum(weight[bounds[i] - size[i]:bounds[i]].tolist())
-        except OverflowError:
-            total[i] = math.inf
+    if not hh:
+        bounds = np.cumsum(size).tolist()
+        for i in range(len(x)):
+            try:
+                total[i] = math.fsum(weight[bounds[i] - size[i]:bounds[i]].tolist())
+            except OverflowError:
+                total[i] = math.inf
 
     # the first failing source cell in key order names its first failure
-    bad = (hh & (x != np.floor(x)), hh & (x >= 2.0 ** 63), size == 0,
-           ~positive & (not uniform_fallback), total == math.inf)
+    limit = HH_LIMIT if hh else math.inf
+    bad = (hh & (x != np.floor(x)), x >= limit, size == 0,
+           ~positive & (not uniform_fallback), total >= limit)
     failing = np.flatnonzero(np.logical_or.reduce(bad))
     if failing.size:
         i = failing[0]
@@ -372,11 +365,14 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
         if bad[0][i]:
             raise DataError(f"{source.name}: non-integer value {x[i].item()} at {key}")
         if bad[1][i]:
-            raise DataError(f"{source.name}: value {x[i].item()} at {key} is outside int64")
+            raise DataError(f"{source.name}: value {x[i].item()} at {key} is outside {_DOMAIN}")
         if bad[2][i]:
             raise DataError(f"{source.name}: no target keys under cell {key}")
         if bad[3][i]:
             raise DataError(f"{source.name}: all-zero distribution under cell {key}")
+        if hh:
+            raise DataError(f"{source.name}: weights under cell {key} sum to "
+                            f"{total[i].item()}, outside {_DOMAIN}")
         raise DataError("weights sum overflows a float")
 
     if hh:

@@ -61,19 +61,17 @@ def test_huntington_hill_rejects_bad_input():
 
 
 def test_huntington_hill_takes_int64_totals_exactly():
-    # 2**53 + 1 is not a float: its last award goes to the first of equals
-    assert huntington_hill(2**53 + 1, [1.0, 1.0]) == [2**52 + 1, 2**52]
-    x = 2**63 - 1
-    split = huntington_hill(x, [0.5, 1.5])
-    assert sum(split) == x
-    assert split[0] == pytest.approx(x / 4, rel=1e-15)
-    assert huntington_hill(x, [0.5]) == [x]
-    # near 2**62 awards floats lie 512 apart, so the award loop's priorities
-    # tie in blocks and its split leaves the exact 1:2 one, [x // 3,
-    # 2 * (x // 3) + 1]: the second cell's count ends on a multiple of 512
-    split = huntington_hill(np.uint64(x), [1.0, 2.0])
-    assert split == [x - 0x5555555555555600, 0x5555555555555600]
-    assert split == huntington_hill(x, [1.0, 2.0])
+    # int64 totals, numpy ones too, are taken exactly up to the domain's
+    # edge; past it the award loop follows float ties rather than the
+    # divisor method (at 2**63 - 1 it is 171 awards off the exact 1:2
+    # split), so totals there are data errors
+    x = 2**48 - 1
+    assert huntington_hill(x, [1.0, 1.0]) == [2**47, 2**47 - 1]
+    assert huntington_hill(np.int64(x), [1.0, 2.0]) == [x // 3, 2 * (x // 3)]
+    assert huntington_hill(np.uint64(x), [0.5]) == [x]
+    for x in (2**53 + 1, 2**63 - 1, np.uint64(2**63 - 1)):
+        with pytest.raises(DataError, match=r"an integer in 0\.\.2\*\*48 - 1"):
+            huntington_hill(x, [1.0, 2.0])
 
 
 def test_totals_outside_int64_are_data_errors():
@@ -84,10 +82,15 @@ def test_totals_outside_int64_are_data_errors():
 
 
 def test_prefill_needs_int64_weights_whose_exact_sum_fits():
-    # both weight sums round to 2**63 in float, which reads as at most x; a
-    # weight of 2**63 does not fit an int64, and 2**62 + 2**62 exceeds x
-    x = 2**63 - 1
-    for p in ([2.0**63, 2.0], [2.0**62, 2.0**62]):
+    # weights summing past the domain, such as a weight of 2**63 or
+    # 2**62 + 2**62, are data errors; inside it integer weights fit an
+    # int64 and their float sum is exact, so a sum one past x takes no
+    # start counts
+    for p in ([2.0**63, 2.0], [2.0**62, 2.0**62], [2.0**47, 2.0**47]):
+        with pytest.raises(DataError, match=r"outside 0\.\.2\*\*48 - 1"):
+            huntington_hill(2**48 - 1, p)
+    x = 2**47
+    for p in ([2.0**47, 1.0], [2.0**46, 2.0**46 + 1]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             split = huntington_hill(x, p)
@@ -99,7 +102,10 @@ def test_prefill_needs_int64_weights_whose_exact_sum_fits():
 def test_prefill_stops_where_float_priorities_tie_near_2_52_awards():
     """The k*p start state is the award loop's own only while k*max(p) is
     below 2**48; at about 2**52 awards a float priority ties the other
-    cells' first awards, and the larger weight takes the tie.
+    cells' first awards, and the larger weight takes the tie.  The domain
+    ends at 2**48, before those ties, so the two totals below are data
+    errors, and at the domain's edge the k = 1 start counts equal the
+    selection without them.
 
     x = 2**52 + 1, p = [2**52, 1]: cell 0's award m < 2**52 has priority
     2**52 / sqrt(m(m+1)) > 1; at m = 2**52 - 1 the product 2**104 - 2**52 is
@@ -118,8 +124,13 @@ def test_prefill_stops_where_float_priorities_tie_near_2_52_awards():
     larger weight: [2**53 + 2, 0, 0], not the k = 1 start counts
     [2**53, 1, 1].
     """
-    assert huntington_hill(2**52 + 1, [2.0**52, 1.0]) == [2**52 + 1, 0]
-    assert huntington_hill(2**53 + 2, [2.0**53, 1.0, 1.0]) == [2**53 + 2, 0, 0]
+    for x, p in ((2**52 + 1, [2.0**52, 1.0]), (2**53 + 2, [2.0**53, 1.0, 1.0])):
+        with pytest.raises(DataError, match=r"0\.\.2\*\*48 - 1"):
+            huntington_hill(x, p)
+    x, p = 2**48 - 1, [2.0**48 - 2, 1.0]
+    zeros = np.zeros(2, np.int64)
+    assert huntington_hill(x, p) == [2**48 - 2, 1]
+    assert _award(np.array([x]), np.array(p), zeros, zeros).tolist() == [2**48 - 2, 1]
 
 
 def test_prefill_bound_is_on_k_times_the_largest_weight(monkeypatch):
@@ -129,16 +140,20 @@ def test_prefill_bound_is_on_k_times_the_largest_weight(monkeypatch):
     award = disagg._award
     monkeypatch.setattr(disagg, "_award", lambda x, p, w, fiber:
                         starts.append(w.tolist()) or award(x, p, w, fiber))
-    k = (2**48 - 1) // 2
+    # in the domain k*max(p) <= x < 2**48, so the prefill takes its start
+    # counts up to the edge, and a total past the edge raises before any
+    # award
+    k = (2**48 - 1) // 3
     huntington_hill(3 * k, [1.0, 2.0])
-    huntington_hill(3 * (k + 1), [1.0, 2.0])
-    assert starts == [[k, 2 * k], [0, 0]]
+    with pytest.raises(DataError, match=r"0\.\.2\*\*48 - 1"):
+        huntington_hill(3 * (k + 1), [1.0, 2.0])
+    assert starts == [[k, 2 * k]]
 
 
 def test_disaggregate_table_names_a_cell_outside_int64():
     big = CensusTable(FS_TOTAL, {(2020, "AT-1", "-", 0): 1e19}, integer=True, name="P")
     with pytest.raises(DataError, match=r"P: value 1e\+19 at \(2020, 'AT-1', '-', 0\) "
-                                        "is outside int64"):
+                                        r"is outside 0\.\.2\*\*48 - 1"):
         disaggregate_table(big, _mun_dist(), ("year",), MUN_TOTAL, "huntington_hill")
     # the first failing cell in key order names its first failure: AT-2 has
     # no target keys either
@@ -146,9 +161,65 @@ def test_disaggregate_table_names_a_cell_outside_int64():
                          ({"AT-1": 3, "AT-2": 1e19}, "AT-2")):
         source = CensusTable(FS_TOTAL, {(2020, r, "-", 0): v for r, v in cells.items()},
                              integer=True, name="P")
-        with pytest.raises(DataError, match=f"'{named}', '-', 0\\) is outside int64"):
+        with pytest.raises(DataError, match=f"'{named}', '-', 0\\) is outside 0\\.\\.2"):
             disaggregate_table(source, _mun_dist(), ("year",), MUN_TOTAL,
                                "huntington_hill")
+
+
+def test_domain_edge_is_2_48():
+    # fractional weights split by the window alone at the edge
+    x = 2**48 - 1
+    split = huntington_hill(x, [0.5, 1.5])
+    assert sum(split) == x and abs(split[0] - x / 4) <= 1
+    below = huntington_hill(x - 1, [0.5, 1.5])
+    assert sum(below) == x - 1 and all(a <= b for a, b in zip(below, split))
+    with pytest.raises(DataError, match=r"cannot split 281474976710656: a total is "
+                                        r"an integer in 0\.\.2\*\*48 - 1"):
+        huntington_hill(2**48, [1.0, 2.0])
+    assert huntington_hill(5, [2.0**47, 2.0**47 - 1]) == [3, 2]
+    with pytest.raises(DataError, match=r"weights sum to 281474976710656\.0, "
+                                        r"outside 0\.\.2\*\*48 - 1"):
+        huntington_hill(5, [2.0**47, 2.0**47])
+
+
+def test_splits_reject_the_domain_edge_before_splitting(monkeypatch):
+    # one row per award: a total past the domain raises before any ranking
+    import censim.disagg as disagg
+
+    monkeypatch.setattr(disagg, "_window", lambda *args: pytest.fail("ranked"))
+    with pytest.raises(DataError, match=r"integer totals in 0\.\.2\*\*48 - 1"):
+        huntington_hill_splits(np.array([3, 2**48]), [1.0, 2.0])
+    with pytest.raises(DataError, match=r"weights sum to 281474976710656\.0"):
+        huntington_hill_splits(np.array([3]), [2.0**47, 2.0**47])
+
+
+def test_disaggregate_table_names_a_cell_at_the_domain_edge():
+    at_edge = CensusTable(FS_TOTAL, {(2020, "AT-1", "-", 0): 2**48 - 1}, integer=True)
+    out = disaggregate_table(at_edge, _mun_dist(), ("year",), MUN_TOTAL, "huntington_hill")
+    k = (2**48 - 1) // 3
+    assert dict(out.items()) == {(2020, "10101", "-", 0): k, (2020, "10102", "-", 0): 2 * k}
+    # a value of 2**48 in the first failing cell in key order; AT-2 has no
+    # target keys, and its value is named first
+    for cells, named in (({"AT-1": 2**48, "AT-2": 3}, "AT-1"),
+                         ({"AT-1": 3, "AT-2": 2**48}, "AT-2")):
+        source = CensusTable(FS_TOTAL, {(2020, r, "-", 0): v for r, v in cells.items()},
+                             integer=True, name="P")
+        with pytest.raises(DataError, match=f"P: value 281474976710656.0 at \\(2020, "
+                                            f"'{named}', '-', 0\\) is outside 0\\.\\.2"):
+            disaggregate_table(source, _mun_dist(), ("year",), MUN_TOTAL,
+                               "huntington_hill")
+    # a fiber whose weights sum to 2**48, after one that splits
+    source = CensusTable(FS_TOTAL, {(2020, "AT-1", "-", 0): 3, (2020, "AT-2", "-", 0): 3},
+                         integer=True, name="P")
+    dist = CensusTable(MUN_TOTAL, {(2020, "10101", "-", 0): 1.0,
+                                   (2020, "20101", "-", 0): 2.0**47,
+                                   (2020, "20102", "-", 0): 2.0**47})
+    with pytest.raises(DataError, match=r"P: weights under cell \(2020, 'AT-2', '-', 0\) "
+                                        r"sum to 281474976710656\.0, outside 0\.\.2\*\*48 - 1"):
+        disaggregate_table(source, dist, ("year",), MUN_TOTAL, "huntington_hill")
+    # the proportional shares have no such bound
+    out = disaggregate_table(source, dist, ("year",), MUN_TOTAL, "proportional")
+    assert out[(2020, "20101", "-", 0)] == 1.5
 
 
 def test_weight_sum_overflow_is_a_data_error():

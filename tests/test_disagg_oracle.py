@@ -10,6 +10,10 @@ bit, one fiber per call or many fibers in one call.
 reference_disaggregate_table is the table path as it was before the fibers
 became index arrays, kept verbatim and run on the reference splits above.
 The array version must return equal tables and raise equal messages.
+
+Both references take the kernel's domain, totals and weight sums below
+2**48, and raise its messages outside it; every case compares either the
+split or the message.
 """
 
 import math
@@ -55,23 +59,33 @@ def _check_weights(p) -> list[float]:
 
 def reference_huntington_hill(x: int, p) -> list[int]:
     """The award loop, after the same k*p prefill for integer weights."""
+    if not (0 <= x < 2**48 and float(x).is_integer()):
+        raise DataError(f"cannot split {x!r}: a total is an integer in 0..2**48 - 1")
     x = int(x)
     p = np.asarray(_check_weights(p), dtype=float)
+    if math.fsum(p) >= 2**48:
+        raise DataError(f"weights sum to {math.fsum(p)}, outside 0..2**48 - 1")
     w = np.zeros(len(p), dtype=np.int64)
     if all(v.is_integer() for v in p.tolist()):
         total = int(p.sum())
         k, x = divmod(x, total)
-        if k * max(p) >= 2**48:  # no start counts there: floats tie near 2**52
-            k, x = 0, x + k * total
-        if k:
-            w += k * p.astype(np.int64)
+        w += k * p.astype(np.int64)
     _draw_loop(x, p, w)
     return [int(v) for v in w]
 
 
+def _outcome(split, *args, **kwargs):
+    """The split, or the message of the DataError it raises."""
+    try:
+        return split(*args, **kwargs)
+    except DataError as err:
+        return str(err)
+
+
 def _check(cases):
-    expected = [reference_huntington_hill(x, p) for x, p in cases]
-    assert [huntington_hill(x, p) for x, p in cases] == expected
+    expected = [_outcome(reference_huntington_hill, x, p) for x, p in cases]
+    assert [_outcome(huntington_hill, x, p) for x, p in cases] == expected
+    return expected
 
 
 def _house(rng, top=400):
@@ -138,16 +152,23 @@ def test_prefill_remainders_match_the_award_loop():
 
 def test_extreme_magnitudes_match_the_award_loop():
     # subnormal weights whose priorities underflow to 0 after an award or
-    # two, next to 1e300 weights; once priorities tie at 0 the larger weight
-    # keeps winning
+    # two, next to large weights; once priorities tie at 0 the larger weight
+    # keeps winning.  With 1e300 among the scales most weight sums lie past
+    # the domain and both sides raise the same error; with 2**40 on top
+    # every sum lies inside and both sides split
     rng = random.Random(9)
-    scales = (5e-324, 1e-323, 1e-321, 3e-310, 2.2e-308, 1e-300, 1.0, 1e300, 0.0)
-    cases = [(_house(rng), _nonzero([rng.choice(scales) * rng.randint(1, 4)
-                                     for _ in range(rng.randint(1, 40))]))
-             for _ in range(1500)]
-    cases += [(400, [5e-324] * 40), (400, [1e-321, 2e-321, 0.0] * 13),
-              (250, [1e300, 5e-324, 0.0, 1e300])]
-    _check(cases)
+    outcomes = []
+    for top in (1e300, 2.0**40):
+        scales = (5e-324, 1e-323, 1e-321, 3e-310, 2.2e-308, 1e-300, 1.0, top, 0.0)
+        cases = [(_house(rng), _nonzero([rng.choice(scales) * rng.randint(1, 4)
+                                         for _ in range(rng.randint(1, 40))]))
+                 for _ in range(1500)]
+        cases += [(400, [5e-324] * 40), (400, [1e-321, 2e-321, 0.0] * 13),
+                  (250, [top, 5e-324, 0.0, top])]
+        outcomes.append(_check(cases))
+    errors = [sum(isinstance(v, str) for v in out) for out in outcomes]
+    assert errors[0] > 500 and errors[1] == 0
+    assert all("outside 0..2**48 - 1" in v for v in outcomes[0] if isinstance(v, str))
     assert huntington_hill(5, [0.0, 5e-324, 0.0]) == [0, 5, 0]
     # both cells' priorities round to one ulp after an award; the larger
     # weight wins every tie there, then every tie at 0
@@ -414,6 +435,9 @@ def reference_disaggregate_table(source, distribution, key_dims, target, method,
     for (y, r, s, a), x in source.items():
         if hh and not float(x).is_integer():
             raise DataError(f"{source.name}: non-integer value {x} at {(y, r, s, a)}")
+        if hh and x >= 2**48:
+            raise DataError(f"{source.name}: value {x} at {(y, r, s, a)} is outside "
+                            "0..2**48 - 1")
         fiber = [
             (y, fr, fs, fa)
             for fr in (fiber_regions(r) if refine_regions else (r,))
@@ -428,6 +452,9 @@ def reference_disaggregate_table(source, distribution, key_dims, target, method,
                 raise DataError(
                     f"{source.name}: all-zero distribution under cell {(y, r, s, a)}")
             weights = [1.0] * len(fiber)
+        if hh and sum(weights) >= 2**48:
+            raise DataError(f"{source.name}: weights under cell {(y, r, s, a)} sum to "
+                            f"{sum(weights)}, outside 0..2**48 - 1")
         shares = reference_huntington_hill(int(x), weights) if hh else \
             reference_proportional(x, weights)
         for key, share in zip(fiber, shares):
@@ -502,25 +529,20 @@ def _table_case(rng):
                 uniform_fallback=rng.random() < 0.5)
 
 
-def _outcome(disaggregate, case):
-    try:
-        return disaggregate(**case)
-    except DataError as err:
-        return str(err)
-
-
 def test_disaggregate_table_matches_the_fiber_loop():
     rng = random.Random(2024)
     seen = set()
     for _ in range(1500):
         case = _table_case(rng)
-        expected = _outcome(reference_disaggregate_table, case)
-        assert _outcome(disaggregate_table, case) == expected, case
+        expected = _outcome(reference_disaggregate_table, **case)
+        assert _outcome(disaggregate_table, **case) == expected, case
         if isinstance(expected, CensusTable):
             seen.add((case["method"], case["uniform_fallback"], len(expected) > 0))
         else:
-            seen.add(expected.split(": ")[-1].split(" ")[0])
+            seen.add(" ".join(expected.split(": ")[-1].split(" ")[:2]))
     # both methods split cells, with and without the fallback, and each
-    # failure of a source cell is reached
+    # failure of a source cell is reached: the rare 1e308 weights overflow
+    # a proportional fiber's sum and put a Huntington-Hill one past 2**48
     assert {(m, u, True) for m in _METHODS for u in (False, True)} <= seen
-    assert {"non-integer", "no", "all-zero", "weights"} <= seen
+    assert {"non-integer value", "no target", "all-zero distribution", "weights sum",
+            "weights under"} <= seen
