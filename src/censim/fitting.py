@@ -3,9 +3,10 @@
 Two small constrained problems share one quasi-Newton minimizer: a Gaussian
 bell curve for age-specific fertility rates, matched to a total birth count
 and a mean childbearing age, and a six-parameter multiplier model for death
-probabilities, matched to a death count and four life expectancies.  Both
-objectives are sums of absolute errors, so gradients come from central
-differences and the line search is expected to cope with the kinks.
+probabilities, matched to a death count and four life expectancies from a
+start that solves those five equations directly.  Both objectives are sums
+of absolute errors, so gradients come from central differences and the
+line search is expected to cope with the kinks.
 """
 
 from __future__ import annotations
@@ -284,60 +285,68 @@ def fit_births(target: BirthFitTarget, diagnostics: dict | None = None):
                     BIRTH_BOUNDS, diagnostics=diagnostics)
 
 
-def _bisect(moves_lo, lo: float, hi: float, steps: int) -> float:
-    """Midpoint of [lo, hi] after `steps` halvings; each keeps the upper half
-    where moves_lo(midpoint) holds and the lower half elsewhere."""
-    for _ in range(steps):
-        mid = (lo + hi) / 2
-        if moves_lo(mid):
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
-
-
 def _anchored_mortality_start(target: MortalityFitTarget, pop_avg, qref,
                               a: list, lo: float, hi: float) -> np.ndarray:
-    """Deterministic warm start that pins the five targets by bisection.
+    """Deterministic warm start that pins the five targets by direct solves.
 
-    Per sex, the senior multiplier is bisected against LE(65) and a joint
-    child/adult scale against LE(0); a shared child-vs-adult skew is then
-    bisected against the death count, which moves monotonically along the
-    LE-preserving family.  The raw objective has kinked local minima that
-    trap a quasi-Newton descent started from all ones, so the descent only
-    polishes from here.
+    Per sex, a damped Newton solve in (log c, log m) puts e(0) and e(65) on
+    target, with adult multiplier c, senior multiplier m and child multiplier
+    clip(skew * c).  Regula falsi (Illinois) then finds the shared skew that
+    meets the death count, monotone along this LE-preserving family.  The
+    raw objective has kinked local minima that trap a quasi-Newton descent
+    started from all ones, so the descent only polishes from here.
     """
     def anchor_sex(skew, le0_t, le65_t, qr):
-        def e0_e65(th3):
-            return _e0_e65(_curve(th3, qr), a)
+        def error(u):
+            c, m = np.exp(u)
+            th3 = [min(max(skew * c, lo), hi), c, m]
+            return th3, np.subtract(_e0_e65(_curve(th3, qr), a),
+                                    (le0_t, le65_t))
 
-        th3 = [1.0, 1.0, 1.0]
-        for _ in range(5):
-            th3[2] = _bisect(lambda m: e0_e65([th3[0], th3[1], m])[1] > le65_t,
-                             lo, hi, 30)
-            c = _bisect(lambda m: e0_e65([min(max(skew * m, lo), hi), m,
-                                          th3[2]])[0] > le0_t, lo, hi, 30)
-            th3 = [min(max(skew * c, lo), hi), c, th3[2]]
+        u = np.zeros(2)
+        th3, r = error(u)
+        for _ in range(20):
+            if np.abs(r).sum() < 1e-11:
+                break
+            jac = np.column_stack([(error(u + d)[1] - r) / 1e-6
+                                   for d in np.eye(2) * 1e-6])
+            step = np.linalg.lstsq(jac, -r, rcond=None)[0]
+            for _ in range(30):  # halve the step until the error falls
+                un = np.clip(u + step, math.log(lo), math.log(hi))
+                th3n, rn = error(un)
+                if np.abs(rn).sum() < np.abs(r).sum():
+                    break
+                step /= 2
+            else:
+                break
+            u, th3, r = un, th3n, rn
         return th3
 
-    def family(skew):
-        return np.array(
-            anchor_sex(skew, target.le_m_0, target.le_m_65, qref[0])
-            + anchor_sex(skew, target.le_f_0, target.le_f_65, qref[1]))
+    def family(s):
+        theta = np.array(
+            anchor_sex(math.exp(s), target.le_m_0, target.le_m_65, qref[0])
+            + anchor_sex(math.exp(s), target.le_f_0, target.le_f_65, qref[1]))
+        curves = mortality_curves(theta, *qref)
+        return theta, _deaths(curves, pop_avg, a) - target.total_deaths
 
-    def excess(skew):
-        curves = mortality_curves(family(skew), *qref)
-        return _deaths(curves, pop_avg, a) - target.total_deaths
-
-    s_lo, s_hi = math.log(lo / hi), math.log(hi / lo)
-    c_lo = excess(math.exp(s_lo))
-    c_hi = excess(math.exp(s_hi))
-    if (c_lo > 0) == (c_hi > 0):
+    s0, s1 = math.log(lo / hi), math.log(hi / lo)
+    (th0, c0), (th1, c1) = family(s0), family(s1)
+    if (c0 > 0) == (c1 > 0):
         # count not reachable along the family; keep the closer end
-        return family(math.exp(s_lo if abs(c_lo) < abs(c_hi) else s_hi))
-    skew = _bisect(lambda m: (excess(math.exp(m)) > 0) == (c_lo > 0),
-                   s_lo, s_hi, 35)
-    return family(math.exp(skew))
+        return th0 if abs(c0) < abs(c1) else th1
+    for _ in range(60):
+        s = (s0 * c1 - s1 * c0) / (c1 - c0)
+        if not min(s0, s1) < s < max(s0, s1):  # a non-finite count at an end
+            s = (s0 + s1) / 2
+        theta, c = family(s)
+        if abs(c) < 1e-12 * target.total_deaths or s in (s0, s1):
+            break
+        if (c > 0) != (c1 > 0):
+            s0, c0 = s1, c1
+        else:  # s0 is kept once more: halve its count (Illinois)
+            c0 /= 2
+        s1, c1 = s, c
+    return theta
 
 
 def fit_mortality(target: MortalityFitTarget, pop_avg, qref, alpha=None,

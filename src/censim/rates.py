@@ -10,7 +10,7 @@ with alpha(0) = 0.923 and 1/2 at every other age.
 farr_probability_model folds the same correction into census tables: the
 denominator gains half the cohort leavers Q = D + E (internal migrants are
 not cohort leavers), and the result averages the quotients of two
-consecutive years, with the year index clamped at the last census year.
+consecutive count years, the last count year paired with itself.
 """
 
 from __future__ import annotations
@@ -65,9 +65,10 @@ def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
                            diagnostics: dict | None = None) -> CensusTable:
     """Per-cell event probabilities from counts X, population P, leavers Q.
 
-    For each year y the count is divided by the mid-year population plus
-    half the leavers, and the probability is the mean of this quotient at y
-    and at min(y+1, y_N), y_N being P's last census year.  Results are
+    For each year y the count is divided by the mid-year population (the
+    mean of P at y and at min(y+1, y_N), y_N being P's last census year)
+    plus half the leavers, and the probability is the mean of this quotient
+    at y and at min(y+1, X's last year).  Results are
     clipped into [0,1]; the number of clipped cells lands in
     diagnostics["clipped"] and in the log.
     """
@@ -96,10 +97,8 @@ def farr_probability_model(X: CensusTable, P: CensusTable, Q: CensusTable,
         raise DataError(f"{X.name}: events at {key} but no exposure")
     quotient = np.divide(x, denom, out=np.zeros_like(x), where=x != 0)
 
-    # mean of the year's and the next year's quotient; a next year past the
-    # count years has none
-    padded = np.concatenate([quotient, np.zeros_like(quotient[:1])])
-    v = 0.5 * quotient + 0.5 * padded[[y - xres.years[0] for y in nxt]]
+    # mean of the year's and the next count year's quotient
+    v = 0.5 * quotient + 0.5 * np.concatenate([quotient[1:], quotient[-1:]])
     clipped = int((v > 1.0).sum())
     out = cells(years, *axes, np.minimum(v, 1.0))
     if clipped:

@@ -618,9 +618,9 @@ OUTPUT_SHA256 = {
     "pipeline/est/birth_p.report.csv":
         "16b5fa9a9fc4ede7672215c49c844a0e32cdaf2461a4f46430d8b06d33c693d8",
     "pipeline/est/death_p.csv":
-        "46e36daf8c2b68c2ba8b56a49fa381272db1e1a929c220455a5f31961e0dd1e5",
+        "19a606d8e3df875f8aa25094ccd611240520df7bd8583cbac6b0beb1bf2dbcc5",
     "pipeline/est/death_p.report.csv":
-        "1458213bb4ca11e96830928e851ff17e2a4a67af0580ee3ae298eb82cc2bb9c9",
+        "178f31239172866d6090a48ff00608f839d90a021ebfbaf70b2ef58f47b21712",
     "pipeline/est/emig_p.csv":
         "ab0c2ef2dc6d39d837b252d664de158b1be2189271358781fe4f5c36b10a1f77",
     "pipeline/est/ie_p.csv":
@@ -654,7 +654,7 @@ OUTPUT_SHA256 = {
     "pipeline/est/P_country.csv":
         "ac68c3a328cbd364e29d776d9811ec232be302b40ac6200a31b81311538385ab",
     "pipeline/est/q_hat.csv":
-        "4e042218ad7f7d1670503d1affc6f5f343239f6634ca1d2bacc2db4d1cd99d99",
+        "933ce245c8a38a456f57396ddfc1f1311fc86a92e24135c7e78e6d2515b7f39a",
     "pipeline/est/immigrants.csv":
         "d0facca3c50755b0f8e05d89aa36e50e8d416967408c09dd3dc581cd0bba4e3c",
     "pipeline/truth/B.csv":
@@ -720,9 +720,9 @@ OUTPUT_SHA256 = {
     "fit-births/rates.report.csv":
         "937b9dc18bd1e5b787c08c69db058da9c7742946db0c5bb8b4f580cb273ee327",
     "fit-mortality/q.csv":
-        "d94da68ce35a3307228f8028a1f3c202c6809fc8d47910b095594ae4e49b7d00",
+        "ab98262d80494ebcee8e52fdbfe34074d33589ffded40b2afa1eaf0e1f6402cc",
     "fit-mortality/q.report.csv":
-        "45ba1c8022157874ed20e2c24c2476dba38ba4689c362cc9639b758a33ac74aa",
+        "7fddab1c04e5d3f65e734c3672c10c74363605adc856567f64eb90a9d824c737",
 }
 
 

@@ -280,31 +280,65 @@ def _warm_start_case(deaths_scale=1.0):
 
 
 # the warm starts as float.hex: a change to the life-table arithmetic or to
-# the bisections that moves any bit of a start shows here
-@pytest.mark.parametrize("deaths_scale, skew_bisections, want", [
-    (1.0, 1, ["0x1.ec71785cc22b0p-1", "0x1.cfb663a000000p-1",
-              "0x1.4c9f955ccccccp+0", "0x1.41c7ef59c8603p+0",
-              "0x1.2f01d8f666666p+0", "0x1.0058229cccccep+0"]),
+# the solves that moves any bit of a start shows here
+@pytest.mark.parametrize("deaths_scale, skew_search, want", [
+    (1.0, 1, ["0x1.ec755200a2eeep-1", "0x1.cfb634be44b7dp-1",
+              "0x1.4c9f9cee06a3bp+0", "0x1.41ca899daed9ep+0",
+              "0x1.2f01cf3e10556p+0", "0x1.0058175e53359p+0"]),
     # ten times the deaths is out of reach along the family: the start
-    # keeps the closer end of the skew bracket without bisecting it
-    (10.0, 0, ["0x1.4000000000000p+2", "0x1.7b5b25c666667p-1",
-               "0x1.51c2107000002p+0", "0x1.4000000000000p+2",
-               "0x1.0ce000c333334p+0", "0x1.0327d3099999ap+0"]),
+    # keeps the closer end of the skew bracket without searching it
+    (10.0, 0, ["0x1.4000000000000p+2", "0x1.7b5b10877fd17p-1",
+               "0x1.51c221b0d3f28p+0", "0x1.4000000000000p+2",
+               "0x1.0ce0053f5b2ecp+0", "0x1.0327ced0cfb28p+0"]),
 ])
-def test_warm_start_is_pinned(monkeypatch, deaths_scale, skew_bisections,
-                              want):
+def test_warm_start_is_pinned(monkeypatch, deaths_scale, skew_search, want):
     target, pop, qref, a = _warm_start_case(deaths_scale)
-    steps = []
+    skews = []
 
-    def spy(moves_lo, lo, hi, n):
-        steps.append(n)
-        return bisect(moves_lo, lo, hi, n)
+    def spy(curves, pop_avg, a):
+        skews.append(curves)
+        return deaths(curves, pop_avg, a)
 
-    bisect = fitting._bisect
-    monkeypatch.setattr(fitting, "_bisect", spy)
+    deaths = fitting._deaths
+    monkeypatch.setattr(fitting, "_deaths", spy)
     theta0 = fitting._anchored_mortality_start(target, pop, qref, a, 0.2, 5.0)
     assert [float(t).hex() for t in theta0] == want
-    assert steps.count(35) == skew_bisections
+    # one death count per skew tried: the two bracket ends, then the search
+    assert (len(skews) > 2) == bool(skew_search)
+
+
+def _pipeline_like_case():
+    """A national row shaped like the pipeline's: about 1e5 persons per sex,
+    reference curves read off Poisson death counts, so that young ages
+    carry zero probabilities, and an integer death count."""
+    rng = np.random.default_rng(2002)
+    a = _separation(death_table_alpha(), AGE_COUNT)
+    pop = (100.0 + 1700.0 * np.exp(-(AGES / 75.0) ** 4),
+           100.0 + 1700.0 * np.exp(-(AGES / 80.0) ** 4))
+    q_true = (np.minimum(0.9, 4e-3 * (AGES == 0) + 6e-5 * np.exp(0.095 * AGES)),
+              np.minimum(0.9, 3e-3 * (AGES == 0) + 3e-5 * np.exp(0.097 * AGES)))
+    qref = tuple(sum(np.minimum(1.0, rng.poisson(p * q) / p) for _ in range(3)) / 3
+                 for q, p in zip(q_true, pop))
+    year = mortality_curves((1.0, 0.97, 0.98, 0.99, 0.96, 0.97), *qref)
+    (m0, m65), (f0, f65) = (fitting._e0_e65(q, a) for q in year)
+    target = MortalityFitTarget(float(round(fitting._deaths(year, pop, a))),
+                                m0, f0, m65, f65)
+    return target, pop, qref, a
+
+
+@pytest.mark.parametrize("case", [_warm_start_case, _pipeline_like_case],
+                         ids=["criterion-07", "pipeline-like"])
+def test_mortality_fit_builds_few_life_tables(monkeypatch, case):
+    """Each _e0_e65 call is one life table; nested bisections in the warm
+    start made about 22,000 per fit."""
+    target, pop, qref, _ = case()
+    tables = []
+    e0_e65 = fitting._e0_e65
+    monkeypatch.setattr(fitting, "_e0_e65",
+                        lambda q, a: tables.append(1) or e0_e65(q, a))
+    _, value = fit_mortality(target, pop, qref)
+    assert len(tables) < 2000
+    assert value < 1e-9
 
 
 def test_warm_start_without_an_open_class_falls_back_to_ones(monkeypatch):
@@ -322,6 +356,24 @@ def test_warm_start_without_an_open_class_falls_back_to_ones(monkeypatch):
                         lambda f, x0, bounds, diagnostics: starts.append(x0))
     fit_mortality(target, pop, qref)
     assert [t.tobytes() for t in starts] == [np.ones(6).tobytes()]
+
+
+def test_warm_start_bisects_towards_an_infinite_count(monkeypatch):
+    # alpha(0) = 1 and an infant probability clipped at 1 make the count
+    # infinite at the upper skew end, where interpolation gives no point
+    target, pop, (qref_m, qref_f), a = _warm_start_case(3.0)
+    qref_m = qref_m.copy()
+    qref_m[0] = 0.25
+    counts = []
+    deaths = fitting._deaths
+    monkeypatch.setattr(fitting, "_deaths",
+                        lambda *args: counts.append(deaths(*args)) or counts[-1])
+    with np.errstate(divide="ignore"):
+        theta0 = fitting._anchored_mortality_start(
+            target, pop, (qref_m, qref_f), [1.0] + a[1:], 0.2, 5.0)
+    assert counts[0] < target.total_deaths and counts[1] == math.inf
+    assert len(counts) > 2
+    assert ((theta0 >= 0.2) & (theta0 <= 5.0)).all()
 
 
 def test_slice_helpers():

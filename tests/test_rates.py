@@ -78,6 +78,17 @@ def test_farr_model_two_year_mean():
     # the final year clamps its successor to itself
     assert prob[(2002, "AT", "m", 50)] == pytest.approx(xm[2002], rel=1e-13)
 
+    # a census year past the counts widens the last count year's exposure
+    # but still pairs its quotient with itself, not with a missing one
+    longer = ResolutionSpec((2000, 2003), "country", sexes=("m",), ages=(50,),
+                            open_age=None)
+    P3 = CensusTable(longer, dict(P.items()) | {(2003, "AT", "m", 50): 1400},
+                     name="P")
+    prob = farr_probability_model(D, P3, D)
+    last = 30 / (1300 + 15)
+    assert prob[(2001, "AT", "m", 50)] == pytest.approx((xm[2001] + last) / 2, rel=1e-13)
+    assert prob[(2002, "AT", "m", 50)] == pytest.approx(last, rel=1e-13)
+
 
 def test_farr_model_clips_and_counts():
     P, _ = _stationary_tables(pop=10, deaths=0)
