@@ -38,9 +38,9 @@ award loop's state after k*sum(p) awards: with q = k*p, award m has
 priority p >= 1/k at m = 0, above (1 + 1/(2q))/k for 0 < m < q and below
 (1 - 1/(8q))/k from q on, and floats lie within 3 * 2**-53 of these, so
 q < 2**48 keeps them apart.  So the split of x is the first x awards of
-one sequence for every weight vector: huntington_hill_splits ranks it
-once, up to the largest x, and returns each split as rows (total, cell),
-one per award.
+one sequence for every weight vector: huntington_hill_sequences ranks the
+sequences of the rows of a weight matrix, each up to its own largest x, as
+fibers of a few kernel calls, and a caller takes each split as a prefix.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -68,6 +68,7 @@ from .table import NO_SEX, CensusTable, Entries, ResolutionSpec
 _METHODS = ("proportional", "huntington_hill")
 HH_LIMIT = 2 ** 48
 _DOMAIN = f"0..2**{HH_LIMIT.bit_length() - 1} - 1"
+_BLOCK_CELLS = 1 << 14
 
 
 def _check_weights(p, limit=math.inf) -> np.ndarray:
@@ -228,25 +229,39 @@ def huntington_hill(x: int, p) -> list[int]:
                       np.zeros(len(p), dtype=np.int64)).tolist()
 
 
-def huntington_hill_splits(xs, p) -> tuple[np.ndarray, np.ndarray]:
-    """huntington_hill(x, p) for every x in the integer array xs, as award
-    rows (index into xs.ravel(), cell), one row per award.
+def huntington_hill_sequences(p, tops) -> np.ndarray:
+    """Each row f of the weight matrix p ranked as a fiber: the cells of its
+    first tops[f] awards in award order, row after row in one array.
 
-    The split of x is the first x awards of one award sequence, so that
-    sequence is ranked once, up to max(xs), and total j takes its first
-    xs[j] awards.
+    Every row is checked before any is ranked, and the rows are ranked in
+    blocks of about _BLOCK_CELLS cells, which bound the temporaries.
     """
-    xs = np.asarray(xs)
-    if xs.size and (xs.dtype.kind not in "iu" or xs.min() < 0 or xs.max() >= HH_LIMIT):
+    tops = np.asarray(tops)
+    if tops.size and (tops.dtype.kind not in "iu" or tops.min() < 0 or tops.max() >= HH_LIMIT):
         raise DataError(f"splits need integer totals in {_DOMAIN}")
-    xs = xs.astype(np.int64).ravel()
-    p = _check_weights(p, HH_LIMIT)
-    zeros = np.zeros(len(p), dtype=np.int64)
-    top = int(xs.max()) if xs.size else 0
-    _, hi = _window(np.array([top]), p, zeros, zeros, zeros[:1])
-    seq = _ranked(p, zeros, zeros, zeros, hi)
-    total = np.repeat(np.arange(len(xs)), xs)
-    return total, seq[np.arange(len(total)) - (np.cumsum(xs) - xs)[total]]
+    p = np.asarray(p, dtype=float)
+    if p.ndim != 2 or tops.shape != p.shape[:1]:
+        raise DataError("need one total per weight row")
+    tops = tops.astype(np.int64)
+    for row in p.tolist():
+        _check_weights(row, HH_LIMIT)
+    n = p.shape[1]
+    rows = max(1, _BLOCK_CELLS // n)
+    seq = np.empty(int(tops.sum()), dtype=np.int64)
+    at = 0
+    for b in range(0, len(p), rows):
+        x, cells = tops[b:b + rows], p[b:b + rows].ravel()
+        fiber = np.repeat(np.arange(len(x)), n)
+        zeros = np.zeros(len(cells), dtype=np.int64)
+        _, hi = _window(x, cells, zeros, fiber, np.arange(0, len(cells), n))
+        ranked = _ranked(cells, zeros, fiber, zeros, hi)
+        # row f's candidates come in one block; its first x[f] are kept
+        f = ranked // n
+        count = hi.reshape(-1, n).sum(axis=1)
+        kept = ranked[np.arange(len(ranked)) - (np.cumsum(count) - count)[f] < x[f]] % n
+        seq[at:at + len(kept)] = kept
+        at += len(kept)
+    return seq
 
 
 def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,

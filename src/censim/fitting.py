@@ -134,8 +134,9 @@ def _deaths(curves, pop_avg, a: list) -> float:
     """Expected deaths, male then female; a vanishing 1 - a*q gives a
     non-finite sum, which minimize treats as infeasible."""
     total = 0.0
-    for q, pop in zip(curves, pop_avg):
-        total += float(np.asarray(pop, float) @ (q / (1.0 - np.multiply(a, q))))
+    with np.errstate(divide="ignore"):
+        for q, pop in zip(curves, pop_avg):
+            total += float(np.asarray(pop, float) @ (q / (1.0 - np.multiply(a, q))))
     return total
 
 

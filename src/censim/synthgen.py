@@ -13,9 +13,11 @@ The random parts, each region's size multiplier and the noise of the
 origin-destination attractiveness kernel, are drawn once per bundle from the
 counter RNG, keyed by region index: the same (seed, region) always gets the
 same draw, however many regions the spec lists.  Each year's events are
-array expressions over (region, sex, age); only the Huntington-Hill split of
-each origin's internal movers runs region by region, as one row per mover
-that the in-movers and flow tables count, so no array is origin x destination.
+array expressions over (region, sex, age).  An origin's internal movers
+split over its kernel row by Huntington-Hill: the origin's award sequence
+is ranked once per run, again only when a count outgrows it, and each cell
+takes a prefix, as one row per mover that the in-movers and flow tables
+count, so no array of movers is origin x destination.
 
 The coarse inputs a harmonization pipeline starts from are these tables
 summed onto coarser resolutions with censim.table.degrade, so estimates stay
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .disagg import huntington_hill_splits
+from .disagg import huntington_hill_sequences
 from .errors import DataError
 from .fitting import activation, gaussian_rates
 from .rng import stream_array, uniform_array
@@ -179,6 +181,10 @@ def generate_truth(spec: SynthSpec) -> dict:
     mult = _region_mult(spec)
     n = _initial_population(spec, mult)
     pop, events, flows = [n], [], []
+    # row i: origin i's award sequence over its kernel row, as far as its
+    # largest cell count so far (length[i]); kernel[i, i] = 0 never wins
+    ranked = np.zeros((n_r, 0), dtype=np.int64)
+    length = np.zeros(n_r, dtype=np.int64)
     for y, imm in zip(range(y0, y1), _immigrants(spec, mult)):
         q_death = np.stack([mortality_probability(spec, y, s) for s in SEXES])
         q_birth = fertility_probability(spec, y)
@@ -192,10 +198,22 @@ def generate_truth(spec: SynthSpec) -> dict:
         over = d + e - n
         e -= np.clip(over, 0, e)
 
-        # rows (sex * 101 + age, destination); kernel[i, i] = 0 never wins
-        splits = [huntington_hill_splits(ie[i], kernel[i].tolist()) for i in range(n_r)]
-        cell, dest = (np.concatenate(c) for c in zip(*splits))
-        origin = np.repeat(np.arange(n_r), ie.sum(axis=(1, 2)))
+        # the x movers of a cell (origin, sex * 101 + age) go to the first x
+        # destinations of the origin's sequence; an origin is ranked again
+        # only when its largest count passes the ranked length
+        x = ie.reshape(n_r, -1)
+        top = x.max(axis=1)
+        grow = np.flatnonzero(top > length)
+        if grow.size:
+            length[grow] = top[grow]
+            ranked = np.pad(ranked, ((0, 0), (0, length.max() - ranked.shape[1])))
+            fill = ranked[grow]
+            fill[np.arange(ranked.shape[1]) < length[grow, None]] = \
+                huntington_hill_sequences(kernel[grow], length[grow])
+            ranked[grow] = fill
+        row = np.repeat(np.arange(x.size), x.ravel())
+        origin, cell = np.divmod(row, x.shape[1])
+        dest = ranked[origin, np.arange(len(row)) - (np.cumsum(x) - x.ravel())[row]]
         ii = np.bincount(dest * n[0].size + cell, minlength=n.size).reshape(n.shape)
         sex, age = np.divmod(cell, n.shape[2])
         flows.append(np.ravel_multi_index((np.digitize(age, FLOW_AGE_CLASSES) - 1, y - y0,

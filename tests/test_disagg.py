@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from censim.disagg import (_award, disaggregate_table, huntington_hill,
-                           huntington_hill_splits, proportional_disaggregate)
+                           huntington_hill_sequences, proportional_disaggregate)
 from censim.errors import DataError
 from censim.regions import RegionManifest
 from censim.table import CensusTable, ResolutionSpec, aggregate
@@ -78,7 +78,7 @@ def test_totals_outside_int64_are_data_errors():
     with pytest.raises(DataError, match="integer in 0..2"):
         huntington_hill(2**63, [1.0, 2.0])
     with pytest.raises(DataError, match="integer totals in 0..2"):
-        huntington_hill_splits(np.array([2**63], np.uint64), [1.0, 2.0])
+        huntington_hill_sequences([[1.0, 2.0]], np.array([2**63], np.uint64))
 
 
 def test_prefill_needs_int64_weights_whose_exact_sum_fits():
@@ -183,14 +183,15 @@ def test_domain_edge_is_2_48():
 
 
 def test_splits_reject_the_domain_edge_before_splitting(monkeypatch):
-    # one row per award: a total past the domain raises before any ranking
+    # a total past the domain, or a row whose weights sum past it, raises
+    # before any row is ranked
     import censim.disagg as disagg
 
     monkeypatch.setattr(disagg, "_window", lambda *args: pytest.fail("ranked"))
     with pytest.raises(DataError, match=r"integer totals in 0\.\.2\*\*48 - 1"):
-        huntington_hill_splits(np.array([3, 2**48]), [1.0, 2.0])
+        huntington_hill_sequences([[1.0, 2.0]] * 2, np.array([3, 2**48]))
     with pytest.raises(DataError, match=r"weights sum to 281474976710656\.0"):
-        huntington_hill_splits(np.array([3]), [2.0**47, 2.0**47])
+        huntington_hill_sequences([[1.0, 2.0], [2.0**47, 2.0**47]], np.array([3, 3]))
 
 
 def test_disaggregate_table_names_a_cell_at_the_domain_edge():

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from censim.disagg import (_apportion, _starts, _window, disaggregate_table,
-                           huntington_hill, huntington_hill_splits)
+                           huntington_hill, huntington_hill_sequences)
 from censim.errors import DataError
 from censim.regions import RegionManifest, coarser_or_equal, parent_region
 from censim.synthgen import SynthSpec, _kernel
@@ -240,23 +240,10 @@ def test_window_brackets_each_split_in_three_candidates_per_cell():
         assert (np.add.reduceat(hi - lo, start) <= 3 * np.diff(np.append(start, len(p)))).all()
 
 
-def _split_counts(rows, n_totals, n):
-    """The award rows (total, cell) counted per total and cell."""
-    total, cell = rows
-    return np.bincount(total * n + cell, minlength=n_totals * n).reshape(n_totals, n)
-
-
-def _check_rows(xs, p, rows):
-    """One row per award, grouped by total in xs.ravel() order, and each
-    total's cells the first x of the largest total's award sequence."""
-    xs = np.asarray(xs).ravel()
-    total, cell = rows
-    assert total.tolist() == np.repeat(np.arange(len(xs)), xs).tolist()
-    seq = cell[total == np.argmax(xs)] if xs.size else cell
-    for j, x in enumerate(xs.tolist()):
-        assert cell[total == j].tolist() == seq[:x].tolist()
-    got = _split_counts(rows, len(xs), len(p))
-    assert got.tolist() == [huntington_hill(int(x), p) for x in xs]
+def _check_prefixes(xs, p, seq):
+    """Every total x in xs splits along p as the cells of seq[:x] count."""
+    for x in np.asarray(xs).ravel().tolist():
+        assert np.bincount(seq[:x], minlength=len(p)).tolist() == huntington_hill(x, p)
 
 
 def test_splits_are_prefix_counts_of_one_award_sequence():
@@ -271,39 +258,45 @@ def test_splits_are_prefix_counts_of_one_award_sequence():
             p = [rng.choice(ECHOES) for _ in range(n)] + [0.5]
         top = 3000 if trial % 10 < 2 else 90
         xs = np.array([rng.randint(0, top) for _ in range(rng.randint(1, 12))])
-        xs = xs.reshape(-1, 1) if trial % 2 else xs
-        _check_rows(xs, p, huntington_hill_splits(xs, p))
-    # 2-D totals, as synthgen passes them (sex x age): a row's total
-    # indexes the totals' ravel
+        seq = huntington_hill_sequences([p], [xs.max()])
+        assert len(seq) == xs.max()
+        _check_prefixes(xs, p, seq)
+    # 2-D totals, as synthgen splits them (origin x cell): each row of the
+    # weight matrix ranked to its largest total, all rows in one call
     for trial in range(40):
         n = rng.randint(1, 40)
-        p = _nonzero([rng.choice((0.0, rng.randint(0, 5), rng.uniform(0, 4)))
-                      for _ in range(n)])
         top = 3000 if trial % 4 < 2 else 90
         shape = rng.choice(((2, 101), (3, 4), (1, 7)))
-        xs = np.array([rng.randint(0, top) for _ in range(shape[0] * shape[1])])
-        _check_rows(xs.reshape(shape), p, huntington_hill_splits(xs.reshape(shape), p))
-    total, cell = huntington_hill_splits([0, 0], [0.5, 1.5])
-    assert total.tolist() == cell.tolist() == []
-    with pytest.raises(DataError):
-        huntington_hill_splits([2.5], [0.5, 1.5])
+        p = [_nonzero([rng.choice((0.0, rng.randint(0, 5), rng.uniform(0, 4)))
+                       for _ in range(n)]) for _ in range(shape[0])]
+        xs = np.array([rng.randint(0, top) for _ in range(shape[0] * shape[1])]).reshape(shape)
+        seq = huntington_hill_sequences(p, xs.max(axis=1))
+        ends = np.cumsum(xs.max(axis=1))
+        for f, row in enumerate(p):
+            _check_prefixes(xs[f], row, seq[ends[f] - xs[f].max():ends[f]])
+    assert huntington_hill_sequences([[0.5, 1.5]] * 2, [0, 0]).tolist() == []
+    with pytest.raises(DataError, match="integer totals"):
+        huntington_hill_sequences([[0.5, 1.5]], [2.5])
+    with pytest.raises(DataError, match="one total per weight row"):
+        huntington_hill_sequences([[0.5, 1.5]], [[1, 2]])
 
 
 def test_synthgen_splits_equal_per_cell_calls():
-    # synthgen splits origin i's movers over its whole kernel row, whose
-    # zero at i never wins an award
+    # synthgen ranks origin i's movers over its whole kernel row, whose zero
+    # at i never wins an award, and splits every cell as a prefix of it
     spec = SynthSpec(regions=tuple(f"101{m:02d}" for m in range(1, 9)),
                      level="municipalities", years=(2000, 2001), seed=4)
     kernel = _kernel(spec)
     movers = np.random.default_rng(4).integers(0, 40, (2, 101))
-    for i in range(len(spec.regions)):
-        weights = [kernel[i, j] for j in range(len(spec.regions)) if j != i]
-        splits = _split_counts(huntington_hill_splits(movers, kernel[i]),
-                               movers.size, len(spec.regions)).reshape(2, 101, -1)
-        assert not splits[..., i].any()
+    n_r = len(spec.regions)
+    seq = huntington_hill_sequences(kernel, np.full(n_r, movers.max())).reshape(n_r, -1)
+    for i in range(n_r):
+        weights = [kernel[i, j] for j in range(n_r) if j != i]
         for si in range(2):
             for a in range(101):
-                assert np.delete(splits[si, a], i).tolist() == \
+                split = np.bincount(seq[i, :movers[si, a]], minlength=n_r)
+                assert split[i] == 0
+                assert np.delete(split, i).tolist() == \
                     huntington_hill(int(movers[si, a]), weights)
 
 
@@ -324,10 +317,49 @@ def test_zero_weights_change_no_split():
         split = huntington_hill(x, padded)
         assert [split[j] for j in kept] == huntington_hill(x, p)
         assert sum(split) == x
-        xs = np.array([x, rng.randint(0, x + 1), 0])
-        rows = huntington_hill_splits(xs, padded)
-        assert kept[huntington_hill_splits(xs, p)[1]].tolist() == rows[1].tolist()
-        assert np.isin(rows[1], kept).all()
+        xs = [x, rng.randint(0, x + 1), 0]
+        seq = huntington_hill_sequences([padded], [max(xs)])
+        assert kept[huntington_hill_sequences([p], [max(xs)])].tolist() == seq.tolist()
+        assert np.isin(seq, kept).all()
+        _check_prefixes(xs, padded, seq)
+
+
+def _row(rng, n):
+    """One weight row: integer, fractional, heavily tied or all equal, with
+    zero cells."""
+    draw = rng.choice((lambda: rng.randint(0, 9), lambda: rng.uniform(0, 5),
+                       lambda: rng.choice(ECHOES), lambda: rng.choice((0.0, 2.0)),
+                       lambda: 1.0))
+    return _nonzero([draw() for _ in range(n)])
+
+
+@pytest.mark.parametrize("block", [None, 128, 1])
+def test_batched_rows_equal_one_row_calls(monkeypatch, block):
+    # 400 rows of 50 cells cross the default block of 2**14 cells; blocks
+    # of 128 cells hold two rows each, and blocks of 1 cell one row each
+    import censim.disagg as disagg
+
+    if block:
+        monkeypatch.setattr(disagg, "_BLOCK_CELLS", block)
+    rng = random.Random(f"rows-{block}")
+    p = np.array([_row(rng, 50) for _ in range(400)], dtype=float)
+    tops = np.array([rng.choice((0, 0, rng.randint(1, 5), _house(rng, 300)))
+                     for _ in range(len(p))])
+    seq = huntington_hill_sequences(p, tops)
+    assert len(seq) == tops.sum()
+    ends = np.cumsum(tops)
+    for f in range(len(p)):
+        one = huntington_hill_sequences(p[f:f + 1], tops[f:f + 1])
+        assert seq[ends[f] - tops[f]:ends[f]].tolist() == one.tolist()
+    for f in range(0, len(p), 37):
+        _check_prefixes(tops[f], p[f].tolist(), seq[ends[f] - tops[f]:ends[f]])
+    # a bad row first or last raises the one-row message
+    for bad in ([1.0, -2.0] * 25, [0.0] * 50, [2.0**47] * 50, [math.nan] * 50):
+        rows = np.vstack([p, [bad]])
+        expected = _outcome(huntington_hill, 1, bad)
+        assert _outcome(huntington_hill_sequences, rows, np.append(tops, 1)) == expected
+        rows[[0, -1]] = rows[[-1, 0]]
+        assert _outcome(huntington_hill_sequences, rows, np.append(tops, 1)) == expected
 
 
 def reference_proportional(x: float, p) -> list[float]:

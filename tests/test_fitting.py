@@ -368,9 +368,8 @@ def test_warm_start_bisects_towards_an_infinite_count(monkeypatch):
     deaths = fitting._deaths
     monkeypatch.setattr(fitting, "_deaths",
                         lambda *args: counts.append(deaths(*args)) or counts[-1])
-    with np.errstate(divide="ignore"):
-        theta0 = fitting._anchored_mortality_start(
-            target, pop, (qref_m, qref_f), [1.0] + a[1:], 0.2, 5.0)
+    theta0 = fitting._anchored_mortality_start(
+        target, pop, (qref_m, qref_f), [1.0] + a[1:], 0.2, 5.0)
     assert counts[0] < target.total_deaths and counts[1] == math.inf
     assert len(counts) > 2
     assert ((theta0 >= 0.2) & (theta0 <= 5.0)).all()

@@ -326,3 +326,36 @@ def test_flows_match_the_per_cell_splits(spec):
         for key, v in flows.items():
             merged[key] = merged.get(key, 0) + v
     assert dict(truth["M"].items()) == merged
+
+
+def test_each_origin_is_ranked_again_only_when_its_largest_count_grows(monkeypatch):
+    # origin i's award sequence is ranked in the first year, as far as its
+    # largest (sex, age) count, and again only in a year whose largest
+    # count passes every earlier one; the 160-region spec takes that path,
+    # so test_flows_match_the_per_cell_splits covers the re-ranked prefixes
+    import censim.synthgen as synthgen
+
+    calls = []
+    real = synthgen.huntington_hill_sequences
+    monkeypatch.setattr(synthgen, "huntington_hill_sequences",
+                        lambda p, tops: calls.append((p, tops)) or real(p, tops))
+    again = {}
+    for spec in DIFF_SPECS:
+        calls.clear()
+        truth = generate_truth(spec)
+        y0, y1 = spec.years
+        n_r = len(spec.regions)
+        ie = truth["IE"].grid(range(y0, y1), spec.regions, SEXES, range(101))
+        ranked, expected = np.zeros(n_r), []
+        for top in ie.reshape(y1 - y0, n_r, -1).max(axis=2):
+            grow = np.flatnonzero(top > ranked)
+            if grow.size:
+                expected.append((grow.tolist(), top[grow].tolist()))
+            ranked = np.maximum(ranked, top)
+        kernel = _kernel(spec)
+        assert len(calls) == len(expected)
+        assert expected[0][0] == list(range(n_r))
+        for (p, tops), (grow, want) in zip(calls, expected):
+            assert np.array_equal(p, kernel[grow]) and tops.tolist() == want
+        again[n_r] = sum(len(grow) for grow, _ in expected[1:])
+    assert again[160] > 0
