@@ -6,41 +6,43 @@ cell with weight p has the float priority p/sqrt(k(k+1)), and p itself for
 k = 0.  The split of x hands out the first x awards over all cells in the
 order: larger priority first, ties to the larger weight, then to the lower
 index, then to the earlier award (exact float comparisons: priorities derive
-deterministically from the weights).  A positive weight whose priorities
-underflow to 0 still beats a zero weight there, so zero weights never win.
+deterministically from the weights).  Zero weights never win.
 
 That is exactly the classic draw loop (each award to the current top
 priority), because a cell's priorities never increase: k and k + 1.0 are
 exact, and the product, sqrt and division are correctly rounded and
 monotone.  The loop merges the cells' sorted priority sequences, so its
 first x picks are the x first items of the merged order (Balinski & Young,
-Fair Representation, on divisor methods).  The kernel finds them without
-the loop.  Award k's divisor lies within [k, k+1], so the last of N awards
-over n cells of weight sum P has a priority in [P/(N + n), P/(N - 5n/8)]
-(Pukelsheim, Proportional Representation, ch. 4), two thresholds in
-closed form.  Each cell's count of awards above a threshold t comes from
-the closed form p/t + 1/2, corrected by the float priorities at the
-boundary.  The awards above the upper threshold all win; those between
-the two, a few per cell, are ranked in the loop's order by one stable
-sort, and the first ones still needed win.
+Fair Representation, on divisor methods), and the split of x is the first
+x awards of one sequence for every weight vector.  The kernel finds them
+without the loop.  Award k's divisor lies within [k, k+1], so the last of
+x awards over n cells of weight sum P has a priority in
+[P/(x + n), P/(x - 5n/8)] (Pukelsheim, Proportional Representation, ch. 4),
+two thresholds in closed form.  A cell's count of awards above a threshold
+t is the closed form p/t + 1/2 or one of its two neighbours, told apart by
+the float priorities.  The awards above the upper threshold all win; those
+between the two, a few per cell, are ranked in the loop's order by one
+stable sort, and the first ones still needed win.
 
 The kernel splits many fibers in one call.  A fiber is a run of cells with
 its own x, thresholds and counts; all fibers are counted together, and the
 sort keys the window's awards on fiber, then priority, then weight,
 leaving the candidate order (lower cell, earlier award) to break the rest.
-huntington_hill is the call with one fiber.  Totals and each fiber's weight
-sum lie in 0..HH_LIMIT - 1 = 2**48 - 1, a bound far above any census
-count; each entry point rejects the others.
+huntington_hill is the call with one fiber, and huntington_hill_sequences
+ranks the rows of a weight matrix, each up to its own largest x, as fibers
+of a few calls; a caller takes each split as a prefix.
 
-For integer weights whose sum fits k >= 1 times into x, the selection
-starts from k*p awards; x = k*sum(p) returns k*p exactly.  That is the
-award loop's state after k*sum(p) awards: with q = k*p, award m has
-priority p >= 1/k at m = 0, above (1 + 1/(2q))/k for 0 < m < q and below
-(1 - 1/(8q))/k from q on, and floats lie within 3 * 2**-53 of these, so
-q < 2**48 keeps them apart.  So the split of x is the first x awards of
-one sequence for every weight vector: huntington_hill_sequences ranks the
-sequences of the rows of a weight matrix, each up to its own largest x, as
-fibers of a few kernel calls, and a caller takes each split as a prefix.
+The domain: totals and each fiber's weight sum lie in 0..HH_LIMIT - 1 =
+2**48 - 1, far above any census count, and every positive weight is at
+least HH_FLOOR = 2**-900, far below any census share.  On it every
+priority and both thresholds are normal floats of at least 2**-950: a
+weight of at least 2**-900 over a divisor below 2**49, or a weight sum over
+fewer than 2**49 awards and cells.  Normal floats round within a relative
+2**-53 per operation, which the widened thresholds and the three candidates
+per count absorb.  Below-normal ones round within an absolute 2**-1074, and a
+priority that underflows to 0 ties every other one at 0, so neither the
+bounds nor the estimate would hold.  Each entry point rejects values
+outside the domain before it ranks anything.
 
 disaggregate_table splits each coarse source cell over its fiber, the finer
 keys of the target resolution that aggregate back onto it, weighted by a
@@ -67,24 +69,29 @@ from .table import NO_SEX, CensusTable, Entries, ResolutionSpec
 
 _METHODS = ("proportional", "huntington_hill")
 HH_LIMIT = 2 ** 48
+HH_FLOOR = 2.0 ** -900
 _DOMAIN = f"0..2**{HH_LIMIT.bit_length() - 1} - 1"
+_FLOOR = f"2**{math.frexp(HH_FLOOR)[1] - 1}"
 _BLOCK_CELLS = 1 << 14
 
 
-def _check_weights(p, limit=math.inf) -> np.ndarray:
+def _check_weights(p, hh=False) -> np.ndarray:
     p = np.fromiter(map(float, p), float)
     if not p.size:
         raise DataError("empty weight vector")
     bad = np.flatnonzero(~(np.isfinite(p) & (p >= 0)))
     if bad.size:
         raise DataError(f"negative or non-finite weight {p[bad[0]].item()}")
+    tiny = np.flatnonzero(hh & (p > 0) & (p < HH_FLOOR))
+    if tiny.size:
+        raise DataError(f"weight {p[tiny[0]].item()} lies between 0 and {_FLOOR}")
     try:
         total = math.fsum(p.tolist())
     except OverflowError:
         raise DataError("weights sum overflows a float") from None
     if total <= 0:
         raise DataError("weights sum to zero")
-    if total >= limit:
+    if hh and total >= HH_LIMIT:
         raise DataError(f"weights sum to {total}, outside {_DOMAIN}")
     return p
 
@@ -105,128 +112,71 @@ def _priorities(p: np.ndarray, k: np.ndarray) -> np.ndarray:
     return p / np.sqrt(np.where(k > 0, kf * (kf + 1.0), 1.0))
 
 
-def _starts(fiber: np.ndarray, n_fibers: int) -> np.ndarray:
-    """Each fiber's first cell; cells come fiber by fiber and no fiber is empty."""
-    return np.searchsorted(fiber, np.arange(n_fibers))
-
-
-def _counts_above(t: np.ndarray, p: np.ndarray, w: np.ndarray,
-                  x: np.ndarray) -> np.ndarray:
-    """How many of each cell's next x awards have a priority above t (x
+def _counts_above(t: np.ndarray, p: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """How many of each cell's first x awards have a priority above t (x
     given per cell, t per cell or as rows of per-cell thresholds)."""
-    # about p/t + 1/2 awards of a cell lie above t > 0; test the estimate and
-    # its two neighbours, one at a time to keep temporaries small, against
-    # the float priorities themselves
-    q = np.divide(p, t, out=np.full(t.shape, np.inf), where=p * 2.0 ** -900 < t)
-    est = np.clip(np.floor(q + 0.5) - w, 0, x).astype(np.int64)
-    hits = sum(np.where(k < 0, True, (k < x) & (_priorities(p, w + k) > t))
-               for k in (est - 1, est, est + 1))
-    a = np.where((t > 0) & (hits > 0), est - 1 + hits, 0)
-    b = np.where((t > 0) & (hits < 3), est - 1 + hits, x)
-    # bisect where the estimate missed: the answer lies in [a, b]
-    while True:
-        open_ = a < b
-        if not open_.any():
-            return a
-        mid = a + (b - a) // 2
-        above = _priorities(p, w + mid) > t
-        a = np.where(open_ & above, mid + 1, a)
-        b = np.where(open_ & ~above, mid, b)
+    # on the domain the count is the estimate p/t + 1/2 or one of its two
+    # neighbours; test the three, one at a time to keep temporaries small,
+    # against the float priorities themselves
+    est = np.clip(np.floor(p / t + 0.5), 0, x).astype(np.int64)
+    return est - 1 + sum(np.where(k < 0, True, (k < x) & (_priorities(p, k) > t))
+                         for k in (est - 1, est, est + 1))
 
 
-def _window(x: np.ndarray, p: np.ndarray, w: np.ndarray, fiber: np.ndarray,
-            start: np.ndarray) -> tuple:
+def _window(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
     """Per-cell bounds lo <= awards <= hi, from two thresholds per fiber.
 
     Award k's divisor sqrt(k(k+1)) (1 at k = 0) lies in [k, k+1], and above
     k + 3/8 from k = 1 on, so a cell of weight p has between p/t - 1 and
     p/t + 5/8 awards of priority above t.  A fiber of weight P, n cells and
-    N awards, start counts included, thus gives its last award a priority
-    in [P/(N + n), P/(N - 5n/8)] (Pukelsheim, Proportional Representation,
-    ch. 4; Balinski & Young, Fair Representation).  lo counts the awards
-    above the upper end and hi those above the lower end, each end widened
-    by (n + 16) * 2**-52 against the rounding of the sum, the divisors and
-    the priorities.
-
-    Subnormal priorities can break the bound, but the counts still decide:
-    a fiber's awards above t all win if there are at most x of them, and
-    all of its winners lie above t if there are at least x.  So lo drops to
-    0 where it sums past x, and hi counts the awards above 0 where it sums
-    short of x; those still missing have priority 0, and the largest
-    weight, first of equals, wins them.
+    x awards thus gives its last award a priority in [P/(x + n),
+    P/(x - 5n/8)] (Pukelsheim, Proportional Representation, ch. 4;
+    Balinski & Young, Fair Representation).  lo counts the awards above the
+    upper end and hi those above the lower end, each end widened by
+    (n + 16) * 2**-52 against the rounding of the sum, the divisors and the
+    priorities, all normal floats on the domain.
     """
     size = np.bincount(fiber, minlength=len(x))
     total = np.bincount(fiber, p, len(x))
-    awards = np.bincount(fiber, w, len(x)) + x
     eps = (size + 16) * 2.0 ** -52
-    # the upper end reads inf where N <= 5n/8
+    # the upper end reads inf where x <= 5n/8
     with np.errstate(divide="ignore"):
-        upper = total * (1 + eps) / np.maximum(awards - 0.625 * size, 0)
-    lower = total * (1 - eps) / (awards + size)
-    lo, hi = _counts_above(np.stack([upper, lower])[:, fiber], p, w, x[fiber])
-    lo[(np.add.reduceat(lo, start) > x)[fiber]] = 0
-    short = np.flatnonzero((np.add.reduceat(hi, start) < x)[fiber])
-    if short.size:
-        hi[short] = _counts_above(np.zeros(len(short)), p[short], w[short],
-                                  x[fiber[short]])
-        gap = np.maximum(x - np.add.reduceat(hi, start), 0)
-        tops = np.flatnonzero(p == np.maximum.reduceat(p, start)[fiber])
-        hi[tops[np.searchsorted(fiber[tops], np.arange(len(x)))]] += gap
-        # a gap left means every award above 0 wins, so hi is the split
-        lo = np.where((gap > 0)[fiber], hi, lo)
-    return lo, hi
+        upper = total * (1 + eps) / np.maximum(x - 0.625 * size, 0)
+    lower = total * (1 - eps) / (x + size)
+    return _counts_above(np.stack([upper, lower])[:, fiber], p, x[fiber])
 
 
-def _ranked(p: np.ndarray, w: np.ndarray, fiber: np.ndarray, lo: np.ndarray,
-            hi: np.ndarray) -> np.ndarray:
-    """Cells of the candidate awards lo..hi-1 after start counts w, fiber by
-    fiber in award order: larger priority first, then the larger weight,
-    then the lower cell and the earlier award."""
+def _ranked(p: np.ndarray, fiber: np.ndarray, lo: np.ndarray, hi: np.ndarray,
+            need: np.ndarray) -> np.ndarray:
+    """Cells of the first need[f] of fiber f's candidate awards lo..hi-1,
+    fiber by fiber in award order: larger priority first, then the larger
+    weight, then the lower cell and the earlier award."""
     length = hi - lo
     cell = np.repeat(np.arange(len(p)), length)
     k = lo[cell] + np.arange(len(cell)) - (np.cumsum(length) - length)[cell]
     # stable: equal keys keep the candidate order
-    return cell[np.lexsort((-p[cell], -_priorities(p[cell], w[cell] + k),
-                            fiber[cell]))]
+    cell = cell[np.lexsort((-p[cell], -_priorities(p[cell], k), fiber[cell]))]
+    # fiber f's candidates come in one block; its first need[f] are kept
+    f = fiber[cell]
+    count = np.bincount(fiber, length, len(need)).astype(np.int64)
+    return cell[np.arange(len(cell)) - (np.cumsum(count) - count)[f] < need[f]]
 
 
-def _award(x: np.ndarray, p: np.ndarray, w: np.ndarray,
-           fiber: np.ndarray) -> np.ndarray:
-    """Awards per cell of each fiber f's x[f] top priorities after start
-    counts w."""
-    start = _starts(fiber, len(x))
-    lo, hi = _window(x, p, w, fiber, start)
-    ranked = _ranked(p, w, fiber, lo, hi)
-    # fiber f's candidates come in one block; its first x[f] - sum(lo) win
-    f = fiber[ranked]
-    count = np.add.reduceat(hi - lo, start)
-    rank = np.arange(len(ranked)) - (np.cumsum(count) - count)[f]
-    won = ranked[rank < (x - np.add.reduceat(lo, start))[f]]
-    return lo + np.bincount(won, minlength=len(p))
-
-
-def _apportion(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
-    """Huntington-Hill split of x[f] over the cells of each fiber f.
-
-    Cells come fiber by fiber, and the callers have checked each fiber's
-    weights and x against the domain.  A fiber of integer weights, whose
-    float sum is then exact, gets k*p first where that sum fits k >= 1
-    times into x.
-    """
-    total = np.bincount(fiber, p, len(x))
-    whole = np.logical_and.reduceat(p == np.floor(p), _starts(fiber, len(x)))
-    k = (x // np.where(whole & (total <= x), total, np.inf)).astype(np.int64)
-    w = k[fiber] * p.astype(np.int64)
-    return w + _award(x - k * total.astype(np.int64), p, w, fiber)
+def _award(x: np.ndarray, p: np.ndarray, fiber: np.ndarray) -> np.ndarray:
+    """Awards per cell of each fiber f's x[f] top priorities; cells come
+    fiber by fiber, checked against the domain."""
+    lo, hi = _window(x, p, fiber)
+    need = x - np.add.reduceat(lo, np.searchsorted(fiber, np.arange(len(x))))
+    return lo + np.bincount(_ranked(p, fiber, lo, hi, need), minlength=len(p))
 
 
 def huntington_hill(x: int, p) -> list[int]:
     """Integer split of x along p: the x top Huntington-Hill priorities."""
     if not (0 <= x < HH_LIMIT and float(x).is_integer()):
         raise DataError(f"cannot split {x!r}: a total is an integer in {_DOMAIN}")
-    p = _check_weights(p, HH_LIMIT)
-    return _apportion(np.array([int(x)], dtype=np.int64), p,
-                      np.zeros(len(p), dtype=np.int64)).tolist()
+    p = _check_weights(p, hh=True)
+    return _award(np.array([int(x)], dtype=np.int64), p,
+                  np.zeros(len(p), dtype=np.int64)).tolist()
 
 
 def huntington_hill_sequences(p, tops) -> np.ndarray:
@@ -244,7 +194,7 @@ def huntington_hill_sequences(p, tops) -> np.ndarray:
         raise DataError("need one total per weight row")
     tops = tops.astype(np.int64)
     for row in p.tolist():
-        _check_weights(row, HH_LIMIT)
+        _check_weights(row, hh=True)
     n = p.shape[1]
     rows = max(1, _BLOCK_CELLS // n)
     seq = np.empty(int(tops.sum()), dtype=np.int64)
@@ -252,13 +202,8 @@ def huntington_hill_sequences(p, tops) -> np.ndarray:
     for b in range(0, len(p), rows):
         x, cells = tops[b:b + rows], p[b:b + rows].ravel()
         fiber = np.repeat(np.arange(len(x)), n)
-        zeros = np.zeros(len(cells), dtype=np.int64)
-        _, hi = _window(x, cells, zeros, fiber, np.arange(0, len(cells), n))
-        ranked = _ranked(cells, zeros, fiber, zeros, hi)
-        # row f's candidates come in one block; its first x[f] are kept
-        f = ranked // n
-        count = hi.reshape(-1, n).sum(axis=1)
-        kept = ranked[np.arange(len(ranked)) - (np.cumsum(count) - count)[f] < x[f]] % n
+        _, hi = _window(x, cells, fiber)
+        kept = _ranked(cells, fiber, np.zeros_like(hi), hi, x) % n
         seq[at:at + len(kept)] = kept
         at += len(kept)
     return seq
@@ -371,8 +316,10 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
 
     # the first failing source cell in key order names its first failure
     limit = HH_LIMIT if hh else math.inf
+    tiny = hh & (weight > 0) & (weight < HH_FLOOR)
     bad = (hh & (x != np.floor(x)), x >= limit, size == 0,
-           ~positive & (not uniform_fallback), total >= limit)
+           ~positive & (not uniform_fallback), np.bincount(fib, tiny, len(x)) > 0,
+           total >= limit)
     failing = np.flatnonzero(np.logical_or.reduce(bad))
     if failing.size:
         i = failing[0]
@@ -385,13 +332,17 @@ def disaggregate_table(source: CensusTable, distribution: CensusTable, key_dims,
             raise DataError(f"{source.name}: no target keys under cell {key}")
         if bad[3][i]:
             raise DataError(f"{source.name}: all-zero distribution under cell {key}")
+        if bad[4][i]:
+            w = weight[np.flatnonzero(tiny & (fib == i))[0]]
+            raise DataError(f"{source.name}: weight {w.item()} under cell {key} "
+                            f"lies between 0 and {_FLOOR}")
         if hh:
             raise DataError(f"{source.name}: weights under cell {key} sum to "
                             f"{total[i].item()}, outside {_DOMAIN}")
         raise DataError("weights sum overflows a float")
 
     if hh:
-        share = _apportion(x.astype(np.int64), weight, fib).astype(float)
+        share = _award(x.astype(np.int64), weight, fib).astype(float)
     else:
         # a share past the float range reads inf, which the table rejects
         with np.errstate(over="ignore"):

@@ -35,9 +35,8 @@ from .errors import DataError
 from .fitting import activation, gaussian_rates
 from .rng import stream_array, uniform_array
 from .simulate import MALE_SHARE
-# degrade is unused here; it stays bound because the benchmark and
-# tests/test_acceptance.py import it from this module, and the benchmark
-# traces it as censim.synthgen:degrade
+# degrade is unused here; it stays bound because the benchmark imports it
+# from this module and traces it as censim.synthgen:degrade
 from .table import (FULL_AGES, SEXES, CensusTable, Entries, ResolutionSpec,
                     add_tables, cells, degrade)
 from .regions import validate_code

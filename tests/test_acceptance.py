@@ -23,8 +23,8 @@ from censim.lifetable import build_life_table, life_expectancy
 from censim.rates import death_table_alpha, farr_probability, invert_farr
 from censim.regions import RegionManifest
 from censim.simulate import ScenarioConfig, SimParams, run
-from censim.synthgen import SynthSpec, degrade, generate_truth
-from censim.table import SEXES, CensusTable, ResolutionSpec, aggregate
+from censim.synthgen import SynthSpec, generate_truth
+from censim.table import SEXES, CensusTable, ResolutionSpec, aggregate, degrade
 from censim.validate import error_band
 
 FULL = tuple(range(101))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from censim.disagg import (_award, disaggregate_table, huntington_hill,
+from censim.disagg import (_priorities, disaggregate_table, huntington_hill,
                            huntington_hill_sequences, proportional_disaggregate)
 from censim.errors import DataError
 from censim.regions import RegionManifest
@@ -81,31 +81,30 @@ def test_totals_outside_int64_are_data_errors():
         huntington_hill_sequences([[1.0, 2.0]], np.array([2**63], np.uint64))
 
 
-def test_prefill_needs_int64_weights_whose_exact_sum_fits():
+def test_integer_weights_at_the_domain_edge():
     # weights summing past the domain, such as a weight of 2**63 or
-    # 2**62 + 2**62, are data errors; inside it integer weights fit an
-    # int64 and their float sum is exact, so a sum one past x takes no
-    # start counts
+    # 2**62 + 2**62, are data errors; inside it, totals up to their sum
+    # split without warnings, and no award left out has a priority above
+    # one handed out
     for p in ([2.0**63, 2.0], [2.0**62, 2.0**62], [2.0**47, 2.0**47]):
         with pytest.raises(DataError, match=r"outside 0\.\.2\*\*48 - 1"):
             huntington_hill(2**48 - 1, p)
     x = 2**47
-    for p in ([2.0**47, 1.0], [2.0**46, 2.0**46 + 1]):
+    for p, expected in (([2.0**47, 1.0], [x, 0]), ([2.0**46, 2.0**46 + 1], [x // 2 - 1, x // 2 + 1])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             split = huntington_hill(x, p)
-        zeros = np.zeros(len(p), np.int64)
-        assert min(split) >= 0 and sum(split) == x
-        assert split == _award(np.array([x]), np.array(p), zeros, zeros).tolist()
+        assert split == expected
+        p, k = np.array(p), np.array(split)
+        assert _priorities(p, k - 1)[k > 0].min() >= _priorities(p, k).max()
 
 
-def test_prefill_stops_where_float_priorities_tie_near_2_52_awards():
-    """The k*p start state is the award loop's own only while k*max(p) is
-    below 2**48; at about 2**52 awards a float priority ties the other
-    cells' first awards, and the larger weight takes the tie.  The domain
-    ends at 2**48, before those ties, so the two totals below are data
-    errors, and at the domain's edge the k = 1 start counts equal the
-    selection without them.
+def test_float_priorities_tie_near_2_52_awards_past_the_edge():
+    """At about 2**52 awards a float priority ties another cell's first
+    award, and the larger weight takes the tie, so the award loop leaves
+    the exact divisor split there.  The domain ends at 2**48, before those
+    ties, so the two totals below are data errors, and at the domain's
+    edge the split is the exact one.
 
     x = 2**52 + 1, p = [2**52, 1]: cell 0's award m < 2**52 has priority
     2**52 / sqrt(m(m+1)) > 1; at m = 2**52 - 1 the product 2**104 - 2**52 is
@@ -113,41 +112,20 @@ def test_prefill_stops_where_float_priorities_tie_near_2_52_awards():
     At m = 2**52 the product 2**104 + 2**52 is exact, its root 2**52 + 0.5 -
     (a little) rounds to 2**52, so the priority is exactly 1.0, the priority
     of cell 1's first award.  Ties go to the larger weight: cell 0 takes
-    all 2**52 + 1 awards, [2**52 + 1, 0], where k = 1 start counts would
-    give [2**52, 1].
+    all 2**52 + 1 awards, [2**52 + 1, 0], where the exact split is
+    [2**52, 1].
 
     x = 2**53 + 2, p = [2**53, 1, 1]: cell 0's award 2**53 - 1 has the
     exact product 2**106 - 2**53, root 2**53 - 1 and priority 1 + 2**-52.
     Awards 2**53 and 2**53 + 1 both read m as the float 2**53 (2**53 + 1
     rounds to even), and 2**53 + 1.0 rounds to 2**53 too, so both have
     priority exactly 1.0 and beat the first awards of cells 1 and 2 as the
-    larger weight: [2**53 + 2, 0, 0], not the k = 1 start counts
-    [2**53, 1, 1].
+    larger weight: [2**53 + 2, 0, 0], not the exact [2**53, 1, 1].
     """
     for x, p in ((2**52 + 1, [2.0**52, 1.0]), (2**53 + 2, [2.0**53, 1.0, 1.0])):
         with pytest.raises(DataError, match=r"0\.\.2\*\*48 - 1"):
             huntington_hill(x, p)
-    x, p = 2**48 - 1, [2.0**48 - 2, 1.0]
-    zeros = np.zeros(2, np.int64)
-    assert huntington_hill(x, p) == [2**48 - 2, 1]
-    assert _award(np.array([x]), np.array(p), zeros, zeros).tolist() == [2**48 - 2, 1]
-
-
-def test_prefill_bound_is_on_k_times_the_largest_weight(monkeypatch):
-    import censim.disagg as disagg
-
-    starts = []
-    award = disagg._award
-    monkeypatch.setattr(disagg, "_award", lambda x, p, w, fiber:
-                        starts.append(w.tolist()) or award(x, p, w, fiber))
-    # in the domain k*max(p) <= x < 2**48, so the prefill takes its start
-    # counts up to the edge, and a total past the edge raises before any
-    # award
-    k = (2**48 - 1) // 3
-    huntington_hill(3 * k, [1.0, 2.0])
-    with pytest.raises(DataError, match=r"0\.\.2\*\*48 - 1"):
-        huntington_hill(3 * (k + 1), [1.0, 2.0])
-    assert starts == [[k, 2 * k]]
+    assert huntington_hill(2**48 - 1, [2.0**48 - 2, 1.0]) == [2**48 - 2, 1]
 
 
 def test_disaggregate_table_names_a_cell_outside_int64():
@@ -275,8 +253,10 @@ def test_huntington_hill_house_monotone_large_houses():
         assert sum(hi) - sum(lo) == 1
 
 
+# weights on the domain: 0, or from the floor 2**-900 up
 @given(st.integers(0, 10 ** 6),
-       st.lists(st.floats(0, 100), min_size=1, max_size=40).filter(lambda p: sum(p) > 0))
+       st.lists(st.just(0.0) | st.floats(2.0**-900, 100), min_size=1,
+                max_size=40).filter(lambda p: sum(p) > 0))
 def test_huntington_hill_sums_exactly(x, p):
     out = huntington_hill(x, p)
     assert sum(out) == x

@@ -12,8 +12,8 @@ became index arrays, kept verbatim and run on the reference splits above.
 The array version must return equal tables and raise equal messages.
 
 Both references take the kernel's domain, totals and weight sums below
-2**48, and raise its messages outside it; every case compares either the
-split or the message.
+2**48 and positive weights of at least 2**-900, and raise its messages
+outside it; every case compares either the split or the message.
 """
 
 import math
@@ -22,12 +22,16 @@ import random
 import numpy as np
 import pytest
 
-from censim.disagg import (_apportion, _starts, _window, disaggregate_table,
-                           huntington_hill, huntington_hill_sequences)
+import censim.disagg as disagg
+from censim.disagg import (_award, _counts_above, _priorities, _window,
+                           disaggregate_table, huntington_hill,
+                           huntington_hill_sequences)
 from censim.errors import DataError
 from censim.regions import RegionManifest, coarser_or_equal, parent_region
 from censim.synthgen import SynthSpec, _kernel
 from censim.table import SEXES, CensusTable, ResolutionSpec
+
+FLOOR = 2.0 ** -900
 
 
 def _draw_loop(x: int, p: np.ndarray, w: np.ndarray) -> None:
@@ -41,13 +45,16 @@ def _draw_loop(x: int, p: np.ndarray, w: np.ndarray) -> None:
         v[j] = p[j] / math.sqrt(w[j] * (w[j] + 1.0))
 
 
-def _check_weights(p) -> list[float]:
+def _check_weights(p, hh=False) -> list[float]:
     p = [float(v) for v in p]
     if not p:
         raise DataError("empty weight vector")
     for v in p:
         if not math.isfinite(v) or v < 0:
             raise DataError(f"negative or non-finite weight {v}")
+    for v in p:
+        if hh and 0 < v < FLOOR:
+            raise DataError(f"weight {v} lies between 0 and 2**-900")
     try:
         total = math.fsum(p)
     except OverflowError:
@@ -58,11 +65,16 @@ def _check_weights(p) -> list[float]:
 
 
 def reference_huntington_hill(x: int, p) -> list[int]:
-    """The award loop, after the same k*p prefill for integer weights."""
+    """The award loop; integer weights start from k*p awards, k = x //
+    sum(p), to keep it short.  That is the loop's own state after k*sum(p)
+    awards: with q = k*p, award m has priority p >= 1/k at m = 0, above
+    (1 + 1/(2q))/k for 0 < m < q and below (1 - 1/(8q))/k from q on, and
+    floats lie within 3 * 2**-53 of these, so q < 2**48 keeps them apart.
+    The kernel takes no such start."""
     if not (0 <= x < 2**48 and float(x).is_integer()):
         raise DataError(f"cannot split {x!r}: a total is an integer in 0..2**48 - 1")
     x = int(x)
-    p = np.asarray(_check_weights(p), dtype=float)
+    p = np.asarray(_check_weights(p, hh=True), dtype=float)
     if math.fsum(p) >= 2**48:
         raise DataError(f"weights sum to {math.fsum(p)}, outside 0..2**48 - 1")
     w = np.zeros(len(p), dtype=np.int64)
@@ -138,8 +150,8 @@ def test_zero_weights_match_the_award_loop():
 
 
 def test_prefill_remainders_match_the_award_loop():
-    # integer weights with x = k*sum(p) + r, 0 < r < sum(p): the loop runs
-    # on from the k*p start state
+    # integer weights with x = k*sum(p) + r, 0 < r < sum(p): the reference
+    # loop runs on from the k*p start state, the kernel ranks from none
     rng = random.Random(5)
     cases = []
     for _ in range(2000):
@@ -150,29 +162,46 @@ def test_prefill_remainders_match_the_award_loop():
     _check(cases)
 
 
-def test_extreme_magnitudes_match_the_award_loop():
-    # subnormal weights whose priorities underflow to 0 after an award or
-    # two, next to large weights; once priorities tie at 0 the larger weight
-    # keeps winning.  With 1e300 among the scales most weight sums lie past
-    # the domain and both sides raise the same error; with 2**40 on top
-    # every sum lies inside and both sides split
+def test_extreme_magnitudes_match_the_award_loop(monkeypatch):
+    # weights at the floor 2**-900 and a few times it, next to 1e-250, 1.0
+    # and a large weight: every priority stays a normal float.  With 1e300
+    # among the scales most weight sums lie past the domain and both sides
+    # raise the same error; with 2**40 on top every sum lies inside and
+    # both sides split
     rng = random.Random(9)
     outcomes = []
     for top in (1e300, 2.0**40):
-        scales = (5e-324, 1e-323, 1e-321, 3e-310, 2.2e-308, 1e-300, 1.0, top, 0.0)
+        scales = (FLOOR, 1e-250, 1.0, top, 0.0)
         cases = [(_house(rng), _nonzero([rng.choice(scales) * rng.randint(1, 4)
                                          for _ in range(rng.randint(1, 40))]))
                  for _ in range(1500)]
-        cases += [(400, [5e-324] * 40), (400, [1e-321, 2e-321, 0.0] * 13),
-                  (250, [top, 5e-324, 0.0, top])]
+        cases += [(400, [FLOOR] * 40), (400, [FLOOR, 2 * FLOOR, 0.0] * 13),
+                  (250, [top, FLOOR, 0.0, top])]
         outcomes.append(_check(cases))
     errors = [sum(isinstance(v, str) for v in out) for out in outcomes]
     assert errors[0] > 500 and errors[1] == 0
     assert all("outside 0..2**48 - 1" in v for v in outcomes[0] if isinstance(v, str))
-    assert huntington_hill(5, [0.0, 5e-324, 0.0]) == [0, 5, 0]
-    # both cells' priorities round to one ulp after an award; the larger
-    # weight wins every tie there, then every tie at 0
-    assert huntington_hill(4, [5e-324, 1e-323]) == [0, 4]
+    assert huntington_hill(5, [0.0, FLOOR, 0.0]) == [0, 5, 0]
+    assert huntington_hill(3, [FLOOR, 2 * FLOOR]) == [1, 2]
+    # below the floor, subnormal weights among them, each entry point
+    # raises before it ranks anything
+    monkeypatch.setattr(disagg, "_window", lambda *args: pytest.fail("ranked"))
+    res = ResolutionSpec((2020, 2020), "municipalities", (), (0,), 0)
+    source = CensusTable(ResolutionSpec((2020, 2020), "districts", (), (0,), 0),
+                         {(2020, "101", "-", 0): 5}, integer=True, name="P")
+    for tiny in (5e-324, 1e-321, 2.2e-308, 1e-300, math.nextafter(FLOOR, 0)):
+        message = f"weight {tiny} lies between 0 and 2\\*\\*-900"
+        for p in ([tiny], [1.0, tiny, 0.0], [2.0**40, tiny, tiny]):
+            with pytest.raises(DataError, match=message):
+                huntington_hill(5, p)
+            with pytest.raises(DataError, match=message):
+                huntington_hill_sequences([[1.0] * len(p), p], [5, 0])
+        dist = CensusTable(res, {(2020, "10101", "-", 0): 1.0, (2020, "10102", "-", 0): tiny})
+        with pytest.raises(DataError, match=f"P: weight {tiny} under cell "
+                                            f"\\(2020, '101', '-', 0\\) lies between"):
+            disaggregate_table(source, dist, (), res, "huntington_hill")
+    # the proportional shares have no floor
+    assert disaggregate_table(source, dist, (), res, "proportional").total() == 5
 
 
 def test_large_houses_match_the_award_loop():
@@ -189,15 +218,15 @@ def _fiber(rng):
     draw = rng.choice((lambda: rng.randint(0, 9), lambda: rng.uniform(0, 5),
                        lambda: rng.choice((0, 0, 2.5, rng.uniform(0, 3))),
                        lambda: rng.choice((1.0, 2.0)),
-                       lambda: rng.choice((5e-324, 1e-323, 1e-321, 0.0))))
+                       lambda: rng.choice((FLOOR, 2 * FLOOR, 3 * FLOOR, 0.0))))
     x = rng.choice((0, rng.randint(0, 5), _house(rng), rng.randint(401, 1500)))
     return x, _nonzero([draw() for _ in range(n)])
 
 
 def test_many_fibers_in_one_call_match_the_award_loop():
     # integer and fractional fibers side by side, with x = 0, single cells,
-    # zero weights, ties and priorities that underflow to 0: each fiber's
-    # split equals its own loop
+    # zero weights, ties and weights at the floor: each fiber's split equals
+    # its own loop
     rng = random.Random(31)
     calls = []
     for _ in range(250):
@@ -207,13 +236,14 @@ def test_many_fibers_in_one_call_match_the_award_loop():
                       np.repeat(np.arange(len(fibers)), [len(p) for _, p in fibers]),
                       [v for x, p in fibers for v in reference_huntington_hill(x, p)]))
     for x, p, fiber, expected in calls:
-        assert _apportion(x, p, fiber).tolist() == expected
+        assert _award(x, p, fiber).tolist() == expected
 
 
 def test_window_brackets_each_split_in_three_candidates_per_cell():
-    # normal weights, several fibers per call, integer fibers run on from
-    # their k*p start: lo..hi holds each fiber's split, and the bracket
-    # leaves at most 3n candidates to rank in a fiber of n cells
+    # several fibers per call, integer fibers up to a few times their
+    # weight sum, weights at the floor beside large ones: lo..hi holds each
+    # fiber's split, and the bracket leaves at most 3n candidates to rank
+    # in a fiber of n cells
     rng = random.Random(43)
     for _ in range(400):
         fibers = []
@@ -223,21 +253,58 @@ def test_window_brackets_each_split_in_three_candidates_per_cell():
                 p = _nonzero([rng.randint(0, 8) for _ in range(n)])
                 x = rng.randint(0, 6) * sum(p) + rng.randint(0, sum(p))
             else:
-                p = _nonzero([rng.choice((0.0, 2.5, rng.uniform(0, 100))) for _ in range(n)])
+                p = _nonzero([rng.choice((0.0, 2.5, FLOOR, rng.uniform(0, 100)))
+                              for _ in range(n)])
                 x = _house(rng, 3000)
             fibers.append((x, p))
         p = np.concatenate([np.asarray(p, float) for _, p in fibers])
         fiber = np.repeat(np.arange(len(fibers)), [len(p) for _, p in fibers])
         split = np.array([v for x, p in fibers for v in reference_huntington_hill(x, p)])
-        # the start counts and the awards after them, as _apportion passes them
-        k = np.array([x // sum(p) if all(float(v).is_integer() for v in p) else 0
-                      for x, p in fibers])
-        w = (k[fiber] * p).astype(np.int64)
-        x = np.array([x for x, _ in fibers]) - np.bincount(fiber, w).astype(np.int64)
-        start = _starts(fiber, len(fibers))
-        lo, hi = _window(x, p, w, fiber, start)
-        assert (lo <= split - w).all() and (split - w <= hi).all()
-        assert (np.add.reduceat(hi - lo, start) <= 3 * np.diff(np.append(start, len(p)))).all()
+        lo, hi = _window(np.array([x for x, _ in fibers]), p, fiber)
+        assert (lo <= split).all() and (split <= hi).all()
+        start = np.searchsorted(fiber, np.arange(len(fibers)))
+        assert (np.add.reduceat(hi - lo, start) <= 3 * np.bincount(fiber)).all()
+
+
+def _bisected_counts_above(t, p, x):
+    """Each cell's count of awards 0..x-1 with a priority above t, by
+    bisection over the float priorities, which never increase."""
+    a = np.zeros(t.shape, dtype=np.int64)
+    b = np.broadcast_to(x, t.shape).copy()
+    while (a < b).any():
+        open_ = a < b
+        mid = a + (b - a) // 2
+        above = _priorities(p, mid) > t
+        a = np.where(open_ & above, mid + 1, a)
+        b = np.where(open_ & ~above, mid, b)
+    return a
+
+
+def test_counts_above_equal_the_bisection_on_the_domain():
+    # weights from the floor to about 2**47 with sums below 2**48, totals
+    # up to 2**48 - 1, and thresholds at a fiber's window ends, at its
+    # cells' own float priorities and one ulp to either side of them: the
+    # estimate p/t + 1/2 and its two neighbours find every count
+    rng = random.Random(47)
+    for trial in range(1500):
+        n = rng.randint(1, 40)
+        big = 47 - math.log2(n)
+        draw = rng.choice((lambda: FLOOR * rng.randint(1, 4),
+                           lambda: 2.0 ** rng.uniform(-900, big),
+                           lambda: float(rng.randint(0, 9)),
+                           lambda: rng.choice((0.0, FLOOR, 1.0, 2.0 ** int(big)))))
+        p = np.array(_nonzero([draw() for _ in range(n)]), dtype=float)
+        x = rng.choice((rng.randint(0, 400), rng.randint(0, 2**48 - 1), 2**48 - 1))
+        total = p.sum()
+        ts = [total / (x + n), total / max(x - 0.625 * n, 0.5), math.inf]
+        for _ in range(3):
+            t = _priorities(p[rng.randrange(n):][:1],
+                            np.array([rng.choice((0, 1, rng.randint(0, x), x))]))[0]
+            if t > 0:
+                ts += [t, math.nextafter(t, 0), math.nextafter(t, math.inf)]
+        t = np.repeat(np.array(ts)[:, None], n, axis=1)
+        xs = np.full(n, x, dtype=np.int64)
+        assert (_counts_above(t, p, xs) == _bisected_counts_above(t, p, xs)).all()
 
 
 def _check_prefixes(xs, p, seq):
@@ -251,7 +318,7 @@ def test_splits_are_prefix_counts_of_one_award_sequence():
     for trial in range(600):
         n = rng.randint(1, 40)
         if trial % 3 == 0:
-            p = _nonzero([rng.randint(0, 5) for _ in range(n)])   # prefill path
+            p = _nonzero([rng.randint(0, 5) for _ in range(n)])
         elif trial % 3 == 1:
             p = _nonzero([rng.choice((0.0, rng.uniform(0, 4), 2.5)) for _ in range(n)])
         else:
@@ -303,7 +370,7 @@ def test_synthgen_splits_equal_per_cell_calls():
 def test_zero_weights_change_no_split():
     # zero weights inserted anywhere get nothing and leave the other cells'
     # awards as they were, for fractional weights and for integer weights,
-    # which take the k*p prefill in huntington_hill
+    # also at multiples of their sum
     rng = random.Random(61)
     for trial in range(400):
         n = rng.randint(1, 30)
@@ -484,6 +551,10 @@ def reference_disaggregate_table(source, distribution, key_dims, target, method,
                 raise DataError(
                     f"{source.name}: all-zero distribution under cell {(y, r, s, a)}")
             weights = [1.0] * len(fiber)
+        tiny = [v for v in weights if 0 < v < FLOOR] if hh else []
+        if tiny:
+            raise DataError(f"{source.name}: weight {tiny[0]} under cell {(y, r, s, a)} "
+                            "lies between 0 and 2**-900")
         if hh and sum(weights) >= 2**48:
             raise DataError(f"{source.name}: weights under cell {(y, r, s, a)} sum to "
                             f"{sum(weights)}, outside 0..2**48 - 1")
@@ -545,7 +616,7 @@ def _table_case(rng):
         if method == "huntington_hill" else (lambda: rng.uniform(0.1, 30)), "P")
     draw = rng.choice((lambda: rng.randint(0, 9), lambda: rng.uniform(0, 5),
                        lambda: 1.0, lambda: rng.choice((0, 0, 0, 3)),
-                       lambda: 1e308 if rare() else 1.0))
+                       lambda: rng.choice((1e308, 1e-300)) if rare() else 1.0))
     dist_codes = _some(rng, CODES[dist_level])
     distribution = _table(
         rng, ResolutionSpec(dist_years, dist_level, dist_sexes, dist_ages, dist_open),
@@ -574,7 +645,8 @@ def test_disaggregate_table_matches_the_fiber_loop():
             seen.add(" ".join(expected.split(": ")[-1].split(" ")[:2]))
     # both methods split cells, with and without the fallback, and each
     # failure of a source cell is reached: the rare 1e308 weights overflow
-    # a proportional fiber's sum and put a Huntington-Hill one past 2**48
+    # a proportional fiber's sum and put a Huntington-Hill one past 2**48,
+    # and the rare 1e-300 ones lie below a Huntington-Hill fiber's floor
     assert {(m, u, True) for m in _METHODS for u in (False, True)} <= seen
     assert {"non-integer value", "no target", "all-zero distribution", "weights sum",
-            "weights under"} <= seen
+            "weights under", "weight 1e-300"} <= seen

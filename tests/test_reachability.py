@@ -30,8 +30,7 @@ ALLOWED = {
 }
 
 UNUSED_IMPORTS_ALLOWED = {
-    # perfbench imports degrade from censim.synthgen and traces it there;
-    # tests/test_acceptance.py imports it from there too
+    # perfbench imports degrade from censim.synthgen and traces it there
     "synthgen.degrade",
 }
 
