@@ -17,6 +17,9 @@ written through ``_Pipeline.write`` and read through ``_Pipeline.read``; the
 simulate stage reads its inputs through the scenario file instead.  Within
 one run a table is handed from writer to reader in memory while its file
 keeps the digest it was written with; each subcommand parses its files.
+The pipeline writes its birth, death, emigration and internal-emigration
+probabilities for the whole country, as estimated; the simulator reads
+every region from the tables' ``AT`` rows.
 """
 
 from __future__ import annotations
@@ -667,10 +670,6 @@ class _Pipeline:
     def span(self) -> tuple:
         return (self.y0, self.y1 - 1)
 
-    @property
-    def sim_years(self) -> tuple:
-        return (self.t0, self.te - 1)
-
     def manifest(self) -> RegionManifest:
         return RegionManifest({self.level: self.regions})
 
@@ -730,17 +729,6 @@ def _stage_disagg(ctx: _Pipeline) -> None:
                                  regions=ctx.manifest(), uniform_fallback=True))
 
 
-def _broadcast(table: CensusTable, regions: tuple, level: str,
-               years: tuple) -> CensusTable:
-    """Copy a one-region table onto every listed region over a year range."""
-    res = replace(table.resolution, level=level, years=years)
-    axes = (res.year_list(), table.codes, res.sex_domain, res.ages)
-    one = table.grid(*axes).sum(axis=1, keepdims=True)
-    shape = (one.shape[0], len(regions)) + one.shape[2:]
-    return CensusTable(res, cells(axes[0], regions, *axes[2:],
-                                  np.broadcast_to(one, shape)), name=table.name)
-
-
 def _stage_farr(ctx: _Pipeline) -> None:
     P_c = aggregate(ctx.read("est/P_hat"), coarse_level="country")
     ctx.write("est/P_country", P_c)
@@ -748,12 +736,8 @@ def _stage_farr(ctx: _Pipeline) -> None:
                       for k in ("D", "E", "IE"))
     Q = add_tables([D_c, E_c], name="Q")
     ctx.write("est/q_hat", farr_probability_model(D_c, P_c, Q))
-    emig = farr_probability_model(E_c, P_c, Q)
-    ie = farr_probability_model(IE_c, P_c, Q)
-    write_csv(_broadcast(emig, ctx.regions, ctx.level, ctx.sim_years),
-              ctx.path("est/emig_p.csv"))
-    write_csv(_broadcast(ie, ctx.regions, ctx.level, ctx.sim_years),
-              ctx.path("est/ie_p.csv"))
+    write_csv(farr_probability_model(E_c, P_c, Q), ctx.path("est/emig_p.csv"))
+    write_csv(farr_probability_model(IE_c, P_c, Q), ctx.path("est/ie_p.csv"))
 
 
 def _stage_fit_births(ctx: _Pipeline) -> None:
@@ -772,8 +756,7 @@ def _stage_fit_births(ctx: _Pipeline) -> None:
         mac = sum((ages * by_age).tolist()) / weight
         rows.append((y, "AT", births, mac))
     out = ctx.path("est/birth_p.csv")
-    country = _fit_rows(P_c, rows, out, _birth_fit, ("f",), "birth_p")
-    write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
+    write_csv(_fit_rows(P_c, rows, out, _birth_fit, ("f",), "birth_p"), out)
 
 
 def _stage_fit_mortality(ctx: _Pipeline) -> None:
@@ -790,9 +773,8 @@ def _stage_fit_mortality(ctx: _Pipeline) -> None:
             life_expectancy(q, a, alpha) for a in (0, 65) for q in (q_m, q_f)))
     qref_years = (ctx.t0 - 3, ctx.t0 - 2, ctx.t0 - 1)
     out = ctx.path("est/death_p.csv")
-    country = _fit_rows(P_c, rows, out, _mortality_fit(q_hat, qref_years),
-                        SEXES, "death_p")
-    write_csv(_broadcast(country, ctx.regions, ctx.level, ctx.sim_years), out)
+    write_csv(_fit_rows(P_c, rows, out, _mortality_fit(q_hat, qref_years),
+                        SEXES, "death_p"), out)
 
 
 def _stage_residual(ctx: _Pipeline) -> None:
@@ -817,7 +799,7 @@ def _stage_fuse(ctx: _Pipeline) -> None:
     bc = ctx.read("coarse/II_cls", "II")
     ac = ctx.read("coarse/M", "M")
     tables, stats = _fuse_blocks(ab, bc, ac, tol=1e-4, zero_diagonal=True,
-                                 years=ctx.sim_years)
+                                 years=(ctx.t0, ctx.te - 1))
     _write_od_bundle(tables, ctx.path("est"), open_age=100)
     log.info("fuse: %d blocks, worst residual %.3g, max %d iterations",
              stats["blocks"], stats["residual"], stats["iterations"])

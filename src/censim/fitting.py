@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -357,14 +358,21 @@ def fit_mortality(target: MortalityFitTarget, pop_avg, qref, alpha=None,
     a = _separation(alpha, AGE_COUNT)
     lo = max(b[0] for b in MORTALITY_BOUNDS)
     hi = min(b[1] for b in MORTALITY_BOUNDS)
-    try:
-        theta0 = _anchored_mortality_start(target, pop_avg, qref, a, lo, hi)
+    objective = partial(mortality_objective, target=target, pop_avg=pop_avg,
+                        qref=qref, a=a)
+    try:  # the six bounds are the same
+        theta0 = np.clip(_anchored_mortality_start(target, pop_avg, qref, a,
+                                                   lo, hi), lo, hi)
+        f0 = objective(theta0)
     except DataError:
-        theta0 = np.ones(6)
-    theta0 = np.clip(theta0, lo, hi)  # the six bounds are the same
-    return minimize(
-        lambda th: mortality_objective(th, target, pop_avg, qref, a),
-        theta0, MORTALITY_BOUNDS, diagnostics=diagnostics)
+        theta0, f0 = np.ones(6), math.inf  # polished whatever it scores
+    if f0 < TOL:  # on target, where the polish only fails at the kink
+        if diagnostics is not None:
+            diagnostics.update(iterations=0, evals=1, converged=True,
+                               objective=f0)
+        return theta0, f0
+    return minimize(objective, theta0, MORTALITY_BOUNDS,
+                    diagnostics=diagnostics)
 
 
 def average_slice(pop, year: int, region: str, sex: str) -> np.ndarray:

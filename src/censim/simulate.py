@@ -36,6 +36,7 @@ import numpy as np
 from .balance import round_half_away
 from .disagg import huntington_hill
 from .errors import DataError
+from .regions import coarser_or_equal, parent_region
 from .rng import stream_array, uniform_array
 from .table import FULL_AGES, CensusTable, Entries, ResolutionSpec, SEXES, cells
 
@@ -88,7 +89,8 @@ class SimParams:
     ie_p: internal-emigration probabilities, required unless im_mode is none.
     od / ii / m_by_age: destination sources for the interregional,
     biregional and full modes; m_by_age maps an age-class lower bound to an
-    origin-destination table.
+    origin-destination table.  A probability table may be at any level at
+    or above the population's; count tables are at the population's level.
     """
 
     population: CensusTable
@@ -140,8 +142,11 @@ def _require(cond: bool, message: str):
 def _check_person_table(t: CensusTable, what: str, level: str, years: tuple,
                         probability: bool, sexes=SEXES):
     _require(not t.resolution.od, f"{what} must be a plain table")
-    _require(t.resolution.level == level,
-             f"{what} is at level {t.resolution.level}, expected {level}")
+    # a probability holds below its region; a count copied would multiply
+    at = t.resolution.level
+    _require(coarser_or_equal(at, level) if probability else at == level,
+             f"{what} is at level {at}, expected "
+             f"{'at or above ' if probability else ''}the population's level {level}")
     _require(t.resolution.ages == FULL_AGES and t.resolution.open_age == 100,
              f"{what} must carry single ages 0..100+")
     for s in sexes:
@@ -284,15 +289,18 @@ def census_counts(state: SimulationState) -> Entries:
 
 def _planes(config: ScenarioConfig, params: SimParams, regions: tuple) -> dict:
     """Dense (year, region, sex, age) arrays of the per-person tables a step
-    reads, built once per scenario and shared by its runs."""
+    reads, built once per scenario and shared by its runs; each region reads
+    a table's row for its ancestor at the table's level."""
     tables = {"death": params.death_p, "emig": params.emig_p,
               "birth": params.birth_p}
     if config.im_mode != "none":
         tables["ie"] = params.ie_p
     if config.im_mode == "biregional":
         tables["ii"] = params.ii
-    years = range(config.t0, config.te)
-    return {name: table.grid(years, regions, SEXES, FULL_AGES)
+    level = params.population.resolution.level
+    return {name: table.grid(range(config.t0, config.te),
+                             [parent_region(r, level, table.resolution.level)
+                              for r in regions], SEXES, FULL_AGES)
             for name, table in tables.items()}
 
 

@@ -490,6 +490,26 @@ def test_simulate_cli_runs_scenario(tmp_path):
     assert mean[(2000, "AT-1", "m", 30)] == 40.0
 
 
+def test_simulate_cli_reads_country_level_death_probabilities(tmp_path):
+    """A scenario may name a death table above the population's level: each
+    region reads its ancestor's row, as if the table were copied onto it."""
+    cfg = write_scenario(tmp_path)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "states")]) == 0
+    country = CensusTable(res((2000, 2002), level="country", ages=FULL,
+                              open_age=100),
+                          {(y, "AT", s, a): 1.0 for y in (2000, 2001, 2002)
+                           for s in SEXES for a in FULL})
+    write_csv(country, str(tmp_path / "death.csv"))
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "country")]) == 0
+    for fn in ("census_run00.csv", "census_run01.csv", "mean.csv"):
+        assert ((tmp_path / "country" / fn).read_bytes()
+                == (tmp_path / "states" / fn).read_bytes())
+    run0 = read_csv(str(tmp_path / "country" / "census_run00.csv"))
+    assert run0.total() == 80  # everyone dies in year one
+
+
 def test_simulate_cli_misspelt_key_exits_one(tmp_path, caplog):
     out_dir = tmp_path / "results"
     code = main(["simulate", "--config",
@@ -614,17 +634,17 @@ def test_pipeline_produces_all_outputs(pipeline_dir):
 # for byte unchanged.
 OUTPUT_SHA256 = {
     "pipeline/est/birth_p.csv":
-        "f70fae60d42954bef426ec3ba5fd31060753bc574616a0a191ea3afd803c68e9",
+        "7dd07c4265406dbad9da0fd8762914d248e7e7abbf4b9a34bddd439b4a23a395",
     "pipeline/est/birth_p.report.csv":
         "16b5fa9a9fc4ede7672215c49c844a0e32cdaf2461a4f46430d8b06d33c693d8",
     "pipeline/est/death_p.csv":
-        "19a606d8e3df875f8aa25094ccd611240520df7bd8583cbac6b0beb1bf2dbcc5",
+        "1f10f9ac8cab9d632e17179ed378f95dcf9bc42708d284bc0344ecb2751d7219",
     "pipeline/est/death_p.report.csv":
         "178f31239172866d6090a48ff00608f839d90a021ebfbaf70b2ef58f47b21712",
     "pipeline/est/emig_p.csv":
-        "ab0c2ef2dc6d39d837b252d664de158b1be2189271358781fe4f5c36b10a1f77",
+        "5395eda8f5b0139e0d9c2162440755afef2a4d64acc17178543e545c1a122a69",
     "pipeline/est/ie_p.csv":
-        "5bc05eb224f5a61fd9af4593e63849e9ec6f04fe27b66d0398b8bd5eba65bc65",
+        "a838e00a71a9cc66cd0a71ad5850281e694a556c401a7dfd0cf651ed4c6a42a4",
     "pipeline/coarse/B_flat.csv":
         "e33bfd71f66a82e32e975cb6ea5d11d1044e8029009d6517f60f4293e80e00be",
     "pipeline/coarse/B_m_country.csv":
@@ -722,7 +742,7 @@ OUTPUT_SHA256 = {
     "fit-mortality/q.csv":
         "ab98262d80494ebcee8e52fdbfe34074d33589ffded40b2afa1eaf0e1f6402cc",
     "fit-mortality/q.report.csv":
-        "7fddab1c04e5d3f65e734c3672c10c74363605adc856567f64eb90a9d824c737",
+        "d131cdf8c42332af77a91fee7773dd896cc1ae0afb2939df0095f4519dfc85c2",
 }
 
 
@@ -735,6 +755,14 @@ def test_fit_outputs_match_pinned_digests(pipeline_dir, fit_births_run,
         where, rel = key.split("/", 1)
         got[key] = hashlib.sha256((dirs[where] / rel).read_bytes()).hexdigest()
     assert got == OUTPUT_SHA256
+
+
+def test_pipeline_rate_tables_stay_national(pipeline_dir):
+    """The pipeline estimates its probabilities for the whole country and
+    writes them so; the simulator projects each region onto them."""
+    for name in ("birth_p", "death_p", "emig_p", "ie_p"):
+        t = read_csv(str(pipeline_dir / "work" / "est" / f"{name}.csv"))
+        assert (t.resolution.level, t.codes) == ("country", ("AT",)), name
 
 
 @pytest.fixture(scope="module")

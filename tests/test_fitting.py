@@ -358,6 +358,52 @@ def test_warm_start_without_an_open_class_falls_back_to_ones(monkeypatch):
     assert [t.tobytes() for t in starts] == [np.ones(6).tobytes()]
 
 
+@pytest.mark.parametrize("case", [_warm_start_case, _pipeline_like_case],
+                         ids=["criterion-07", "pipeline-like"])
+def test_solved_start_below_tolerance_skips_the_polish(monkeypatch, case):
+    """A start that meets the targets comes back as it is, after the one
+    evaluation that shows it; the polish returns the same point and value
+    after 73 evaluations, as its line searches fail at the kink."""
+    target, pop, qref, a = case()
+    start = np.clip(fitting._anchored_mortality_start(target, pop, qref, a,
+                                                      0.2, 5.0), 0.2, 5.0)
+    polished = fitting.minimize(
+        lambda th: mortality_objective(th, target, pop, qref, a), start,
+        fitting.MORTALITY_BOUNDS)
+    calls = []
+    monkeypatch.setattr(fitting, "minimize", lambda *args, **kw: calls.append(1))
+    diag = {}
+    theta, value = fit_mortality(target, pop, qref, diagnostics=diag)
+    assert calls == [] and value < fitting.TOL
+    assert theta.tobytes() == polished[0].tobytes()
+    assert value == polished[1] == diag["objective"]
+    assert (diag["iterations"], diag["evals"], diag["converged"]) == (0, 1, True)
+
+
+@pytest.mark.parametrize("solved, value", [(True, math.inf), (False, 0.0)],
+                         ids=["infinite-start", "ones-fallback"])
+def test_polish_runs_from_an_infinite_start_and_from_the_ones(
+        monkeypatch, solved, value):
+    """Only a solved start scoring below TOL skips the polish; the ones after
+    a failed start are polished whatever they score."""
+    target, pop, qref, _ = _warm_start_case()
+    start = np.full(6, 1.5) if solved else np.ones(6)
+
+    def anchored(*args):
+        if not solved:
+            raise DataError("no start")
+        return start
+
+    monkeypatch.setattr(fitting, "_anchored_mortality_start", anchored)
+    monkeypatch.setattr(fitting, "mortality_objective",
+                        lambda *a, **kw: value)
+    starts = []
+    monkeypatch.setattr(fitting, "minimize",
+                        lambda f, x0, bounds, diagnostics: starts.append(x0))
+    fit_mortality(target, pop, qref)
+    assert [t.tobytes() for t in starts] == [start.tobytes()]
+
+
 def test_warm_start_bisects_towards_an_infinite_count(monkeypatch):
     # alpha(0) = 1 and an infant probability clipped at 1 make the count
     # infinite at the upper skew end, where interpolation gives no point
