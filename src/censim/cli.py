@@ -167,7 +167,8 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
     dests = sorted(set(bc.codes) | used(3))
     classes = abr.ages
     per_class: dict[int, list] = {lo: [] for lo in classes}
-    stats = {"blocks": 0, "iterations": 0, "residual": 0.0, "converged": True}
+    stats = {"blocks": 0, "unconverged": 0, "iterations": 0, "residual": 0.0,
+             "converged": True}
     # the fit starts at one in every class of each flow the od table holds,
     # self-flows excepted under zero_diagonal
     allowed = (np.array(origins)[:, None] != np.array(dests)) | (not zero_diagonal)
@@ -187,6 +188,7 @@ def _fuse_blocks(ab: CensusTable, bc: CensusTable, ac: CensusTable, tol: float,
             stats["iterations"] = max(stats["iterations"], result.iterations)
             stats["residual"] = max(stats["residual"], result.residual)
             stats["converged"] &= result.converged
+            stats["unconverged"] += not result.converged
             if not result.converged:
                 log.warning("ipf3 block (%d, %s) stopped at residual %.3g",
                             y, s, result.residual)
@@ -252,8 +254,8 @@ def cmd_ipf3(args) -> int:
     tables, stats = _fuse_blocks(ab, bc, ac, tol=args.tol,
                                  zero_diagonal=args.zero_diagonal)
     _write_od_bundle(tables, args.out_dir, ab.resolution.open_age)
-    log.info("ipf3: %d blocks, worst residual %.3g, max %d iterations",
-             stats["blocks"], stats["residual"], stats["iterations"])
+    log.info("ipf3: %d blocks, %d unconverged, worst residual %.3g, max %d iterations",
+             stats["blocks"], stats["unconverged"], stats["residual"], stats["iterations"])
     return 0
 
 
@@ -801,8 +803,8 @@ def _stage_fuse(ctx: _Pipeline) -> None:
     tables, stats = _fuse_blocks(ab, bc, ac, tol=1e-4, zero_diagonal=True,
                                  years=(ctx.t0, ctx.te - 1))
     _write_od_bundle(tables, ctx.path("est"), open_age=100)
-    log.info("fuse: %d blocks, worst residual %.3g, max %d iterations",
-             stats["blocks"], stats["residual"], stats["iterations"])
+    log.info("fuse: %d blocks, %d unconverged, worst residual %.3g, max %d iterations",
+             stats["blocks"], stats["unconverged"], stats["residual"], stats["iterations"])
 
 
 def _stage_simulate(ctx: _Pipeline) -> None:

@@ -193,7 +193,13 @@ def huntington_hill_sequences(p, tops) -> np.ndarray:
     if p.ndim != 2 or tops.shape != p.shape[:1]:
         raise DataError("need one total per weight row")
     tops = tops.astype(np.int64)
-    for row in p.tolist():
+    # a row passes the screen only where its check would pass; a row whose
+    # float sum lies within rounding of the limit is checked by math.fsum
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = p.sum(axis=1)
+    screened = (np.isfinite(p) & (p >= 0) & ((p == 0) | (p >= HH_FLOOR))).all(axis=1) & (
+        (total > 0) & (total < HH_LIMIT * (1 - p.shape[1] * 2.0 ** -52)))
+    for row in p[~screened].tolist():
         _check_weights(row, hh=True)
     n = p.shape[1]
     rows = max(1, _BLOCK_CELLS // n)

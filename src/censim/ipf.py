@@ -11,9 +11,17 @@ Entries that start at zero stay exactly zero.
 The 3D solver fits a tensor M to three pairwise marginals: A (sum over the
 third axis), B (sum over the first), and C (sum over the second), sweeping
 them in that order.  M starts at one on a given set of cells, zero
-elsewhere, and is only ever held on those cells.  A cell that a zero target
-passes through is dropped before the first sweep, which would zero it for
-good, so every sweep runs on the cells that remain: each marginal is one
+elsewhere, and is only ever held on those cells.  Before the first sweep
+the cells that every exact fit leaves empty are peeled off (Bishop,
+Fienberg & Holland 1975, ch. 3): a cell is dropped where one of its fibers
+has nothing left to hold, and a fiber left with one cell fixes that cell at
+what remains, which it takes from the cell's other two fibers.  A fixed
+cell still starts at one and is swept like any other.  Sweeps reach such
+zeros only in the limit, at a residual that falls like 1/sweeps
+(Pukelsheim 2014, Ann. Oper. Res. 215), so the peel changes the number of
+sweeps, not the limit.  Where the deductions contradict each other no exact
+fit exists, and only the cells that a zero target passes through are
+dropped.  Every sweep runs on the cells that remain: each marginal is one
 bincount over the cells' fiber ids, and a target that no cell reaches adds
 its whole mass to every residual.  A fiber's sum over the third axis
 therefore runs in cell order, not numpy's pairwise order; it can differ
@@ -118,6 +126,48 @@ def _fibers(ids: np.ndarray, target: np.ndarray):
     return index, flat[reached], float(np.delete(flat, reached).sum())
 
 
+def _support(fibers) -> np.ndarray:
+    """Which cells some exact fit may hold positive, as a mask over cells.
+
+    fibers holds each marginal's (targets, each cell's fiber index).  A pass
+    drops the free cells of fibers with at most eps left, then, one marginal
+    at a time, fixes each fiber's only free cell at what the fiber has left
+    and takes that from the cell's three fibers; passes repeat until one
+    fixes nothing, and a cell fixed at eps or below is dropped too.  eps is
+    the slack _check_consistent allows.  Where the deductions admit no exact
+    fit (a fiber left below -eps, or above eps with no free cell) or cannot
+    tell a positive target from an empty one (a target at most eps), only
+    the cells that a zero target passes through are dropped.
+    """
+    ids = [f for _, f in fibers]
+    nonzero = np.logical_and.reduce([T[f] > 0 for T, f in fibers])
+    eps = 1e-9 * max(1.0, float(fibers[0][0].sum()))
+    if any(((T > 0) & (T <= eps)).any() for T, _ in fibers):
+        return nonzero
+    left = [T.copy() for T, _ in fibers]
+    free = nonzero.copy()
+    value = np.zeros(free.size)
+    fixing = True
+    while fixing:
+        free &= np.logical_and.reduce([r[f] > eps for r, f in zip(left, ids)])
+        fixing = False
+        for r, f in zip(left, ids):
+            one = free & (np.bincount(f[free], minlength=r.size)[f] == 1)
+            if not one.any():
+                continue
+            value[one] = r[f[one]]
+            free &= ~one
+            for r2, f2 in zip(left, ids):
+                r2 -= np.bincount(f2[one], value[one], r2.size)
+            if min(x.min() for x in left) < -eps:
+                return nonzero
+            fixing = True
+    if any(((np.bincount(f[free], minlength=r.size) == 0) & (r > eps)).any()
+           for r, f in zip(left, ids)):
+        return nonzero
+    return free | (value > eps)
+
+
 def ipf3(A, B, C, cells=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfResult:
     """Fit a tensor M with M.sum(2)=A, M.sum(0)=B, M.sum(1)=C.
 
@@ -152,18 +202,16 @@ def ipf3(A, B, C, cells=None, tol: float = 1e-4, max_iter: int = 1000) -> IpfRes
     for k in range(r):
         _check_consistent(f"B[:,{k}]", float(B[:, k].sum()), f"C[:,{k}]", float(C[:, k].sum()))
     i, j, k = np.unravel_index(flat, (m, n, r))
-    # each cell's fiber of A, B and C, as flat indices into that marginal
-    fibers = ((A.reshape(-1), i * n + j), (B.reshape(-1), j * r + k),
-              (C.reshape(-1), i * r + k))
-    if any(((T > 0) & (np.bincount(f, minlength=T.size) == 0)).any()
-           for T, f in fibers):
+    # each cell's fiber of A, B and C, over the fibers the cells reach
+    fibers = [_fibers(f, T) for T, f in ((A, i * n + j), (B, j * r + k), (C, i * r + k))]
+    if any(unreached > 0 for _, _, unreached in fibers):
         raise DataError("a positive marginal has no positive initial entries")
 
-    # a cell that a zero target passes through is zero after the first sweep
-    # and stays zero (every factor is finite), so no sweep visits it
-    keep = np.logical_and.reduce([T[f] > 0 for T, f in fibers])
+    # a cell that every exact fit leaves empty is not swept: IPF would only
+    # reach its zero in the limit
+    keep = _support([(T, f) for f, T, _ in fibers])
     (ia, At, a_fixed), (ib, Bt, b_fixed), (ic, Ct, c_fixed) = (
-        _fibers(f[keep], T) for T, f in fibers)
+        _fibers(f[keep], T) for f, T, _ in fibers)
     fixed = a_fixed + b_fixed + c_fixed
     x = np.ones(ia.size)
     iterations = stall = 0

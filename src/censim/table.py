@@ -36,7 +36,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -324,8 +324,22 @@ class CensusTable:
 
     def get(self, key: tuple, default: float = 0.0) -> float:
         key = tuple(key)
-        v = self.grid(*([k] for k in key)).item() if len(key) == 4 else 0.0
-        return v if v else default
+        if len(key) != 4:
+            return default
+        res = self.resolution
+        year, region, sex, last = key
+        if res.od:
+            last = _code_index(self.codes, last)
+        else:
+            last = int(last) if last in res.ages else -1
+        places = [int(year) - res.years[0] if year in res.year_list() else -1,
+                  _code_index(self.codes, region), _SEX_INDEX.get(sex, -1), last]
+        if min(places) < 0:
+            return default
+        flat = _flat(*places, self._radices())
+        i = int(np.searchsorted(self._key, flat))
+        found = i < len(self._key) and self._key[i] == flat
+        return self.values[i].item() if found else default
 
     __getitem__ = get
 
@@ -398,6 +412,12 @@ class CensusTable:
             if source != list(range(len(source))):
                 out = out.take(source, axis=k)
         return out
+
+
+def _code_index(codes: tuple, code) -> int:
+    """code's position in sorted region codes, -1 where absent."""
+    i = bisect_left(codes, code) if isinstance(code, str) else len(codes)
+    return i if i < len(codes) and codes[i] == code else -1
 
 
 def _places(index: dict, axis, size: int) -> tuple[list, list]:

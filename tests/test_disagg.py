@@ -1,4 +1,6 @@
+import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -170,6 +172,22 @@ def test_splits_reject_the_domain_edge_before_splitting(monkeypatch):
         huntington_hill_sequences([[1.0, 2.0]] * 2, np.array([3, 2**48]))
     with pytest.raises(DataError, match=r"weights sum to 281474976710656\.0"):
         huntington_hill_sequences([[1.0, 2.0], [2.0**47, 2.0**47]], np.array([3, 3]))
+
+
+@pytest.mark.parametrize("bad", [
+    [1.0, -2.0, 3.0], [1.0, math.nan, 3.0], [1.0, math.inf, 3.0], [0.0, 0.0, 0.0],
+    [1.0, 2.0**-1000, 3.0], [2.0**47, 2.0**47, 0.0], [1e308, 1e308, 1e308],
+    [2.0**48 - 1, 0.6, 0.6], [],
+])
+def test_splits_name_the_first_bad_row_as_its_own_check_does(bad):
+    # the whole-matrix screen passes every good row; a bad row in the middle
+    # raises the message its own check gives, ahead of a later bad row
+    with pytest.raises(DataError) as own:
+        huntington_hill(1, bad)
+    n = len(bad)
+    p = [[1.0 + i] * n for i in range(3)] + [bad] + [[-1.0] * n, [2.0] * n]
+    with pytest.raises(DataError, match=f"^{re.escape(str(own.value))}$"):
+        huntington_hill_sequences(p, np.array([1, 2, 0, 1, 1, 3]))
 
 
 def test_disaggregate_table_names_a_cell_at_the_domain_edge():

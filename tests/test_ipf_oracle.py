@@ -2,10 +2,12 @@
 
 reference_ipf3 below is that loop, kept verbatim: every sweep rescales the
 whole tensor and takes its marginals with numpy's axis sums.  ipf3 holds the
-tensor only on the cells it is given: it drops every cell that a zero target
-passes through and runs every sweep on the rest, summing each fiber with
-bincount in cell order.  The reference starts from the indicator of those
-surviving cells, so both fit the same start.
+tensor only on the cells it is given: it drops every cell that its support
+helper finds empty in every exact fit and runs every sweep on the rest,
+summing each fiber with bincount in cell order.  The reference starts from
+the indicator of those surviving cells, so both fit the same start.  The
+helper itself is checked against the hidden tensor of feasible instances
+and on hand-built chains of deductions.
 
 Sums over origins and over classes run in cell order in both.  Sums over
 destinations do not: numpy adds a contiguous axis pairwise, so a fiber
@@ -25,7 +27,7 @@ Hence two families of random instances:
 import numpy as np
 import pytest
 
-from censim.ipf import IpfResult, ipf3
+from censim.ipf import IpfResult, _support, ipf3
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -73,17 +75,23 @@ def reference_ipf3(A, B, C, m0, tol=1e-4, max_iter=1000) -> IpfResult:
 
 
 def _instance(rng, most: int | None, drop: float):
-    """A random sparse fusion problem, zero where origin equals destination.
+    """A random sparse fusion problem: the marginals of _hidden's tensor and
+    its start."""
+    H, start = _hidden(rng, most, drop)
+    return H.sum(axis=2), H.sum(axis=0), H.sum(axis=1), start
 
-    The marginals are those of a hidden tensor; the start is a 0/1 pattern.
-    With `most` set, each of the hidden tensor's (origin, class) fibers
-    holds 0..most cells in random destinations and the start is exactly
-    those cells; otherwise the hidden tensor is a random share of the
-    off-diagonal cells and the start adds more cells and leaves others out.
-    A `drop` share of the hidden cells is then left out of the start, where
-    each of the cell's three fibers keeps another start cell, which makes
-    the instance infeasible in most draws but keeps every positive marginal
-    reachable.
+
+def _hidden(rng, most: int | None, drop: float):
+    """A hidden tensor, zero where origin equals destination, and a start.
+
+    The start is a 0/1 pattern.  With `most` set, each of the hidden
+    tensor's (origin, class) fibers holds 0..most cells in random
+    destinations and the start is exactly those cells; otherwise the hidden
+    tensor is a random share of the off-diagonal cells and the start adds
+    more cells and leaves others out.  A `drop` share of the hidden cells is
+    then left out of the start, where each of the cell's three fibers keeps
+    another start cell, which makes the instance infeasible in most draws
+    but keeps every positive marginal reachable.
     """
     m = int(rng.integers(9, 21))
     n = int(rng.integers(2, 7))
@@ -106,7 +114,21 @@ def _instance(rng, most: int | None, drop: float):
     # an unused draw: it keeps the instances the coverage counts below
     # were set on
     rng.uniform(0.5, 1.5, off.shape)
-    return H.sum(axis=2), H.sum(axis=0), H.sum(axis=1), start
+    return H, start
+
+
+def _peeled(A, B, C, start):
+    """The indicator of the start cells that ipf3 sweeps: its own support
+    helper on the start's cells."""
+    cells = np.nonzero(start)
+    i, j, k = cells
+    m, n = A.shape
+    r = C.shape[1]
+    fibers = [(T.reshape(-1), f) for T, f in ((A, i * n + j), (B, j * r + k),
+                                              (C, i * r + k))]
+    surviving = np.zeros(start.shape, dtype=bool)
+    surviving[cells] = _support(fibers)
+    return surviving
 
 
 def _fit(A, B, C, start, tol=1e-4, max_iter=1000):
@@ -116,8 +138,7 @@ def _fit(A, B, C, start, tol=1e-4, max_iter=1000):
     out = ipf3(A, B, C, cells, tol, max_iter)
     M = np.zeros(start.shape)
     M[cells] = out.values
-    surviving = start & (A[:, :, None] > 0) & (B[None, :, :] > 0) & (C[:, None, :] > 0)
-    ref = reference_ipf3(A, B, C, surviving.astype(float), tol, max_iter)
+    ref = reference_ipf3(A, B, C, _peeled(A, B, C, start).astype(float), tol, max_iter)
     return IpfResult(M, out.iterations, out.residual, out.converged), ref
 
 
@@ -209,3 +230,58 @@ def test_fibers_that_underflow_keep_factor_one(hidden, start):
     assert ((first.values > 0) & (ref.values == 0)).any()
     assert np.array_equal(out.values, ref.values)
     assert (out.iterations, out.converged) == (ref.iterations, ref.converged)
+
+
+def _zero_drop(A, B, C, start):
+    """The start cells that no zero target passes through."""
+    return start & (A[:, :, None] > 0) & (B[None, :, :] > 0) & (C[:, None, :] > 0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_peeling_drops_only_cells_the_hidden_tensor_leaves_empty(seed):
+    # on a feasible instance the hidden tensor is an exact fit, so a cell
+    # that every exact fit leaves empty is empty in it
+    rng = np.random.default_rng(300 + seed)
+    peeled = 0
+    for t in range(40):
+        H, start = _hidden(rng, (None, 3)[t % 2], drop=0.0)
+        A, B, C = H.sum(axis=2), H.sum(axis=0), H.sum(axis=1)
+        dropped = _zero_drop(A, B, C, start) & ~_peeled(A, B, C, start)
+        assert not H[dropped].any()
+        peeled += np.count_nonzero(dropped)
+    assert peeled >= 20
+
+
+# a 2 x 2 x 2 start without cell (0, 0, 1): fiber A[0, 0] holds one cell,
+# so (0, 0, 0) = 2 in every exact fit; that fills C[0, 0] and empties
+# (0, 1, 0), which leaves (0, 1, 1) alone in A[0, 1], so it is 1; that
+# fills B[1, 1] and empties (1, 1, 1), two fibers away from A[0, 0]
+_CHAIN = np.array([[[2.0, 0.0], [0.0, 1.0]], [[1.0, 1.0], [1.0, 0.0]]])
+_CHAIN_START = np.ones((2, 2, 2), dtype=bool)
+_CHAIN_START[0, 0, 1] = False
+
+
+def test_a_single_cell_fiber_empties_a_cell_two_fibers_away():
+    H = _CHAIN
+    A, B, C = H.sum(axis=2), H.sum(axis=0), H.sum(axis=1)
+    assert np.array_equal(_zero_drop(A, B, C, _CHAIN_START), _CHAIN_START)
+    assert np.array_equal(_peeled(A, B, C, _CHAIN_START), H > 0)
+    out, ref = _fit(A, B, C, _CHAIN_START)
+    assert out.converged and np.array_equal(out.values, ref.values)
+    np.testing.assert_allclose(out.values, H, rtol=0, atol=1e-4)
+    # on the zero-target drop alone the fit only nears those zeros
+    slow = reference_ipf3(A, B, C, _CHAIN_START.astype(float))
+    assert not slow.converged and slow.iterations == 1000
+
+
+def test_contradictory_deductions_keep_the_zero_target_drop():
+    # marginals of a tensor with (0, 0, 1) = 1, which the start lacks: the
+    # single cell of A[0, 0] must hold 2, but C[0, 0] holds only 1
+    H = _CHAIN.copy()
+    H[0, 0] = [1.0, 1.0]
+    A, B, C = H.sum(axis=2), H.sum(axis=0), H.sum(axis=1)
+    kept = _zero_drop(A, B, C, _CHAIN_START)
+    assert np.count_nonzero(kept) == 7
+    assert np.array_equal(_peeled(A, B, C, _CHAIN_START), kept)
+    out, ref = _fit(A, B, C, _CHAIN_START)
+    assert np.array_equal(out.values, ref.values) and not out.converged

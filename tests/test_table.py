@@ -334,3 +334,27 @@ def test_add_tables_matches_a_loop_over_keys():
         got = add_tables(tables, name="sum")
         assert got.items() == sorted(expect.items())
         assert got.name == "sum" and got.resolution == res
+
+
+@pytest.mark.parametrize("od", [False, True])
+def test_get_reads_what_grid_reads(od):
+    rng = random.Random(5)
+    regions = ("101", "102", "201", "301", "302")
+    res = ResolutionSpec((2019, 2021), "districts", ages=(0, 20, 40), open_age=40, od=od)
+    lasts = regions if od else res.ages
+    keys = [(y, r, s, a) for y in (2019, 2021) for r in regions[:4] for s in "mf"
+            for a in lasts]
+    t = CensusTable(res, {k: rng.choice((0, 0, 1.5, 7)) for k in keys})
+    probes = keys + [
+        (2020, "101", "m", lasts[0]), (2021, "302", "f", lasts[1]),
+        (2019, "999", "m", lasts[0]), (2019, "101", "x", lasts[0]),
+        (2018, "101", "m", lasts[0]), (2022, "101", "m", lasts[0]),
+        (2019, 101, "m", lasts[0]), (2019.0, "102", "f", lasts[-1]),
+        (2019, "101", "m", 10), (2019, "101", "m", "999"), (2019, "101", "m", 20),
+    ]
+    for key in probes:
+        v = t.grid(*([k] for k in key)).item()
+        assert t.get(key, -1.0) == (v if v else -1.0), key
+        assert t[key] == v, key
+    for key in ((2019, "101", "m"), (2019, "101", "m", lasts[0], 0)):
+        assert t.get(key, -1.0) == -1.0
