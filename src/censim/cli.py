@@ -447,8 +447,7 @@ def _retype(t: CensusTable, span: tuple, widen_years: bool) -> CensusTable:
                                   max(res.years[1], span[1])))
     if not res.od:
         res = replace(res, sexes=SEXES, ages=FULL_AGES, open_age=100)
-    return t if res == t.resolution else CensusTable(
-        res, t, integer=t.integer, name=t.name)
+    return CensusTable(res, t, integer=t.integer, name=t.name)
 
 
 def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
@@ -690,7 +689,8 @@ class _Pipeline:
     def read(self, rel: str, name: str | None = None) -> CensusTable:
         """The declared table `rel` (without .csv) on its resolution, from memory
         while its file keeps the digest the table is pinned to (else parsed): the
-        CSV holds exact values, and the constructor runs read_csv's checks."""
+        CSV holds exact values; a held table on its declared resolution passed
+        read_csv's checks, so the constructor shares its arrays."""
         resolution, integer = self.tables[rel]
         path = self.path(f"{rel}.csv")
         digest, table = self.held.get(rel, (None, None))

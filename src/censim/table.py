@@ -15,11 +15,13 @@ A table without an age axis uses the single class 0+ (all ages).
 
 A table is stored as columns: the sorted region codes its entries use, one
 int64 flat key per entry (year, code index, sex, and age or second code index,
-counted in key order) and one float64 value per entry.  Every table is built
-from Entries, key columns with one axis of values per component, through the
-one checked constructor.  grid() reads a table onto a dense array, cells()
-turns an array's nonzero cells back into Entries, and degrade() sums a table
-onto a coarser or equal resolution with one bincount.
+counted in key order) and one float64 value per entry, both read-only.
+Every table is built from Entries, key columns with one axis of values per
+component, through the one checked constructor; a table built from a table
+on its own resolution shares its columns, which passed those checks.
+grid() reads a table onto a dense array, cells() turns an array's nonzero
+cells back into Entries, and degrade() sums a table onto a coarser or equal
+resolution with one bincount.
 
 The CSV form is canonical: UTF-8 with LF endings, rows in key order under
 the header ``year,region,sex,age,value`` (``year,region,sex,region2,value``
@@ -220,7 +222,9 @@ class CensusTable:
     """Immutable sparse table; absent keys read as zero.
 
     The entries are held in key order as flat keys over the sorted region
-    codes the table uses (codes), with one float per entry (values).
+    codes the table uses (codes), with one float per entry (values), both
+    read-only.  Built from a CensusTable on that table's resolution, and not
+    asked for an integer flag it lacks, a table shares its columns.
     """
 
     __slots__ = ("resolution", "integer", "name", "codes", "values", "_key")
@@ -230,6 +234,12 @@ class CensusTable:
         self.resolution = res = resolution
         self.integer = bool(integer)
         self.name = name
+        if (isinstance(entries, CensusTable) and entries.resolution == res
+                and entries.integer >= self.integer):
+            # it passed every check below on this resolution: share its columns
+            self.codes, self._key = entries.codes, entries._key
+            self.values = entries.values
+            return
         e = (entries._entries() if isinstance(entries, CensusTable) else entries
              if isinstance(entries, Entries) else _factored(name, entries))
         # the axis values the rows use are checked (each distinct code once),
@@ -299,7 +309,7 @@ class CensusTable:
         self._key = _flat(y, np.searchsorted(kept, r), s,
                           np.searchsorted(kept, a) if res.od else a, self._radices())
         self.values = values[order][nonzero]
-        self.values.flags.writeable = False
+        self._key.flags.writeable = self.values.flags.writeable = False
 
     def _whole(self, v, what: str) -> int:
         try:
@@ -687,7 +697,8 @@ def read_csv(path: str, integer: bool = False,
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode()  # invalid UTF-8 raises as a text-mode read does
-    head = text.partition("\n")[0].split(",")
+    end = text.find("\n")  # slice the header alone, not a copy of the whole file
+    head = text[:end if end >= 0 else None].split(",")
     # regular text: ASCII, no quotes or CRs, blank lines only at the end, and
     # lines of five fields of at most 56 bytes (eight keys a row; longer ones
     # factor faster as str); 8 spare bytes end the last word

@@ -885,10 +885,12 @@ def test_each_stage_reads_only_its_declared_inputs(tmp_path, monkeypatch):
 
 def _spied_run(root, cfg_text):
     """Run the pipeline in one process; record each `_Pipeline.read` (stage,
-    table, name, whether it came from memory, result), the tables held
-    when each stage starts and when it returns, and the hashes per file."""
+    table, name, whether it came from memory, result) and the table held for
+    it (None if none), the tables held when each stage starts and when it
+    returns, and the hashes per file."""
     (root / "pipeline.cfg").write_text(cfg_text)
-    rec = {"reads": [], "start": {}, "ran": {}, "disk": [], "hashes": {}}
+    rec = {"reads": [], "held": [], "start": {}, "ran": {}, "disk": [],
+           "hashes": {}}
     stage_table, read, parse = cli._stage_table, _Pipeline.read, cli.read_csv
     sha256 = cli._sha256
 
@@ -906,6 +908,7 @@ def _spied_run(root, cfg_text):
 
     def spied_read(ctx, rel, name=None):
         parsed = len(rec["disk"])
+        rec["held"].append(ctx.held.get(rel, (None, None))[1])
         table = read(ctx, rel, name)
         rec["reads"].append((rec["stage"], rel, name,
                              len(rec["disk"]) == parsed, table))
@@ -937,7 +940,8 @@ def handoff_run(tmp_path_factory):
 def test_tables_handed_over_in_memory_equal_the_parsed_files(handoff_run):
     ctx = handoff_run["ctx"]
     from_memory = set()
-    for stage, rel, name, memory, got in handoff_run["reads"]:
+    for (stage, rel, name, memory, got), held in zip(handoff_run["reads"],
+                                                     handoff_run["held"]):
         resolution, integer = ctx.tables[rel]
         want = read_csv(ctx.path(f"{rel}.csv"), integer=integer,
                         resolution=resolution, name=name)
@@ -945,6 +949,8 @@ def test_tables_handed_over_in_memory_equal_the_parsed_files(handoff_run):
         assert (got.name, got.integer) == (want.name, want.integer), rel
         if memory:
             from_memory.add(rel)
+            # handed over without a rebuild: the held table's own arrays
+            assert got._key is held._key and got.values is held.values, rel
     # every table comes from memory: od, integer, non-integral and
     # header-only tables among them
     assert from_memory == {rel for _, rel, _, _, _ in handoff_run["reads"]}

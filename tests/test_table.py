@@ -1,10 +1,12 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from censim.errors import DataError
 from censim.table import (
+    FULL_AGES,
     CensusTable,
     ResolutionSpec,
     add_tables,
@@ -358,3 +360,51 @@ def test_get_reads_what_grid_reads(od):
         assert t[key] == v, key
     for key in ((2019, "101", "m"), (2019, "101", "m", lasts[0], 0)):
         assert t.get(key, -1.0) == -1.0
+
+
+@pytest.mark.parametrize("od", [False, True])
+def test_a_table_built_from_a_table_matches_the_checked_path(od):
+    """CensusTable(res, t) equals the checked construction from t's entries
+    on every resolution, raises as it does, and on t's own resolution, with
+    an integer flag t has, shares t's arrays."""
+    rng = random.Random(11)
+    regions = ("101", "102", "201", "301", "302")
+    res = ResolutionSpec((2019, 2021), "districts", ages=(0, 20, 40), open_age=40, od=od)
+    lasts = regions if od else res.ages
+    targets = [res, replace(res, years=(2019, 2020)), replace(res, sexes=("f",)),
+               replace(res, sexes=())]
+    if not od:
+        targets += [replace(res, ages=(0, 10, 20, 40)),
+                    replace(res, ages=(0, 20), open_age=20),
+                    replace(res, ages=FULL_AGES, open_age=100)]
+    for trial in range(24):
+        source_integer, fractional = (trial % 3 == 0), (trial % 3 == 2)
+        entries = {(rng.choice((2019, 2020, 2021)), rng.choice(regions),
+                    rng.choice(("m", "f")), rng.choice(lasts)):
+                   rng.choice((0, 1, 3, 7, 0.5 if fractional else 2))
+                   for _ in range(rng.randint(0, 12))}
+        t = CensusTable(res, entries, integer=source_integer, name="t")
+        for target in targets:
+            for integer in (False, True):
+                try:
+                    want = CensusTable(target, t._entries(), integer=integer, name="n")
+                except DataError as e:
+                    with pytest.raises(DataError) as got:
+                        CensusTable(target, t, integer=integer, name="n")
+                    assert str(got.value) == str(e)
+                    continue
+                got = CensusTable(target, t, integer=integer, name="n")
+                assert got == want and got.codes == want.codes
+                assert (got.name, got.integer) == ("n", integer)
+                if target == res and integer <= source_integer:
+                    assert got._key is t._key and got.values is t.values
+
+
+def test_table_arrays_are_read_only(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("year,region,sex,age,value\n2020,101,f,0,2\n2020,101,m,0,5\n")
+    parsed = read_csv(str(path))
+    for t in (parsed, CensusTable(parsed.resolution, parsed, name="copy")):
+        for column in (t._key, t.values):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
