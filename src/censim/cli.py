@@ -14,12 +14,19 @@ exactly the stages downstream of it.
 Each workdir table a stage reads is declared once, in ``_Pipeline.tables``
 (the truth bundle's entries come from ``synthgen.bundle_resolutions``),
 written through ``_Pipeline.write`` and read through ``_Pipeline.read``; the
-simulate stage reads its inputs through the scenario file instead.  Within
+simulate stage reads its inputs through the scenario file it writes.  Within
 one run a table is handed from writer to reader in memory while its file
 keeps the digest it was written with; each subcommand parses its files.
 The pipeline writes its birth, death, emigration and internal-emigration
 probabilities for the whole country, as estimated; the simulator reads
 every region from the tables' ``AT`` rows.
+
+``simulate`` and the simulate stage load a scenario through
+``_load_scenario``, which reads every table but the population with
+``_scenario_table``: the ``m_index`` class files as ``od`` is, and a
+header-only file, its header still checked, as an all-zero table.  The
+table files of the stage's scenario, which are also the stage's inputs,
+are named once, in ``_scenario_files``.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import itertools
 import logging
 import os
 import sys
@@ -221,12 +229,8 @@ def _write_od_bundle(tables: dict, out_dir: str, open_age) -> list[str]:
 
 
 def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
-    """Read the per-age-class flow tables an ``m_index.csv`` points to.
-
-    Header-only class files become empty flow tables at the level, and year
-    ranges widen to cover the span; a file that lists no flows in some year
-    simply has none there.
-    """
+    """Read the per-age-class flow tables an ``m_index.csv`` points to, each
+    as a scenario's ``od`` table is read (see ``_scenario_table``)."""
     base = os.path.dirname(os.path.abspath(index_path))
     out = {}
     for row in read_records(index_path, ("age", "path")):
@@ -237,11 +241,7 @@ def _read_od_bundle(index_path: str, span: tuple, level: str) -> dict:
         if lo in out:
             raise DataError(f"{index_path}: age {row['age']!r} listed twice")
         path = os.path.join(base, row["path"])  # an absolute path stays
-        if not _csv_has_rows(path):
-            res = ResolutionSpec(span, level, od=True)
-            out[lo] = CensusTable(res, {}, integer=True, name=f"m{lo}")
-        else:
-            out[lo] = _retype(read_csv(path, name=f"m{lo}"), span, True)
+        out[lo] = _scenario_table(path, f"m{lo}", span, level, od=True)
     if not out:
         raise DataError(f"{index_path}: empty flow index")
     return out
@@ -279,10 +279,9 @@ def cmd_lifetable(args) -> int:
         raise DataError(
             f"{args.q}: need exactly one (year, region, sex) series, found "
             f"{len(series)}")
-    if res.ages != tuple(range(len(res.ages))):
-        raise DataError("the probability series must carry single ages from 0")
     y, r, s = series[0]
-    q = q_table.grid((y,), (r,), (s,), res.ages)[0, 0, 0]
+    # single ages from 0 to the last one, as in a scenario: an absent age has q = 0
+    q = q_table.grid((y,), (r,), (s,), range(res.ages[-1] + 1))[0, 0, 0]
     table = build_life_table(q, death_table_alpha(args.alpha0))
     columns = (table.q, table.l, table.d, table.L, table.T, table.e)
     with atomic_open(args.out, newline="") as fh:
@@ -425,29 +424,30 @@ def cmd_balance_residual(args) -> int:
 # scenario simulation
 
 
-def _csv_has_rows(path: str) -> bool:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        next(reader, None)
-        return any(True for row in reader if row)
+def _scenario_table(path: str, name: str, span: tuple, level: str,
+                    od: bool = False, count: bool = True) -> CensusTable:
+    """Read a scenario table and re-anchor it onto the simulator's domain.
 
-
-def _retype(t: CensusTable, span: tuple, widen_years: bool) -> CensusTable:
-    """Re-anchor an inferred table onto the scenario's domain.
-
-    A census CSV carries no schema, so a sparse single-age table reads back
-    with only the ages and sexes that happened to have nonzero cells.  The
-    scenario contract is dense single ages with absent cells meaning zero;
-    count tables, od tables included, may additionally be silent over whole
-    years.
+    A census CSV carries no schema, so a sparse table reads back with only
+    the years, ages and sexes that had nonzero cells.  The scenario contract
+    is dense single ages 0..100+ and both sexes for a plain table, absent
+    cells meaning zero; a count table, od tables included, may also be
+    silent over whole years.  A header-only file is an all-zero table on
+    the span at the population's level; its header must still be a census
+    header.
     """
+    with open(path, newline="", encoding="utf-8") as fh:
+        if not any(itertools.islice(csv.reader(fh), 1, None)):
+            res = ResolutionSpec(span, level, ages=FULL_AGES, open_age=100, od=od)
+            return read_csv(path, resolution=res, name=name)
+    t = read_csv(path, name=name)
     res = t.resolution
-    if widen_years:
+    if count:
         res = replace(res, years=(min(res.years[0], span[0]),
                                   max(res.years[1], span[1])))
     if not res.od:
         res = replace(res, sexes=SEXES, ages=FULL_AGES, open_age=100)
-    return CensusTable(res, t, integer=t.integer, name=t.name)
+    return CensusTable(res, t, integer=t.integer, name=name)
 
 
 def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
@@ -467,38 +467,21 @@ def _load_scenario(cfg_path: str) -> tuple[ScenarioConfig, SimParams]:
     level = population.resolution.level
     span = (config.t0, config.te - 1)
 
-    def person_table(key: str, name: str, widen: bool = False,
-                     required: bool = True):
-        """Event probabilities or counts; a header-only file means none."""
-        if not required and not cfg.has(key):
-            return None
-        path = path_of(key)
-        if not _csv_has_rows(path):
-            res = ResolutionSpec(span, level, sexes=SEXES, ages=FULL_AGES,
-                                 open_age=100)
-            return CensusTable(res, {}, name=name)
-        return _retype(read_csv(path, name=name), span, widen)
+    def table(key: str, name: str, **kind) -> CensusTable:
+        return _scenario_table(path_of(key), name, span, level, **kind)
 
-    if cfg.has("immigrants"):
-        immigrants = person_table("immigrants", "I", widen=True)
-    else:
-        # no key means a closed scenario: an all-zero immigrant table
-        res = ResolutionSpec(span, level, sexes=SEXES, ages=FULL_AGES,
-                             open_age=100)
-        immigrants = CensusTable(res, {}, name="I")
-    if cfg.has("od"):
-        od = _retype(read_csv(path_of("od"), name="M"), span, True)
-    else:
-        od = None
     params = SimParams(
         population=population,
-        birth_p=person_table("birth_p", "birth_p"),
-        death_p=person_table("death_p", "death_p"),
-        emig_p=person_table("emig_p", "emig_p"),
-        immigrants=immigrants,
-        ie_p=person_table("ie_p", "ie_p", required=False),
-        od=od,
-        ii=person_table("ii", "II", widen=True, required=False),
+        birth_p=table("birth_p", "birth_p", count=False),
+        death_p=table("death_p", "death_p", count=False),
+        emig_p=table("emig_p", "emig_p", count=False),
+        # no key means a closed scenario: an all-zero immigrant table
+        immigrants=(table("immigrants", "I") if cfg.has("immigrants") else
+                    CensusTable(ResolutionSpec(span, level, ages=FULL_AGES,
+                                               open_age=100), {}, name="I")),
+        ie_p=table("ie_p", "ie_p", count=False) if cfg.has("ie_p") else None,
+        od=table("od", "M", od=True) if cfg.has("od") else None,
+        ii=table("ii", "II") if cfg.has("ii") else None,
         m_by_age=_read_od_bundle(path_of("m_index"), span, level)
         if cfg.has("m_index") else None)
     cfg.reject_unread()
@@ -807,20 +790,28 @@ def _stage_fuse(ctx: _Pipeline) -> None:
              stats["blocks"], stats["unconverged"], stats["residual"], stats["iterations"])
 
 
+def _scenario_files(ctx: _Pipeline) -> dict:
+    """The table file each key of the simulate stage's scenario names, by
+    workdir path, for the pipeline's im_mode."""
+    files = {"population": "est/P_hat.csv", "birth_p": "est/birth_p.csv",
+             "death_p": "est/death_p.csv", "emig_p": "est/emig_p.csv",
+             "immigrants": "est/immigrants.csv"}
+    if ctx.im_mode != "none":
+        files["ie_p"] = "est/ie_p.csv"
+    if ctx.im_mode == "interregional":
+        files["od"] = "coarse/M.csv"
+    if ctx.im_mode == "full":
+        files["m_index"] = "est/m_index.csv"
+    return files
+
+
 def _stage_simulate(ctx: _Pipeline) -> None:
     lines = [
         f"t0={ctx.t0}", f"te={ctx.te}",
         f"scale={_format_value(ctx.scale)}", f"runs={ctx.runs}",
         f"im_mode={ctx.im_mode}", f"seed={ctx.seed + 1}",
-        "population=P_hat.csv", "birth_p=birth_p.csv", "death_p=death_p.csv",
-        "emig_p=emig_p.csv", "immigrants=immigrants.csv",
-    ]
-    if ctx.im_mode != "none":
-        lines.append("ie_p=ie_p.csv")
-    if ctx.im_mode == "interregional":
-        lines.append(f"od={os.path.join('..', 'coarse', 'M.csv')}")
-    if ctx.im_mode == "full":
-        lines.append("m_index=m_index.csv")
+    ] + [f"{key}={os.path.relpath(rel, 'est')}"
+         for key, rel in _scenario_files(ctx).items()]
     cfg_path = ctx.path("est/scenario.cfg")
     with atomic_open(cfg_path) as fh:
         fh.write("\n".join(lines) + "\n")
@@ -847,14 +838,8 @@ def _stage_table(ctx: _Pipeline) -> list[tuple]:
     est_m = [f"est/m_age_{lo}.csv" for lo in FLOW_AGE_CLASSES]
     est_m.append("est/m_index.csv")
     census = [f"results/census_run{k:02d}.csv" for k in range(ctx.runs)]
-    sim_in = ["est/P_hat.csv", "est/birth_p.csv", "est/death_p.csv",
-              "est/emig_p.csv", "est/immigrants.csv"]
-    if ctx.im_mode != "none":
-        sim_in.append("est/ie_p.csv")
-    if ctx.im_mode == "interregional":
-        sim_in.append("coarse/M.csv")
-    if ctx.im_mode == "full":
-        sim_in += est_m
+    sim_in = [f for rel in _scenario_files(ctx).values()
+              for f in (est_m if rel == "est/m_index.csv" else [rel])]
     return [
         ("synth", [], truth, _stage_synth),
         ("degrade", bundle, coarse, _stage_degrade),

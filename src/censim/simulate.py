@@ -89,8 +89,10 @@ class SimParams:
     ie_p: internal-emigration probabilities, required unless im_mode is none.
     od / ii / m_by_age: destination sources for the interregional,
     biregional and full modes; m_by_age maps an age-class lower bound to an
-    origin-destination table.  A probability table may be at any level at
-    or above the population's; count tables are at the population's level.
+    origin-destination table, and od is the one-class flow table of
+    interregional mode, read as m_by_age = {0: od}.  A probability table may
+    be at any level at or above the population's; count tables are at the
+    population's level.
     """
 
     population: CensusTable
@@ -186,30 +188,31 @@ def validate_coverage(config: ScenarioConfig, params: SimParams):
                  "internal-emigration probabilities required for this im_mode")
         _check_person_table(params.ie_p, "internal-emigration probabilities",
                             level, span, probability=True)
-    if config.im_mode == "interregional":
-        _require(params.od is not None, "od table required for interregional mode")
-        _require(params.od.resolution.od, "od table must be origin-destination")
-        _require(params.od.resolution.level == level, "od table level mismatch")
-        y0, y1 = params.od.resolution.years
-        _require(y0 <= span[0] and y1 >= span[1],
-                 f"od years {y0}..{y1} do not cover {span[0]}..{span[1]}")
     if config.im_mode == "biregional":
         _require(params.ii is not None, "ii table required for biregional mode")
         _check_person_table(params.ii, "internal immigrants", level, span,
                             probability=False)
+    if config.im_mode == "interregional":
+        _require(params.od is not None, "od table required for interregional mode")
     if config.im_mode == "full":
         _require(bool(params.m_by_age),
                  "per-age od tables required for full mode")
-        lows = sorted(params.m_by_age)
-        _require(lows[0] == 0, "per-age od tables must start at age 0")
-        for lo in lows:
-            t = params.m_by_age[lo]
+    if config.im_mode in ("interregional", "full"):
+        flows = _flows(config.im_mode, params)
+        _require(min(flows) == 0, "per-age od tables must start at age 0")
+        for lo, t in sorted(flows.items()):
             _require(t.resolution.od, f"flow table for ages {lo}+ must be od")
             _require(t.resolution.level == level,
                      f"flow table for ages {lo}+ level mismatch")
             y0, y1 = t.resolution.years
             _require(y0 <= span[0] and y1 >= span[1],
                      f"flow table for ages {lo}+ does not cover {span[0]}..{span[1]}")
+
+
+def _flows(mode: str, params: SimParams) -> dict:
+    """The od tables movers draw destinations from, by age-class lower bound:
+    the per-age bundle in full mode, else the one od table as class 0."""
+    return params.m_by_age if mode == "full" else {0: params.od}
 
 
 def _master_regions(params: SimParams) -> tuple:
@@ -311,18 +314,18 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
     """Destination region index of each mover, drawn with uniforms u.
 
     Movers are grouped by what their weight row depends on: origin and sex,
-    plus the age for the ii profile or the age class for the per-age od
-    tables.  Each group gets one cumulative row and one searchsorted; the
-    rows come from one (origin, sex, destination) plane per od table,
-    read once per year.
+    plus the age for the ii profile or the age class of the flow tables
+    (`_flows`: the per-age od tables, or the one od table of interregional
+    mode as class 0).  Each group gets one cumulative row and one
+    searchsorted; the rows come from one (origin, sex, destination) plane
+    per flow table, read once per year.
     """
-    if mode == "full":
-        lows = sorted(params.m_by_age)
-        key = np.searchsorted(lows, age, side="right") - 1
-    elif mode == "biregional":
+    if mode == "biregional":
         key = age
     else:
-        key = np.zeros_like(age)
+        flows = _flows(mode, params)
+        lows = sorted(flows)
+        key = np.searchsorted(lows, age, side="right") - 1
     code = (origin.astype(np.int64) * 2 + sex) * 101 + key
     order = np.argsort(code, kind="stable")
     groups, starts = np.unique(code[order], return_index=True)
@@ -336,8 +339,8 @@ def _destinations(params: SimParams, mode: str, ii: np.ndarray | None,
             row = ii[:, s, k].copy()
         else:
             if k not in od_planes:
-                od = params.od if mode == "interregional" else params.m_by_age[lows[k]]
-                od_planes[k] = od.grid((year,), regions, SEXES, regions)[0]
+                od_planes[k] = flows[lows[k]].grid((year,), regions, SEXES,
+                                                   regions)[0]
             row = od_planes[k][o, s].copy()
         row[o] = 0.0  # a move always leaves the origin
         cum = np.cumsum(row)

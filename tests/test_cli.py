@@ -14,7 +14,7 @@ from censim.cli import (_Pipeline, _fuse_blocks, _read_od_bundle,
 from censim.configfile import Config
 from censim.errors import DataError
 from censim.fitting import activation, average_slice, gaussian_rates
-from censim.lifetable import life_expectancy
+from censim.lifetable import build_life_table, life_expectancy
 from censim.rates import death_table_alpha
 from censim.table import (SEXES, CensusTable, ResolutionSpec, aggregate,
                           read_csv, write_csv)
@@ -287,6 +287,25 @@ def test_lifetable_cli_rejects_two_series(tmp_path):
     assert code == 1
 
 
+def test_lifetable_cli_reads_an_absent_age_as_zero(tmp_path):
+    # zero cells are not stored: q(60) = 0 leaves no row for age 60
+    q = np.linspace(0.001, 0.5, 101)
+    q[60], q[100] = 0.0, 1.0
+    series = CensusTable(res((2000, 2000), level="country", sexes=("m",),
+                             ages=FULL, open_age=100),
+                         {(2000, "AT", "m", a): q[a] for a in FULL})
+    path = save(tmp_path, "q.csv", series)
+    assert ",60," not in open(path).read()
+    out_path = tmp_path / "lt.csv"
+    assert main(["lifetable", "--q", path, "--alpha0", "0.9",
+                 "--out", str(out_path)]) == 0
+    table = build_life_table(q, death_table_alpha(0.9))
+    rows = read_rows(out_path)
+    assert len(rows) == 101
+    for col in ("q", "l", "d", "L", "T", "e"):
+        assert [float(r[col]) for r in rows] == getattr(table, col).tolist()
+
+
 @pytest.fixture(scope="module")
 def fit_births_run(tmp_path_factory):
     """One `censim fit-births` call on a known Gaussian fertility curve."""
@@ -518,6 +537,41 @@ def test_simulate_cli_misspelt_key_exits_one(tmp_path, caplog):
     assert code == 1
     assert "unknown keys ['im-mode']" in caplog.text
     assert not out_dir.exists()
+
+
+def test_simulate_cli_reads_header_only_od_and_ie_p(tmp_path):
+    """Header-only od and ie_p files are all-zero tables: nobody moves, and
+    the census equals the closed scenario's."""
+    cfg = write_scenario(tmp_path)
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "closed")]) == 0
+    (tmp_path / "ie.csv").write_text("year,region,sex,age,value\n")
+    (tmp_path / "M.csv").write_text("year,region,sex,region2,value\n")
+    cfg = write_scenario(tmp_path, "im_mode=interregional\nie_p=ie.csv\n"
+                                   "od=M.csv\n")
+    assert main(["simulate", "--config", str(cfg),
+                 "--out-dir", str(tmp_path / "moves")]) == 0
+    for fn in ("census_run00.csv", "census_run01.csv", "mean.csv"):
+        assert ((tmp_path / "moves" / fn).read_bytes()
+                == (tmp_path / "closed" / fn).read_bytes())
+
+
+@pytest.mark.parametrize("extra, name", [
+    ("im_mode=interregional\nie_p=bad.csv\nod=M.csv\n", "ie_p"),
+    ("im_mode=interregional\nie_p=ie.csv\nod=bad.csv\n", "M"),
+    ("im_mode=full\nie_p=ie.csv\nm_index=m_index.csv\n", "m0"),
+])
+def test_simulate_cli_header_only_file_needs_a_census_header(tmp_path, caplog,
+                                                              extra, name):
+    (tmp_path / "bad.csv").write_text("foo,bar\n")
+    (tmp_path / "ie.csv").write_text("year,region,sex,age,value\n")
+    (tmp_path / "M.csv").write_text("year,region,sex,region2,value\n")
+    (tmp_path / "m_index.csv").write_text("age,path\n0,bad.csv\n")
+    code = main(["simulate", "--config", str(write_scenario(tmp_path, extra)),
+                 "--out-dir", str(tmp_path / "results")])
+    assert code == 1
+    assert f"{name}: unexpected header ['foo', 'bar']" in caplog.text
+    assert not (tmp_path / "results").exists()
 
 
 def test_validate_cli(tmp_path):
@@ -1122,7 +1176,7 @@ def test_pipeline_bad_scenario_exits_one(tmp_path, caplog, line, message):
 
 def test_od_index_repeated_age_is_an_error(tmp_path):
     for fn in ("a.csv", "b.csv"):
-        (tmp_path / fn).write_text("year,origin,sex,destination,value\n")
+        (tmp_path / fn).write_text("year,region,sex,region2,value\n")
     index = tmp_path / "m_index.csv"
     index.write_text("age,path\n0,a.csv\n0,b.csv\n")
     with pytest.raises(DataError, match=r"m_index\.csv: age '0' listed twice"):
@@ -1132,7 +1186,7 @@ def test_od_index_repeated_age_is_an_error(tmp_path):
 @pytest.mark.parametrize("token", ["0++", "-0", " 20 ", "+0"])
 def test_od_index_bad_age_token_is_an_error(tmp_path, token):
     # the census reader's own rule for age tokens, without the int() leniency
-    (tmp_path / "a.csv").write_text("year,origin,sex,destination,value\n")
+    (tmp_path / "a.csv").write_text("year,region,sex,region2,value\n")
     index = tmp_path / "m_index.csv"
     index.write_text(f"age,path\n{token},a.csv\n")
     with pytest.raises(DataError, match=r"m_index\.csv: bad age token "

@@ -1,15 +1,18 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from censim.errors import DataError
 from censim.simulate import (
+    RunOutput,
     ScenarioConfig,
     SimParams,
     census_counts,
     init_population,
     run,
+    validate_coverage,
 )
 from censim.table import CensusTable, ResolutionSpec
 
@@ -324,6 +327,89 @@ def test_coverage_gaps_are_reported_before_stepping():
                         od=od_tab(2000, 2000, {(2000, "AT-1", "m", "AT-2"): 1.0}))
     with pytest.raises(DataError, match="internal-emigration"):
         run(ScenarioConfig(t0=2000, te=2001, im_mode="interregional"), no_ie)
+
+
+def _flow_params(od=None, ii=None, m_by_age=None, years=(2000, 2001)):
+    pop = pop_tab(2000, {(2000, "AT-1", "m", 30): 10})
+    return make_params(pop, *years, ie={}, od=od, ii=ii, m_by_age=m_by_age)
+
+
+def _flow(years=(2000, 2001), level=LEVEL, od=True):
+    spec = ResolutionSpec(years, level, od=od)
+    return CensusTable(spec, {}, name="M")
+
+
+@pytest.mark.parametrize("mode, flows, message", [
+    ("interregional", {}, "od table required for interregional mode"),
+    ("biregional", {}, "ii table required for biregional mode"),
+    ("full", {}, "per-age od tables required for full mode"),
+    ("interregional", {"od": _flow(od=False)},
+     "flow table for ages 0+ must be od"),
+    ("full", {"m_by_age": {0: _flow(), 30: _flow(od=False)}},
+     "flow table for ages 30+ must be od"),
+    ("interregional", {"od": _flow(level="districts")},
+     "flow table for ages 0+ level mismatch"),
+    ("full", {"m_by_age": {0: _flow(level="country")}},
+     "flow table for ages 0+ level mismatch"),
+    ("interregional", {"od": _flow(years=(2000, 2000))},
+     "flow table for ages 0+ does not cover 2000..2001"),
+    ("full", {"m_by_age": {0: _flow(), 5: _flow(years=(2001, 2001))}},
+     "flow table for ages 5+ does not cover 2000..2001"),
+    ("full", {"m_by_age": {5: _flow()}}, "per-age od tables must start at age 0"),
+])
+def test_migration_coverage_names_the_flow_table(mode, flows, message):
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        validate_coverage(ScenarioConfig(t0=2000, te=2002, im_mode=mode),
+                          _flow_params(**flows))
+
+
+def _two_mode_runs(od):
+    """run() in interregional mode with od, and in full mode with {0: od}."""
+    pop = pop_tab(2000, {(2000, r, s, a): 40 + 7 * a % 13
+                         for r in ("AT-1", "AT-2", "AT-3") for s in ("m", "f")
+                         for a in (0, 17, 30, 64, 100)})
+    kw = dict(death={(y, r, s, a): 0.05 for y in (2000, 2001)
+                     for r in ("AT-1", "AT-2") for s in ("m", "f") for a in FULL},
+              birth={(y, "AT-2", "f", a): 0.2 for y in (2000, 2001)
+                     for a in range(15, 50)},
+              imm={(y, "AT-3", "m", 25): 30 for y in (2000, 2001)},
+              ie={(y, r, s, a): 0.3 for y in (2000, 2001)
+                  for r in ("AT-1", "AT-2", "AT-3") for s in ("m", "f") for a in FULL})
+    outs = []
+    for mode, flows in (("interregional", {"od": od}), ("full", {"m_by_age": {0: od}})):
+        p = make_params(pop, 2000, 2001, **kw, **flows)
+        config = ScenarioConfig(t0=2000, te=2002, scale=0.7, runs=2,
+                                im_mode=mode, seed=17)
+        try:
+            outs.append(run(config, p))
+        except DataError as exc:
+            outs.append(str(exc))
+    return outs
+
+
+def test_interregional_mode_is_full_mode_with_one_flow_class():
+    # AT-9 appears only in the od table, as a destination
+    od = od_tab(2000, 2001, {
+        (y, o, s, d): w for y in (2000, 2001) for s in ("m", "f")
+        for o, d, w in (("AT-1", "AT-2", 3.0), ("AT-1", "AT-9", 1.0),
+                        ("AT-2", "AT-3", 2.0), ("AT-2", "AT-1", 5.0),
+                        ("AT-3", "AT-9", 4.0), ("AT-9", "AT-1", 1.0))})
+    interregional, full = _two_mode_runs(od)
+    assert len(interregional) == len(full) == 2
+    for a, b in zip(interregional, full):
+        for field in dataclasses.fields(RunOutput):
+            assert getattr(a, field.name) == getattr(b, field.name), field.name
+    assert any(k[1] == "AT-9" for k in interregional[0].census.keys())
+
+
+def test_a_stranded_mover_fails_alike_in_both_flow_modes():
+    # AT-3 movers find no destination row
+    od = od_tab(2000, 2001, {(y, "AT-1", s, "AT-2"): 1.0 for y in (2000, 2001)
+                             for s in ("m", "f")})
+    interregional, full = _two_mode_runs(od)
+    assert interregional == full
+    assert interregional.startswith(
+        "no internal-migration destinations for (2000, AT-")
 
 
 def test_config_validation():
