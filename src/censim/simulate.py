@@ -266,7 +266,9 @@ def init_population(P: CensusTable, scale: float, year: int | None = None,
     total = round_half_away(scale * total_raw)
     if total < 1:
         raise DataError(f"scaled population {scale} * {total_raw} is below one person")
-    counts = huntington_hill(total, weights)
+    # a divisor method gives each cell its whole quota: the count itself
+    counts = (np.array(weights, np.int64) if total == total_raw
+              else huntington_hill(total, weights))
     pid, sex, birth_year, region = _people(at, counts, P.resolution.ages,
                                            year, 1)
     return SimulationState(year=year, regions=regions, pid=pid, sex=sex,

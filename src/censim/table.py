@@ -153,13 +153,23 @@ def _flat(year, region, sex, last, radices):
     return ((year * c + region) * 3 + sex) * n + last
 
 
+def _unravel(flat, sizes) -> tuple:
+    """The index on each axis of non-negative flat indices over axes of the
+    given sizes (the first size is not read): each axis is peeled with one
+    floor division by a scalar, which numpy does much faster than divmod."""
+    out = []
+    for size in sizes[:0:-1]:
+        q = flat // size
+        rem = q * size
+        out.append(np.subtract(flat, rem, out=rem))
+        flat = q
+    return (flat, *out[::-1])
+
+
 def _split(flat, radices):
     """(year offset, code index, sex index, age or code index) of flat keys."""
     c, n = radices
-    rest, last = np.divmod(flat, n)
-    rest, sex = np.divmod(rest, 3)
-    year, region = np.divmod(rest, c)
-    return year, region, sex, last
+    return _unravel(flat, (None, c, 3, n))
 
 
 def _factor(column) -> tuple[list, np.ndarray]:
@@ -451,8 +461,10 @@ def cells(years, regions, sexes, lasts, array) -> Entries:
     if array.shape != tuple(map(len, axes)):
         raise DataError(f"array of shape {array.shape} does not fit a grid of "
                         f"{tuple(map(len, axes))}")
-    at = np.nonzero(array)
-    return Entries(axes, at, array[at], array[at])
+    flat = array.ravel()
+    at = np.flatnonzero(flat)
+    values = flat[at]
+    return Entries(axes, _unravel(at, array.shape), values, values)
 
 
 def _summed(target: ResolutionSpec, codes, columns, values, **kw) -> CensusTable:
@@ -594,37 +606,33 @@ def write_csv(table: CensusTable, path: str) -> None:
     """Write a table in the canonical CSV form.
 
     Census tables repeat few values, so each distinct value is formatted
-    once, and each distinct ``year,region,sex,`` prefix and ``age,value``
-    tail (``region2,value`` for od tables) is built once.  Rows sharing a
-    prefix are consecutive in key order, and each such run is one join of
-    its tails.  After the header the rows go out in chunks of at least
-    _CHUNK_ROWS rows (the last one shorter), so no string holds the whole
-    file.
+    once, as ``,value\n``; each row's ``age,value\n`` body (``region2,...``
+    for od tables) is then one lookup of its age and value strings.  Rows
+    sharing a ``year,region,sex,`` prefix are consecutive in key order, and
+    each such run is one join of its bodies.  After the header the rows go
+    out in chunks of at least _CHUNK_ROWS rows (the last one shorter), so no
+    string holds the whole file.
     """
     res = table.resolution
     header = _HEADER_OD if res.od else _HEADER
-    e = table._entries()
-    years, codes, sexes, lasts = e.axes
-    yi, ri, si, li = e.index
-    lasts = lasts if res.od else [_format_age(a, res.open_age) for a in lasts]
+    years, codes = res.year_list(), table.codes
+    c, n = table._radices()
+    run, li = _unravel(table._key, (None, n))
+    lasts = codes if res.od else [_format_age(a, res.open_age) for a in range(n)]
     distinct, vi = np.unique(table.values, return_inverse=True)
-    nv = len(distinct)
-    tokens = list(map(_format_value, distinct.tolist()))
-    tail_ids, ti = np.unique(li * nv + vi, return_inverse=True)
-    tails = [f"{lasts[t // nv]},{tokens[t % nv]}\n" for t in tail_ids.tolist()]
-    n = len(ti)
-    starts = np.flatnonzero(np.diff((yi * len(codes) + ri) * 3 + si,
-                                    prepend=-1)).tolist()
+    tokens = [f",{_format_value(v)}\n" for v in distinct.tolist()]
+    body = (np.array(lasts, object)[li] + np.array(tokens, object)[vi]).tolist()
+    starts = np.flatnonzero(np.diff(run, prepend=-1))
+    yi, ri, si = _unravel(run[starts], (None, c, 3))
+    starts = starts.tolist()
     with atomic_open(path, newline="") as fh:
         fh.write(",".join(header) + "\n")
         chunk, first = [], 0
-        for a, b, y, r, s in zip(starts, starts[1:] + [n],
-                                 yi[starts].tolist(), ri[starts].tolist(),
-                                 si[starts].tolist()):
-            prefix = f"{years[y]},{codes[r]},{sexes[s]},"
-            chunk.append(prefix + prefix.join(map(tails.__getitem__,
-                                                  ti[a:b].tolist())))
-            if b - first >= _CHUNK_ROWS or b == n:
+        for a, b, y, r, s in zip(starts, starts[1:] + [len(body)], yi.tolist(),
+                                 ri.tolist(), si.tolist()):
+            prefix = f"{years[y]},{codes[r]},{_SEX_ORDER[s]},"
+            chunk.append(prefix + prefix.join(body[a:b]))
+            if b - first >= _CHUNK_ROWS or b == len(body):
                 fh.write("".join(chunk))
                 chunk, first = [], b
 
@@ -637,11 +645,12 @@ def _parse_age_token(tok: str) -> tuple[int, bool]:
     return int(body), open_class
 
 
-def _csv_fields(name: str, text: str) -> tuple[list, list]:
-    """Header and fields of irregular text, row by row; the first bad row raises."""
+def _csv_fields(name: str, text: str, heads) -> tuple[list, list]:
+    """Header (one of heads) and fields of irregular text, row by row; the
+    first bad row raises."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     head = rows.pop(0) if rows else None
-    if head not in (_HEADER, _HEADER_OD):
+    if head not in heads:
         raise DataError(f"{name}: unexpected header {head}")
     numbered = [(lineno, row) for lineno, row in enumerate(rows, start=2) if row]
     for lineno, row in numbered:
@@ -658,20 +667,33 @@ def _csv_fields(name: str, text: str) -> tuple[list, list]:
     return head, [tok for row in rows for tok in row]
 
 
+def _run_starts(keys) -> np.ndarray:
+    """The rows where a run of rows equal on every key column starts."""
+    new = np.zeros(len(keys[0]), bool)
+    new[:1] = True
+    for k in keys:
+        new[1:] |= k[1:] != k[:-1]
+    return np.flatnonzero(new)
+
+
 def _factor_bytes(text: str, words, start, end) -> tuple[list, np.ndarray]:
     """_factor of the tokens text[start:end] of ASCII text, one per row: each
     is keyed on its bytes, seven to a uint64 of words (one at every offset)
     with a 1 bit above them; only the first row of a run of equal rows sorts."""
     length = end - start
-    most = int(length.max(initial=0))
-    keys = [words[np.minimum(start + j, len(words) - 1)]
-            & (m := _MASKS[np.clip(length - j, 0, 7)]) | m + 1
-            for j in range(0, max(most, 1), 7)]
-    head = np.flatnonzero(np.any([np.diff(k, prepend=~k[:1]) for k in keys], axis=0))
+    keys = []
+    for j in range(0, max(int(length.max(initial=0)), 1), 7):
+        k = words[np.minimum(start + j, len(words) - 1)]
+        m = _MASKS[np.clip(length - j, 0, 7)]
+        k &= m
+        m += 1
+        k |= m
+        keys.append(k)
+    head = _run_starts(keys)
     keys = [k[head] for k in keys]
     order = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     keys = [k[order] for k in keys]
-    new = np.flatnonzero(np.any([np.diff(k, prepend=~k[:1]) for k in keys], axis=0))
+    new = _run_starts(keys)
     first = np.minimum.reduceat(head[order], new)
     seen = np.argsort(first)  # the distinct tokens, first seen first
     at = np.empty(len(head), np.intp)
@@ -681,19 +703,15 @@ def _factor_bytes(text: str, words, start, end) -> tuple[list, np.ndarray]:
             np.repeat(at, np.diff(head, append=len(start))))
 
 
-def read_csv(path: str, integer: bool = False,
-             resolution: ResolutionSpec | None = None,
-             name: str | None = None) -> CensusTable:
-    """Read a canonical census CSV.
+def _columns(path: str, name: str, heads) -> tuple:
+    """The parsed columns of a census CSV whose header is one of heads.
 
-    The resolution is inferred from the data unless given: years span the
-    observed range, age classes are the observed lower bounds, and the
-    regional level is the coarsest level all codes are valid at (districts
-    and municipalities win over the Viennese splits when codes are
-    ambiguous).  Each distinct token is parsed once.  Regular text is
-    factored on its bytes, column by column; _csv_fields reads the rest.
+    Returns whether the header is the od one, then (distinct values, each
+    row's index) for the years, codes, sexes, and (age, open) pairs or second
+    codes, then each row's value.  Each distinct token is parsed once.
+    Regular text is factored on its bytes, column by column; _csv_fields
+    reads the rest.  The file's bytes and text do not outlive the call.
     """
-    name = name or path
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode()  # invalid UTF-8 raises as a text-mode read does
@@ -706,32 +724,53 @@ def read_csv(path: str, integer: bool = False,
     sep = np.flatnonzero((buf == ord("\n")) | (buf == ord(",")))  # each field's end
     if (np.array_equal(np.flatnonzero(buf[sep] == ord("\n")), np.arange(4, len(sep), 5))
             and np.diff(sep[4:]).max(initial=0) <= 57 and data.isascii()
-            and head in (_HEADER, _HEADER_OD) and b'"' not in data and b"\r" not in data):
+            and head in heads and b'"' not in data and b"\r" not in data):
         words = np.ndarray((len(buf) - 7,), "<u8", buf, 0, (1,))
         columns = [_factor_bytes(text, words, sep[4 + k:-1:5] + 1, sep[5 + k::5])
                    for k in range(5)]
     else:
-        head, fields = _csv_fields(name, text)
+        head, fields = _csv_fields(name, text, heads)
         columns = [_factor(fields[k::5]) for k in range(5)]
     od = head == _HEADER_OD
-    (years, yi), (codes, ri), (sexes, si), (lasts, li), (vtok, vi) = columns
+    (years, yi), codes, sexes, (lasts, li), (vtok, vi) = columns
     try:
         years = [int(tok) for tok in years]
-        ages = None if od else [_parse_age_token(tok) for tok in lasts]
+        lasts = lasts if od else [_parse_age_token(tok) for tok in lasts]
         values = np.fromiter(map(float, vtok), float, len(vtok))[vi]
     except (ValueError, DataError):
-        _csv_fields(name, text)
+        _csv_fields(name, text, heads)
         raise
+    return od, (years, yi), codes, sexes, (lasts, li), values
+
+
+def read_csv(path: str, integer: bool = False,
+             resolution: ResolutionSpec | None = None,
+             name: str | None = None) -> CensusTable:
+    """Read a canonical census CSV.
+
+    The resolution is inferred from the data unless given: years span the
+    observed range, age classes are the observed lower bounds, and the
+    regional level is the coarsest level all codes are valid at (districts
+    and municipalities win over the Viennese splits when codes are
+    ambiguous).  A given resolution fixes the header: the od one for od
+    tables, else the plain one.
+    """
+    name = name or path
+    heads = ((_HEADER, _HEADER_OD) if resolution is None else
+             (_HEADER_OD,) if resolution.od else (_HEADER,))
+    od, (years, yi), (codes, ri), (sexes, si), (lasts, li), values = _columns(
+        path, name, heads)
 
     if resolution is None:
-        if not len(vi):
+        if not len(values):
             raise DataError(f"{name}: empty table needs an explicit resolution")
         lvl = infer_level(set(codes) | set(lasts if od else ()))
         if NO_SEX in sexes and sexes != [NO_SEX]:
             raise DataError(f"{name}: mixes '-' with sexed rows")
         sex_domain = () if sexes == [NO_SEX] else tuple(sorted(set(sexes) & set(SEXES)))
-        opens = sorted({a for a, o in ages or () if o})
-        singles = sorted({a for a, o in ages or () if not o})
+        ages = () if od else lasts
+        opens = sorted({a for a, o in ages if o})
+        singles = sorted({a for a, o in ages if not o})
         if len(opens) > 1:
             raise DataError(f"{name}: multiple open age classes {opens}")
         if opens and singles and opens[0] <= singles[-1]:
@@ -740,7 +779,7 @@ def read_csv(path: str, integer: bool = False,
                                     ages=tuple(singles + opens), od=od,
                                     open_age=opens[0] if opens else None)
 
-    lasts = lasts if od else [a for a, _ in ages]
+    lasts = lasts if od else [a for a, _ in lasts]
     return CensusTable(resolution, Entries((years, codes, sexes, lasts),
                                            (yi, ri, si, li), values),
                        integer=integer, name=name)

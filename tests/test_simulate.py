@@ -100,6 +100,41 @@ def test_init_rejects_vanishing_population():
         init_population(pop_tab(2000, {(2000, "AT-1", "m", 5): 3}), 0.1)
 
 
+def _random_population(rng, regions):
+    weights = rng.integers(1, 60, (len(regions), 2, 101))
+    weights[rng.random(weights.shape) < 0.6] = 0
+    return pop_tab(2000, {(2000, r, s, a): int(weights[i, j, a])
+                          for i, r in enumerate(regions) for j, s in enumerate("mf")
+                          for a in range(101) if weights[i, j, a]})
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_init_split_equals_the_divisor_kernel(seed, monkeypatch):
+    """A total equal to the census's is split into the census counts
+    themselves, without the kernel; every other total goes through it, and
+    both give the people the kernel's split gives."""
+    import censim.simulate as simulate
+    from censim.balance import round_half_away
+    from censim.disagg import huntington_hill
+
+    calls = []
+    monkeypatch.setattr(simulate, "huntington_hill",
+                        lambda x, p: calls.append(x) or huntington_hill(x, p))
+    rng = np.random.default_rng(seed)
+    P = _random_population(rng, ("AT-1", "AT-2", "AT-3")[:1 + seed % 3])
+    for scale in (1.0, 1 + 1e-9, 0.5, 0.97, 1.3, 3.0):
+        at, weights = simulate._census_cells(P, 2000, P.codes)
+        total = round_half_away(scale * sum(weights))
+        people = simulate._people(at, huntington_hill(total, weights),
+                                  P.resolution.ages, 2000, 1)
+        calls.clear()
+        state = init_population(P, scale)
+        assert calls == ([] if total == sum(weights) else [total])
+        for ours, ref in zip((state.pid, state.sex, state.birth_year, state.region),
+                             people):
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref)
+
+
 def test_certain_death_empties_cohort():
     pop = pop_tab(2000, {
         (2000, "AT-1", "m", 30): 50,
